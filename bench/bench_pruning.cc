@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_options.h"
+#include "bench_stats.h"
 #include "core/verifier.h"
 #include "workloads.h"
 
@@ -20,6 +21,7 @@ namespace {
 
 using has::bench::ApplyCommonOptions;
 using has::bench::BenchToggles;
+using has::bench::ExportStats;
 using has::bench::MakeAdversarialCyclic;
 using has::bench::MakeDeepHierarchy;
 using has::bench::MakeMultiSet;
@@ -42,43 +44,7 @@ void RunVerification(benchmark::State& state, const Workload& w) {
   state.counters["states_per_sec"] = benchmark::Counter(
       static_cast<double>(states), benchmark::Counter::kIsRate);
   state.counters["prune"] = prune ? 1 : 0;
-  // Deterministic per-verification counters (identical every
-  // iteration and on every host — the regression-gate payload).
-  state.counters["cov_nodes"] = static_cast<double>(stats.cov_nodes);
-  state.counters["cov_edges"] = static_cast<double>(stats.cov_edges);
-  state.counters["product_states"] =
-      static_cast<double>(stats.product_states);
-  state.counters["pooled_types"] = static_cast<double>(stats.pooled_types);
-  state.counters["pruned_successors"] =
-      static_cast<double>(stats.pruned_successors);
-  state.counters["deactivated_nodes"] =
-      static_cast<double>(stats.deactivated_nodes);
-  state.counters["antichain_peak"] =
-      static_cast<double>(stats.antichain_peak);
-  state.counters["cover_edges"] = static_cast<double>(stats.cover_edges);
-  state.counters["antichain_probes"] =
-      static_cast<double>(stats.antichain_probes);
-  state.counters["antichain_skipped_by_summary"] =
-      static_cast<double>(stats.antichain_skipped_by_summary);
-  state.counters["antichain_bucket_probes"] =
-      static_cast<double>(stats.antichain_bucket_probes);
-  state.counters["antichain_buckets_peak"] =
-      static_cast<double>(stats.antichain_buckets_peak);
-  state.counters["sparse_markings"] =
-      static_cast<double>(stats.sparse_markings);
-  state.counters["ample_reduced_successors"] =
-      static_cast<double>(stats.ample_reduced_successors);
-  state.counters["ample_full_expansions"] =
-      static_cast<double>(stats.ample_full_expansions);
-  // Always 0 since lasso analysis runs on the pruned graph itself;
-  // scripts/check_bench_counters.py fails the gate if it ever revives.
-  state.counters["full_graph_builds"] =
-      static_cast<double>(stats.full_graph_builds);
-  state.counters["sliced_services"] =
-      static_cast<double>(stats.sliced_services);
-  state.counters["sliced_dims"] = static_cast<double>(stats.sliced_dims);
-  state.counters["diagnostics_emitted"] =
-      static_cast<double>(stats.diagnostics_emitted);
+  ExportStats(stats, &state);
 }
 
 const Workload& Table1Workload() {

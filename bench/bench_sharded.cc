@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_options.h"
+#include "bench_stats.h"
 #include "core/verifier.h"
 #include "workloads.h"
 
@@ -18,6 +19,7 @@ namespace {
 
 using has::bench::ApplyCommonOptions;
 using has::bench::BenchToggles;
+using has::bench::ExportStats;
 using has::bench::MakeAdversarialCyclic;
 using has::bench::MakeDeepHierarchy;
 using has::bench::MakeWorkload;
@@ -41,44 +43,15 @@ void RunVerification(benchmark::State& state, const Workload& w) {
   state.counters["states_per_sec"] = benchmark::Counter(
       static_cast<double>(states), benchmark::Counter::kIsRate);
   state.counters["shards"] = static_cast<double>(num_shards);
-  // Deterministic exploration counters: the sharded build is node-
-  // identical to the sequential one, so these must agree ACROSS shard
-  // counts as well as across hosts — scripts/check_bench_counters.py
-  // gates them per row, which catches sharded-determinism regressions
-  // in the Release CI job (not just in tests).
-  state.counters["cov_nodes"] = static_cast<double>(stats.cov_nodes);
-  state.counters["cov_edges"] = static_cast<double>(stats.cov_edges);
-  state.counters["product_states"] =
-      static_cast<double>(stats.product_states);
-  state.counters["pooled_types"] = static_cast<double>(stats.pooled_types);
-  state.counters["cover_edges"] = static_cast<double>(stats.cover_edges);
-  // Antichain probes happen only in the serial replay of the
-  // sequential decision order, so the probe counters are shard-count-
-  // invariant too — the --exact gate on these rows is what proves it
-  // in CI.
-  state.counters["antichain_probes"] =
-      static_cast<double>(stats.antichain_probes);
-  state.counters["antichain_skipped_by_summary"] =
-      static_cast<double>(stats.antichain_skipped_by_summary);
-  state.counters["antichain_bucket_probes"] =
-      static_cast<double>(stats.antichain_bucket_probes);
-  state.counters["antichain_buckets_peak"] =
-      static_cast<double>(stats.antichain_buckets_peak);
-  state.counters["sparse_markings"] =
-      static_cast<double>(stats.sparse_markings);
-  // The ample-prefix replay runs in the same serial walk, so the
-  // POR counters share that shard-count invariance.
-  state.counters["ample_reduced_successors"] =
-      static_cast<double>(stats.ample_reduced_successors);
-  state.counters["ample_full_expansions"] =
-      static_cast<double>(stats.ample_full_expansions);
-  state.counters["full_graph_builds"] =
-      static_cast<double>(stats.full_graph_builds);
-  state.counters["sliced_services"] =
-      static_cast<double>(stats.sliced_services);
-  state.counters["sliced_dims"] = static_cast<double>(stats.sliced_dims);
-  state.counters["diagnostics_emitted"] =
-      static_cast<double>(stats.diagnostics_emitted);
+  // The sharded build is node-identical to the sequential one, so the
+  // exploration counters must agree ACROSS shard counts as well as
+  // across hosts — scripts/check_bench_counters.py gates them per row,
+  // which catches sharded-determinism regressions in the Release CI job
+  // (not just in tests). Antichain probes and the ample-prefix replay
+  // run in the serial replay of the sequential decision order, and the
+  // enumeration memo fills one entry per distinct key, so those
+  // counters are shard-count-invariant too.
+  ExportStats(stats, &state);
 }
 
 const Workload& Table1Workload() {

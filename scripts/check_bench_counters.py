@@ -82,6 +82,12 @@ GATED = [
     "sliced_services",
     "sliced_dims",
     "diagnostics_emitted",
+    # Entries the successor-enumeration memo filled (EnumMemo in
+    # src/core/successor.h): one per distinct (configuration, service /
+    # child / child outcome) key the products asked for, so a pure
+    # function of the explored graphs and shard-count-invariant. Growth
+    # means the products enumerate more distinct steps.
+    "enum_memo_misses",
 ]
 # Counters that must be EXACTLY ZERO in every run: lasso analysis runs
 # on the pruned graph itself (via cover-edges), so a single full-graph
@@ -107,6 +113,10 @@ INFORMATIONAL = [
     # is part of the deterministic replay, but the count tracks fold
     # timing rather than work done, so it is surfaced, not gated.
     "ample_full_expansions",
+    # Memo lookups an already-filled entry answered: follows how often
+    # the explorer re-prepares a state (successor-cache evictions, the
+    # sharded schedule), so it is surfaced, not gated.
+    "enum_memo_hits",
 ]
 
 

@@ -565,7 +565,7 @@ bool PartialIsoType::DecideAtom(const Condition& atom, bool value) {
                     "non-constant arithmetic atom reached the equality "
                     "component");
       int var = c.expr.coefs().begin()->first;
-      Rational k = Rational(0) - c.expr.constant();
+      Rational k = -c.expr.constant();
       int a = VarElement(var);
       int b = ConstElement(k);
       return value ? AssertEq(a, b) : AssertNeq(a, b);
@@ -682,7 +682,7 @@ Truth PartialIsoType::EvalAtom(const Condition& atom) const {
       if (c.op == Relop::kEq && c.expr.coefs().size() == 1 &&
           c.expr.coefs().begin()->second == Rational(1)) {
         int var = c.expr.coefs().begin()->first;
-        Rational k = Rational(0) - c.expr.constant();
+        Rational k = -c.expr.constant();
         IsoElement key;
         key.kind = IsoElement::Kind::kVar;
         key.var = var;

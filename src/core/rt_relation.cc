@@ -195,6 +195,12 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.queries;
+    stats_.enum_memo_misses = 0;
+    stats_.enum_memo_hits = 0;
+    for (const auto& context : contexts_) {
+      stats_.enum_memo_misses += context.second->memo().misses();
+      stats_.enum_memo_hits += context.second->memo().hits();
+    }
     stats_.cov_nodes += entry->graph->num_nodes();
     stats_.cov_edges += entry->graph->TotalEdges();
     stats_.product_states += entry->vass->num_states();

@@ -72,6 +72,14 @@ struct RtStats {
   /// timing).
   size_t ample_reduced_successors = 0;
   size_t ample_full_expansions = 0;
+  /// Successor-enumeration memo accounting (EnumMemo in
+  /// core/successor.h), summed over the engine's tasks: entries filled,
+  /// one per distinct (configuration, service / child / child outcome)
+  /// key and so deterministic and shard-count-invariant; and lookups an
+  /// already-filled entry answered (informational: the count follows how
+  /// often the explorer re-prepares a state).
+  size_t enum_memo_misses = 0;
+  size_t enum_memo_hits = 0;
   /// Queries that fell back to rebuilding a full (unpruned) graph for
   /// lasso analysis. Lasso search runs on the pruned graph itself via
   /// its cover-edges, so this is ALWAYS 0 now; the counter is kept as

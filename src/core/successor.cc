@@ -55,7 +55,8 @@ TaskContext::TaskContext(const ArtifactSystem* system,
       property_(property),
       task_(task),
       options_(&options),
-      basis_(hcd != nullptr ? &hcd->basis(task) : nullptr) {
+      basis_(hcd != nullptr ? &hcd->basis(task) : nullptr),
+      memo_(std::make_unique<EnumMemo>()) {
   nav_depth_ = ComputeNavDepth(*system, task, options);
   const Task& t = system->task(task);
   for (int v : t.InputVars()) input_vars_.insert(v);
@@ -76,6 +77,8 @@ TaskContext::TaskContext(const ArtifactSystem* system,
     preserved_polys_ = basis_->PolysOverVars(numeric_inputs);
   }
 }
+
+TaskContext::~TaskContext() = default;
 
 void TaskContext::CollectAtoms() {
   const Task& t = system_->task(task_);
@@ -208,7 +211,7 @@ LinearSystem TaskContext::NumericEqualities(const PartialIsoType& iso) const {
     std::optional<Rational> tag = iso.ConstOf(numeric_elems[i]);
     if (tag.has_value()) {
       LinearExpr expr = LinearExpr::Var(iso.element(numeric_elems[i]).var);
-      expr.AddConstant(Rational(0) - *tag);
+      expr.AddConstant(-*tag);
       out.Add(std::move(expr), Relop::kEq);
     }
     for (size_t j = i + 1; j < numeric_elems.size(); ++j) {
@@ -269,11 +272,6 @@ PartialIsoType TaskContext::TsType(const PartialIsoType& iso, int rel) const {
   PartialIsoType proj = iso.Project(keep, nav_depth_);
   proj.Normalize();
   return proj;
-}
-
-std::string TaskContext::TsSignature(const PartialIsoType& iso,
-                                     int rel) const {
-  return TsType(iso, rel).Signature();
 }
 
 bool TaskContext::TsInputBound(const PartialIsoType& iso, int rel) const {
@@ -582,6 +580,12 @@ std::vector<SymbolicConfig> ApplyChildReturn(
                       out.push_back(std::move(next));
                     });
   return out;
+}
+
+void EnumMemo::Bind(const TypePool* pool) {
+  std::lock_guard<std::mutex> lock(bind_mutex_);
+  if (pool_ == nullptr) pool_ = pool;
+  HAS_CHECK_MSG(pool_ == pool, "an enumeration memo serves a single TypePool");
 }
 
 }  // namespace has

@@ -13,17 +13,27 @@
 #ifndef HAS_CORE_SUCCESSOR_H_
 #define HAS_CORE_SUCCESSOR_H_
 
+#include <array>
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "arith/cell.h"
 #include "arith/hcd.h"
+#include "common/hashing.h"
 #include "core/iso_type.h"
+#include "core/type_pool.h"
 #include "hltl/hltl.h"
 #include "model/artifact_system.h"
 
 namespace has {
+
+class EnumMemo;
 
 struct VerifierOptions {
   /// Navigation depth cap for partial isomorphism types. When
@@ -108,6 +118,12 @@ class TaskContext {
  public:
   TaskContext(const ArtifactSystem* system, const HltlProperty* property,
               TaskId task, const VerifierOptions& options, const Hcd* hcd);
+  ~TaskContext();
+
+  /// The task's successor-enumeration memo, shared by every product of
+  /// this task (one context per task per engine). It is the context's
+  /// only mutable part, and it is thread-safe.
+  EnumMemo& memo() const { return *memo_; }
 
   const ArtifactSystem& system() const { return *system_; }
   const Task& task() const { return system_->task(task_); }
@@ -146,10 +162,6 @@ class TaskContext {
   /// interns it into a counter dimension id in relation `rel`'s
   /// dimension group.
   PartialIsoType TsType(const PartialIsoType& iso, int rel = 0) const;
-
-  /// String form of TsType — printing/debug only; the hot paths intern
-  /// TsType through the TypePool instead.
-  std::string TsSignature(const PartialIsoType& iso, int rel = 0) const;
 
   /// Input-bound test for relation `rel` (Section 4.1): every non-null
   /// variable of s̄_T,rel is forced equal to an input-anchored element.
@@ -194,6 +206,7 @@ class TaskContext {
   std::vector<int> preserved_polys_;
   std::vector<char> por_service_ok_;
   std::vector<ServiceRef> por_service_props_;
+  std::unique_ptr<EnumMemo> memo_;
 };
 
 /// Set-update bookkeeping of one successor on ONE artifact relation.
@@ -260,6 +273,242 @@ std::vector<SymbolicConfig> ApplyChildReturn(
     const TaskContext& parent_ctx, const TaskContext& child_ctx,
     const SymbolicConfig& parent_state, const PartialIsoType& child_out_iso,
     const Cell& child_out_cell, bool* truncated);
+
+// --- enumeration memo ----------------------------------------------------
+//
+// A symbolic step depends only on the task's configuration (iso type and
+// cell) and on what fires: an internal service, a child opening, or a
+// child's return with one outcome. The product VASS multiplies that
+// configuration by the Büchi state, the child stages, the input-bound
+// bits and β, so one step recurs across product states and across R_T
+// queries. The memo computes each step once per key and keeps it for the
+// engine's lifetime (docs/ARCHITECTURE.md, "Enumeration memo").
+
+/// A value the memo keeps until it is interned, then only its pool id.
+/// The id is interned on first use, never when the entry is filled, so
+/// the pool sees exactly the interns an unmemoized enumeration makes: a
+/// successor the ib-bit precheck rejects is never interned. The first
+/// user interns and frees the value (the pool holds the canonical copy);
+/// a racing user waits for the id, which takes one intern.
+template <typename T>
+class Pooled {
+ public:
+  Pooled() = default;
+  explicit Pooled(T value) : value_(std::make_unique<T>(std::move(value))) {}
+  // Moves happen only while an entry is being filled, before any other
+  // thread can see it.
+  Pooled(Pooled&& other) noexcept
+      : value_(std::move(other.value_)),
+        id_(other.id_.load(std::memory_order_relaxed)) {}
+  Pooled& operator=(Pooled&& other) noexcept {
+    value_ = std::move(other.value_);
+    id_.store(other.id_.load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+    return *this;
+  }
+
+  int32_t Id(TypePool* pool) const {
+    int32_t id = id_.load(std::memory_order_acquire);
+    if (id >= 0) return id;
+    int32_t unset = kUnset;
+    if (id_.compare_exchange_strong(unset, kInterning,
+                                    std::memory_order_acquire)) {
+      id = Intern(pool, *value_);
+      value_.reset();
+      id_.store(id, std::memory_order_release);
+      return id;
+    }
+    while ((id = id_.load(std::memory_order_acquire)) < 0) {
+      std::this_thread::yield();
+    }
+    return id;
+  }
+
+ private:
+  static constexpr int32_t kUnset = -1;
+  static constexpr int32_t kInterning = -2;
+
+  static int32_t Intern(TypePool* pool, const PartialIsoType& iso) {
+    return pool->InternNormalized(iso);
+  }
+  static int32_t Intern(TypePool* pool, const Cell& cell) {
+    return pool->InternCell(cell);
+  }
+
+  mutable std::unique_ptr<T> value_;
+  mutable std::atomic<int32_t> id_{kUnset};
+};
+
+/// The successor-enumeration memo of one task. Keys hold pool-interned
+/// ids, so the memo is bound to one TypePool. Entries are filled by the
+/// caller's callback (the product computes letters, which need its
+/// automata) and never change afterwards.
+class EnumMemo {
+ public:
+  /// The configuration's pool ids, the service or child index, and for
+  /// child returns the outcome's pool ids.
+  struct Key {
+    TypeId iso = kNoTypeId;
+    CellId cell = kNoCellId;
+    int slot = -1;
+    TypeId out_iso = kNoTypeId;
+    CellId out_cell = kNoCellId;
+
+    bool operator==(const Key& o) const {
+      return iso == o.iso && cell == o.cell && slot == o.slot &&
+             out_iso == o.out_iso && out_cell == o.out_cell;
+    }
+  };
+
+  /// One successor configuration and the letter the Büchi product reads
+  /// on the step into it.
+  struct Step {
+    Pooled<PartialIsoType> iso;
+    Pooled<Cell> cell;
+    std::vector<bool> letter;
+  };
+
+  /// (A) An internal service fired at a configuration.
+  struct Internal {
+    bool pre = false;        ///< pre-condition holds (else nothing below)
+    bool post = false;       ///< post-condition holds (the POR stutter test)
+    bool truncated = false;  ///< the branch budget cut the enumeration
+    /// Indexed by relation, set for the relations the service inserts
+    /// into: the pre-state's TS-type and input-bound bit, shared by every
+    /// successor's insert and by the POR stutter.
+    std::vector<Pooled<PartialIsoType>> insert_ts;
+    std::vector<char> insert_input_bound;
+    /// EnumerateInternal's SetOpEffect with the retrieved TS-type pooled.
+    struct SetOp {
+      int relation = 0;
+      bool inserts = false;
+      bool insert_input_bound = false;
+      bool retrieves = false;
+      bool retrieve_input_bound = false;
+      Pooled<PartialIsoType> retrieve_ts;  ///< set iff `retrieves`
+    };
+    struct Successor {
+      Step step;
+      std::vector<SetOp> set_ops;
+    };
+    std::vector<Successor> successors;
+    /// Letter of the identity stutter; set only for POR-eligible
+    /// services whose post-condition holds.
+    std::vector<bool> stutter_letter;
+  };
+
+  /// (B) A child opened at a configuration.
+  struct Opening {
+    bool enabled = false;  ///< the child's opening pre-condition holds
+    PartialIsoType child_iso;
+    Cell child_cell;
+    std::vector<std::vector<bool>> letters;  ///< indexed by β_c
+  };
+
+  /// (C) A child's return with one outcome at a configuration.
+  struct Return {
+    bool truncated = false;
+    std::vector<Step> steps;
+  };
+
+  EnumMemo() = default;
+  EnumMemo(const EnumMemo&) = delete;
+  EnumMemo& operator=(const EnumMemo&) = delete;
+
+  /// Binds the memo to the pool its keys and ids come from; every later
+  /// bind must name the same pool.
+  void Bind(const TypePool* pool);
+
+  /// The entry of `key`, filled by `fill(Value*)` on first demand. Each
+  /// key is filled exactly once: concurrent callers of a cold key block
+  /// on its latch until the first one has filled it.
+  template <typename Fill>
+  const Internal& GetInternal(const Key& key, const Fill& fill) {
+    return internal_.Get(key, fill, &counts_);
+  }
+  template <typename Fill>
+  const Opening& GetOpening(const Key& key, const Fill& fill) {
+    return opening_.Get(key, fill, &counts_);
+  }
+  template <typename Fill>
+  const Return& GetReturn(const Key& key, const Fill& fill) {
+    return return_.Get(key, fill, &counts_);
+  }
+
+  /// Entries filled: one per distinct key, so deterministic and
+  /// shard-count-invariant.
+  size_t misses() const {
+    return counts_.misses.load(std::memory_order_relaxed);
+  }
+  /// Lookups answered by an entry that was already filled.
+  size_t hits() const { return counts_.hits.load(std::memory_order_relaxed); }
+
+ private:
+  static constexpr size_t kNumStripes = 16;  // power of two
+
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      size_t seed = static_cast<size_t>(k.iso);
+      HashMix(&seed, k.cell);
+      HashMix(&seed, k.slot);
+      HashMix(&seed, k.out_iso);
+      HashMix(&seed, k.out_cell);
+      return seed;
+    }
+  };
+  struct Counts {
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> misses{0};
+  };
+
+  /// Striped map of latched entries: the stripe mutex guards only the
+  /// slot lookup, each slot's latch guards its one fill.
+  template <typename Value>
+  class Table {
+   public:
+    template <typename Fill>
+    const Value& Get(const Key& key, const Fill& fill, Counts* counts) {
+      Stripe& stripe = stripes_[KeyHash{}(key) & (kNumStripes - 1)];
+      Slot* slot;
+      {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        std::unique_ptr<Slot>& owned = stripe.slots[key];
+        if (owned == nullptr) owned = std::make_unique<Slot>();
+        slot = owned.get();
+      }
+      if (!slot->ready.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> latch(slot->latch);
+        if (!slot->ready.load(std::memory_order_relaxed)) {
+          fill(&slot->value);
+          slot->ready.store(true, std::memory_order_release);
+          counts->misses.fetch_add(1, std::memory_order_relaxed);
+          return slot->value;
+        }
+      }
+      counts->hits.fetch_add(1, std::memory_order_relaxed);
+      return slot->value;
+    }
+
+   private:
+    struct Slot {
+      std::mutex latch;
+      std::atomic<bool> ready{false};
+      Value value;
+    };
+    struct Stripe {
+      std::mutex mutex;
+      std::unordered_map<Key, std::unique_ptr<Slot>, KeyHash> slots;
+    };
+    std::array<Stripe, kNumStripes> stripes_;
+  };
+
+  std::mutex bind_mutex_;
+  const TypePool* pool_ = nullptr;
+  Counts counts_;
+  Table<Internal> internal_;
+  Table<Opening> opening_;
+  Table<Return> return_;
+};
 
 }  // namespace has
 

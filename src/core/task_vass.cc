@@ -24,6 +24,7 @@ TaskVass::TaskVass(const TaskContext* ctx,
       opening_filter_(opening_filter),
       state_index_(0, StateIndexHash{&states_}, StateIndexEq{&states_}) {
   buchi_ = &automata_->automaton(beta);
+  ctx_->memo().Bind(pool_);
 }
 
 TypeId TaskVass::InternIso(const PartialIsoType& iso) {
@@ -96,6 +97,7 @@ int TaskVass::InternOutcome(ChildOutcome outcome) {
   // consumer sees the interned representative.
   outcome.iso = pool_->type(key.iso);
   outcomes_.push_back(std::move(outcome));
+  outcome_keys_.push_back(key);
   outcome_index_.emplace(key, id);
   return id;
 }
@@ -136,6 +138,85 @@ std::vector<bool> TaskVass::MakeLetter(const SymbolicConfig& config,
   return letter;
 }
 
+void TaskVass::FillInternal(const SymbolicConfig& cur, int service,
+                            EnumMemo::Internal* entry) const {
+  const InternalService& svc = ctx_->task().service(service);
+  entry->pre = ctx_->EvalSym(*svc.pre, cur) == Truth::kTrue;
+  if (!entry->pre) return;
+  entry->post = ctx_->EvalSym(*svc.post, cur) == Truth::kTrue;
+  const ServiceRef ref = ServiceRef::Internal(ctx_->task_id(), service);
+  const size_t num_rels = static_cast<size_t>(ctx_->num_set_relations());
+  entry->insert_ts.resize(num_rels);
+  entry->insert_input_bound.assign(num_rels, 0);
+  for (int rel : svc.insert_rels) {
+    entry->insert_ts[rel] = Pooled<PartialIsoType>(ctx_->TsType(cur.iso, rel));
+    entry->insert_input_bound[rel] = ctx_->TsInputBound(cur.iso, rel);
+  }
+  std::vector<InternalSuccessor> succs =
+      EnumerateInternal(*ctx_, cur, svc, &entry->truncated);
+  entry->successors.reserve(succs.size());
+  for (InternalSuccessor& s : succs) {
+    EnumMemo::Internal::Successor out;
+    out.step.letter = MakeLetter(s.next, ref, kNoTask, 0);
+    out.step.iso = Pooled<PartialIsoType>(std::move(s.next.iso));
+    out.step.cell = Pooled<Cell>(std::move(s.next.cell));
+    out.set_ops.reserve(s.set_ops.size());
+    for (SetOpEffect& eff : s.set_ops) {
+      EnumMemo::Internal::SetOp op;
+      op.relation = eff.relation;
+      op.inserts = eff.inserts;
+      op.insert_input_bound = eff.insert_input_bound;
+      op.retrieves = eff.retrieves;
+      op.retrieve_input_bound = eff.retrieve_input_bound;
+      if (eff.retrieves) {
+        op.retrieve_ts = Pooled<PartialIsoType>(std::move(eff.retrieve_ts));
+      }
+      out.set_ops.push_back(std::move(op));
+    }
+    entry->successors.push_back(std::move(out));
+  }
+  if (ctx_->options().por && ctx_->PorServiceEligible(service) &&
+      entry->post) {
+    entry->stutter_letter = MakeLetter(cur, ref, kNoTask, 0);
+  }
+}
+
+void TaskVass::FillOpening(const SymbolicConfig& cur, int child,
+                           EnumMemo::Opening* entry) const {
+  const TaskId child_id = ctx_->task().children()[child];
+  entry->enabled =
+      ctx_->EvalSym(*ctx_->system().task(child_id).opening_pre(), cur) ==
+      Truth::kTrue;
+  if (!entry->enabled) return;
+  const TaskContext* child_ctx = child_ctxs_->at(child_id);
+  entry->child_iso = ChildInputIso(*ctx_, *child_ctx, cur);
+  entry->child_cell = ChildInputCell(*ctx_, *child_ctx, cur);
+  const ServiceRef ref = ServiceRef::Opening(child_id);
+  const auto num_assignments = static_cast<Assignment>(
+      all_automata_->ForTask(child_id).num_assignments());
+  for (Assignment bc = 0; bc < num_assignments; ++bc) {
+    entry->letters.push_back(MakeLetter(cur, ref, child_id, bc));
+  }
+}
+
+void TaskVass::FillReturn(const SymbolicConfig& cur, int child,
+                          const ChildOutcome& outcome,
+                          EnumMemo::Return* entry) const {
+  const TaskId child_id = ctx_->task().children()[child];
+  std::vector<SymbolicConfig> nexts =
+      ApplyChildReturn(*ctx_, *child_ctxs_->at(child_id), cur, outcome.iso,
+                       outcome.cell, &entry->truncated);
+  const ServiceRef ref = ServiceRef::Closing(child_id);
+  entry->steps.reserve(nexts.size());
+  for (SymbolicConfig& next : nexts) {
+    EnumMemo::Step step;
+    step.letter = MakeLetter(next, ref, kNoTask, 0);
+    step.iso = Pooled<PartialIsoType>(std::move(next.iso));
+    step.cell = Pooled<Cell>(std::move(next.cell));
+    entry->steps.push_back(std::move(step));
+  }
+}
+
 std::vector<int> TaskVass::InitialStates() {
   std::vector<int> out;
   bool truncated = false;
@@ -166,18 +247,14 @@ std::vector<int> TaskVass::InitialStates() {
   return out;
 }
 
-TaskVass::PendingEdge* TaskVass::EmitPending(const State& from,
-                                             const SymbolicConfig& next,
-                                             const ServiceRef& service,
-                                             TaskId opened_child,
-                                             Assignment child_beta,
-                                             const std::string& note,
-                                             PendingSuccessors* pending) {
-  std::vector<bool> letter = MakeLetter(next, service, opened_child,
-                                        child_beta);
+TaskVass::PendingEdge* TaskVass::EmitPending(
+    const State& from, TypeId next_iso, CellId next_cell,
+    const std::vector<bool>& letter, const ServiceRef& service,
+    Assignment child_beta, const std::string& note,
+    PendingSuccessors* pending) {
   PendingEdge pe;
-  pe.next_iso = InternIso(next.iso);
-  pe.next_cell = InternCell(next.cell);
+  pe.next_iso = next_iso;
+  pe.next_cell = next_cell;
   pe.service = service;
   pe.child_beta = child_beta;
   pe.note = note;
@@ -198,7 +275,13 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
       snapshot.service.task == ctx_->task_id()) {
     return pending;
   }
-  SymbolicConfig cur{pool_->type(snapshot.iso), pool_->cell(snapshot.cell)};
+  // Steps (A)–(C) are read from the task's enumeration memo, keyed by
+  // the state's configuration; `cur` is read only to fill entries and
+  // for (D). What varies per product state — Büchi compatibility from
+  // `q`, the ib-bit precheck, the child stages — is recomputed here.
+  const SymbolicConfig cur{pool_->type(snapshot.iso),
+                           pool_->cell(snapshot.cell)};
+  EnumMemo& memo = ctx_->memo();
 
   bool any_active = false;
   for (const ChildStage& st : snapshot.stages) {
@@ -237,41 +320,46 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // expand fully — the stutter must not sit on a letter the property
     // can see. Everything read here is part of the state's
     // configuration, so the choice is a pure function of the state.
+    const int num_services = static_cast<int>(task.services().size());
+    std::vector<const EnumMemo::Internal*> entries(num_services);
+    for (int i = 0; i < num_services; ++i) {
+      entries[i] = &memo.GetInternal(
+          {snapshot.iso, snapshot.cell, i},
+          [&](EnumMemo::Internal* e) { FillInternal(cur, i, e); });
+    }
     std::vector<int> ample;
     if (ctx_->options().por && !ctx_->PorServiceIsProp(snapshot.service)) {
-      for (size_t i = 0; i < task.services().size(); ++i) {
-        if (!ctx_->PorServiceEligible(static_cast<int>(i))) continue;
-        const InternalService& svc = task.service(static_cast<int>(i));
-        if (ctx_->EvalSym(*svc.pre, cur) != Truth::kTrue) continue;
-        if (ctx_->EvalSym(*svc.post, cur) != Truth::kTrue) continue;
-        ample.push_back(static_cast<int>(i));
-      }
-    }
-    // Emits every successor of service `i`; returns whether THIS
-    // service's enumeration was budget-truncated.
-    auto emit_service = [&](size_t i) -> bool {
-      const InternalService& svc = task.service(static_cast<int>(i));
-      if (ctx_->EvalSym(*svc.pre, cur) != Truth::kTrue) return false;
-      bool truncated = false;
-      std::vector<InternalSuccessor> succs =
-          EnumerateInternal(*ctx_, cur, svc, &truncated);
-      pending->truncated = pending->truncated || truncated;
-      // Each inserted TS-type is the per-relation projection of the
-      // CURRENT state, so it is identical across every successor of
-      // this service: intern once per relation (the retrieved types
-      // vary per successor).
-      std::map<int, TypeId> insert_ts;
-      if (!succs.empty()) {
-        for (int rel : svc.insert_rels) {
-          insert_ts[rel] =
-              pool_->InternNormalized(ctx_->TsType(cur.iso, rel));
+      for (int i = 0; i < num_services; ++i) {
+        if (ctx_->PorServiceEligible(i) && entries[i]->pre &&
+            entries[i]->post) {
+          ample.push_back(i);
         }
       }
-      for (InternalSuccessor& s : succs) {
+    }
+    // Emits every successor of service `i`. Pool ids are taken in the
+    // order the unmemoized enumeration interned them, and only for what
+    // it interned: the inserted TS-types once the service has a
+    // successor, each retrieved TS-type up to the first infeasible
+    // retrieve, and the target of each feasible successor.
+    auto emit_service = [&](int i) {
+      const EnumMemo::Internal& e = *entries[i];
+      if (!e.pre) return;
+      const InternalService& svc = task.service(i);
+      pending->truncated = pending->truncated || e.truncated;
+      // Each inserted TS-type is the per-relation projection of the
+      // CURRENT state, so it is identical across every successor of
+      // this service (the retrieved types vary per successor).
+      std::vector<TypeId> insert_ts(e.insert_ts.size(), kNoTypeId);
+      if (!e.successors.empty()) {
+        for (int rel : svc.insert_rels) {
+          insert_ts[rel] = e.insert_ts[rel].Id(pool_);
+        }
+      }
+      for (const EnumMemo::Internal::Successor& s : e.successors) {
         std::vector<PendingEdge::PendingSetOp> ops;
         ops.reserve(s.set_ops.size());
         bool feasible = true;
-        for (SetOpEffect& eff : s.set_ops) {
+        for (const EnumMemo::Internal::SetOp& eff : s.set_ops) {
           PendingEdge::PendingSetOp op;
           op.relation = eff.relation;
           op.inserts = eff.inserts;
@@ -280,8 +368,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           if (eff.retrieves) {
             op.retrieves = true;
             op.retrieve_input_bound = eff.retrieve_input_bound;
-            op.retrieve_ts =
-                pool_->InternNormalized(std::move(eff.retrieve_ts));
+            op.retrieve_ts = eff.retrieve_ts.Id(pool_);
             if (eff.retrieve_input_bound) {
               // Read-only feasibility precheck (ib-bit ALLOCATION stays
               // in the commit): the retrieve can only succeed when the
@@ -309,16 +396,18 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           ops.push_back(std::move(op));
         }
         if (!feasible) continue;
+        const TypeId next_iso = s.step.iso.Id(pool_);
+        const CellId next_cell = s.step.cell.Id(pool_);
         PendingEdge* pe = EmitPending(
-            snapshot, s.next,
-            ServiceRef::Internal(ctx_->task_id(), static_cast<int>(i)),
-            kNoTask, 0, svc.name, pending.get());
+            snapshot, next_iso, next_cell, s.step.letter,
+            ServiceRef::Internal(ctx_->task_id(), i), 0, svc.name,
+            pending.get());
         pe->fresh_stages = true;
         pe->set_ops = std::move(ops);
       }
-      return truncated;
     };
     for (int a : ample) {
+      const EnumMemo::Internal& e = *entries[a];
       const InternalService& svc = task.service(a);
       std::vector<PendingEdge::PendingSetOp> ops;
       for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
@@ -326,13 +415,14 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         PendingEdge::PendingSetOp op;
         op.relation = rel;
         op.inserts = true;
-        op.insert_input_bound = ctx_->TsInputBound(cur.iso, rel);
-        op.insert_ts = pool_->InternNormalized(ctx_->TsType(cur.iso, rel));
+        op.insert_input_bound = e.insert_input_bound[rel] != 0;
+        op.insert_ts = e.insert_ts[rel].Id(pool_);
         ops.push_back(std::move(op));
       }
       PendingEdge* pe = EmitPending(
-          snapshot, cur, ServiceRef::Internal(ctx_->task_id(), a), kNoTask,
-          0, svc.name, pending.get());
+          snapshot, snapshot.iso, snapshot.cell, e.stutter_letter,
+          ServiceRef::Internal(ctx_->task_id(), a), 0, svc.name,
+          pending.get());
       pe->fresh_stages = true;
       pe->set_ops = std::move(ops);
     }
@@ -340,34 +430,34 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // prefix commits zero edges and AmplePrefix stays 0 — the state
     // expands fully.
     pending->ample_pending = static_cast<int>(pending->edges.size());
-    for (size_t i = 0; i < task.services().size(); ++i) {
-      emit_service(i);
-    }
+    for (int i = 0; i < num_services; ++i) emit_service(i);
   }
 
   // (B) Open a child (at most once per segment). The oracle round-trip
   // is batched per child: one input interning covers every β_c.
   for (size_t c = 0; c < task.children().size(); ++c) {
     if (snapshot.stages[c].kind != ChildStage::Kind::kInit) continue;
+    const int ci = static_cast<int>(c);
+    const EnumMemo::Opening& e = memo.GetOpening(
+        {snapshot.iso, snapshot.cell, ci},
+        [&](EnumMemo::Opening* out) { FillOpening(cur, ci, out); });
+    if (!e.enabled) continue;
     TaskId child_id = task.children()[c];
     const Task& child = ctx_->system().task(child_id);
-    if (ctx_->EvalSym(*child.opening_pre(), cur) != Truth::kTrue) continue;
-    const TaskContext* child_ctx = child_ctxs_->at(child_id);
-    PartialIsoType child_in = ChildInputIso(*ctx_, *child_ctx, cur);
-    Cell child_in_cell = ChildInputCell(*ctx_, *child_ctx, cur);
-    int num_assignments = all_automata_->ForTask(child_id).num_assignments();
-    RtOracle::BatchedChildResult batch = oracle_->QueryAll(
-        child_id, child_in, child_in_cell,
-        static_cast<Assignment>(num_assignments));
-    for (Assignment bc = 0;
-         bc < static_cast<Assignment>(num_assignments); ++bc) {
+    RtOracle::BatchedChildResult batch =
+        oracle_->QueryAll(child_id, e.child_iso, e.child_cell,
+                          static_cast<Assignment>(e.letters.size()));
+    const std::string note = StrCat("open ", child.name());
+    const std::string bottom_note =
+        StrCat("open ", child.name(), " (non-returning)");
+    for (Assignment bc = 0; bc < static_cast<Assignment>(e.letters.size());
+         ++bc) {
       const ChildResult& result = *batch.results[bc];
       for (size_t oi = 0; oi < result.returning.size(); ++oi) {
-        PendingEdge* pe = EmitPending(snapshot, cur,
-                                      ServiceRef::Opening(child_id),
-                                      child_id, bc,
-                                      StrCat("open ", child.name()),
-                                      pending.get());
+        PendingEdge* pe =
+            EmitPending(snapshot, snapshot.iso, snapshot.cell, e.letters[bc],
+                        ServiceRef::Opening(child_id), bc, note,
+                        pending.get());
         pe->stage_child = static_cast<int>(c);
         pe->stage_kind = ChildStage::Kind::kActive;
         pe->outcome_src = &result.returning[oi];
@@ -375,10 +465,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         pe->child_result_index = static_cast<int>(oi);
       }
       if (result.has_bottom) {
-        PendingEdge* pe = EmitPending(
-            snapshot, cur, ServiceRef::Opening(child_id), child_id, bc,
-            StrCat("open ", child.name(), " (non-returning)"),
-            pending.get());
+        PendingEdge* pe =
+            EmitPending(snapshot, snapshot.iso, snapshot.cell, e.letters[bc],
+                        ServiceRef::Opening(child_id), bc, bottom_note,
+                        pending.get());
         pe->stage_child = static_cast<int>(c);
         pe->stage_kind = ChildStage::Kind::kActiveBottom;
         pe->child_key = batch.keys[bc];
@@ -390,19 +480,25 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   // (C) Close an active (returning) child.
   for (size_t c = 0; c < task.children().size(); ++c) {
     if (snapshot.stages[c].kind != ChildStage::Kind::kActive) continue;
+    const int ci = static_cast<int>(c);
+    const int outcome = snapshot.stages[c].outcome;
+    const OutcomeKey& o = outcome_keys_[outcome];
+    const EnumMemo::Return& e = memo.GetReturn(
+        {snapshot.iso, snapshot.cell, ci, o.iso, o.cell},
+        [&](EnumMemo::Return* out) {
+          FillReturn(cur, ci, outcomes_[outcome], out);
+        });
+    pending->truncated = pending->truncated || e.truncated;
     TaskId child_id = task.children()[c];
-    const TaskContext* child_ctx = child_ctxs_->at(child_id);
-    const ChildOutcome& o = outcomes_[snapshot.stages[c].outcome];
-    bool truncated = false;
-    std::vector<SymbolicConfig> nexts = ApplyChildReturn(
-        *ctx_, *child_ctx, cur, o.iso, o.cell, &truncated);
-    pending->truncated = pending->truncated || truncated;
-    for (SymbolicConfig& next : nexts) {
-      PendingEdge* pe = EmitPending(
-          snapshot, next, ServiceRef::Closing(child_id), kNoTask, 0,
-          StrCat("close ", ctx_->system().task(child_id).name()),
-          pending.get());
-      pe->stage_child = static_cast<int>(c);
+    const std::string note =
+        StrCat("close ", ctx_->system().task(child_id).name());
+    for (const EnumMemo::Step& s : e.steps) {
+      const TypeId next_iso = s.iso.Id(pool_);
+      const CellId next_cell = s.cell.Id(pool_);
+      PendingEdge* pe =
+          EmitPending(snapshot, next_iso, next_cell, s.letter,
+                      ServiceRef::Closing(child_id), 0, note, pending.get());
+      pe->stage_child = ci;
       pe->stage_kind = ChildStage::Kind::kClosed;
     }
   }
@@ -411,8 +507,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   // has returned).
   if (!any_active && !ctx_->task().is_root() &&
       ctx_->EvalSym(*task.closing_pre(), cur) == Truth::kTrue) {
-    EmitPending(snapshot, cur, ServiceRef::Closing(ctx_->task_id()), kNoTask,
-                0, "close self", pending.get());
+    const ServiceRef close_self = ServiceRef::Closing(ctx_->task_id());
+    EmitPending(snapshot, snapshot.iso, snapshot.cell,
+                MakeLetter(cur, close_self, kNoTask, 0), close_self, 0,
+                "close self", pending.get());
   }
   return pending;
 }

@@ -207,6 +207,8 @@ class TaskVass : public VassSystem {
   const ChildOutcome& outcome(int i) const { return outcomes_[i]; }
 
  private:
+  friend class TaskVassTestPeer;
+
   struct State {
     TypeId iso = kNoTypeId;
     CellId cell = kNoCellId;
@@ -314,11 +316,22 @@ class TaskVass : public VassSystem {
                                const ServiceRef& service, TaskId opened_child,
                                Assignment child_beta) const;
 
+  /// Fill the enumeration-memo entries of configuration `cur` (see
+  /// EnumMemo): internal service `service`, opening child `child` (an
+  /// index into the task's children), and that child's return with
+  /// `outcome`. Fills intern nothing into the pool.
+  void FillInternal(const SymbolicConfig& cur, int service,
+                    EnumMemo::Internal* entry) const;
+  void FillOpening(const SymbolicConfig& cur, int child,
+                   EnumMemo::Opening* entry) const;
+  void FillReturn(const SymbolicConfig& cur, int child,
+                  const ChildOutcome& outcome, EnumMemo::Return* entry) const;
+
   /// One prepared (not yet committed) product transition: the target
   /// configuration is already pool-interned and the Büchi-compatible
-  /// successor states are precomputed; everything that allocates
-  /// product-local ids (counter dimensions, ib bits, outcomes, states,
-  /// records) is deferred to the commit.
+  /// successor states of the memoized letter are precomputed; everything
+  /// that allocates product-local ids (counter dimensions, ib bits,
+  /// outcomes, states, records) is deferred to the commit.
   struct PendingEdge {
     TypeId next_iso = kNoTypeId;
     CellId next_cell = kNoCellId;
@@ -358,12 +371,14 @@ class TaskVass : public VassSystem {
     int ample_pending = 0;
   };
 
-  /// Appends a PendingEdge for the transition into `next` (computing
-  /// the letter and the compatible Büchi successors); the caller fills
-  /// in the transition-specific bookkeeping on the returned edge.
-  PendingEdge* EmitPending(const State& from, const SymbolicConfig& next,
-                           const ServiceRef& service, TaskId opened_child,
-                           Assignment child_beta, const std::string& note,
+  /// Appends a PendingEdge for the transition into (`next_iso`,
+  /// `next_cell`) reading `letter` (computing the compatible Büchi
+  /// successors of `from`); the caller fills in the transition-specific
+  /// bookkeeping on the returned edge.
+  PendingEdge* EmitPending(const State& from, TypeId next_iso,
+                           CellId next_cell, const std::vector<bool>& letter,
+                           const ServiceRef& service, Assignment child_beta,
+                           const std::string& note,
                            PendingSuccessors* pending);
 
   const TaskContext* ctx_;
@@ -402,6 +417,7 @@ class TaskVass : public VassSystem {
   std::vector<std::pair<int, TypeId>> ib_types_;
   std::unordered_map<uint64_t, int> ib_index_;
   std::vector<ChildOutcome> outcomes_;
+  std::vector<OutcomeKey> outcome_keys_;  ///< parallel to outcomes_
   std::unordered_map<OutcomeKey, int, OutcomeKeyHash> outcome_index_;
   std::vector<TransitionRecord> records_;
   std::unordered_map<RecordKey, int64_t, RecordKeyHash> record_index_;

@@ -80,7 +80,7 @@ TEST(EnumerateInternalTest, SetUpdatesProduceSignatures) {
   }
   // The inserted tuple's TS-type is the canonical projection of the
   // shared pre-state (Signature retained as the debug/printing path).
-  EXPECT_FALSE(ctx.TsSignature(cur.iso).empty());
+  EXPECT_FALSE(ctx.TsType(cur.iso).Signature().empty());
 }
 
 TEST(ChildInterfaceTest, InputProjectionAndRename) {
