@@ -2,19 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "common/hashing.h"
 #include "common/status.h"
 
 namespace has {
 
-BigInt::BigInt(int64_t value) : negative_(value < 0) {
-  uint64_t mag =
-      value < 0 ? ~static_cast<uint64_t>(value) + 1 : static_cast<uint64_t>(value);
-  while (mag != 0) {
-    limbs_.push_back(static_cast<uint32_t>(mag & 0xffffffffu));
-    mag >>= 32;
+namespace {
+
+uint64_t MagnitudeOfSmall(int64_t v) {
+  return v < 0 ? ~static_cast<uint64_t>(v) + 1 : static_cast<uint64_t>(v);
+}
+
+}  // namespace
+
+void BigInt::SetInt64Min() {
+  small_ = -1;
+  limbs_ = {0u, 0x80000000u};
+}
+
+const BigInt::Limbs& BigInt::Magnitude(Limbs* scratch) const {
+  if (!is_small()) return limbs_;
+  scratch->clear();
+  for (uint64_t mag = MagnitudeOfSmall(small_); mag != 0; mag >>= 32) {
+    scratch->push_back(static_cast<uint32_t>(mag & 0xffffffffu));
   }
+  return *scratch;
+}
+
+BigInt BigInt::FromMagnitude(bool negative, Limbs mag) {
+  Trim(&mag);
+  BigInt out;
+  if (mag.size() <= 2) {
+    uint64_t m = mag.empty() ? 0 : mag[0];
+    if (mag.size() == 2) m |= static_cast<uint64_t>(mag[1]) << 32;
+    if (m < (UINT64_C(1) << 63)) {
+      int64_t value = static_cast<int64_t>(m);
+      out.small_ = negative ? -value : value;
+      return out;
+    }
+  }
+  out.small_ = negative ? -1 : 1;
+  out.limbs_ = std::move(mag);
+  return out;
 }
 
 BigInt BigInt::FromString(const std::string& text) {
@@ -30,16 +62,14 @@ BigInt BigInt::FromString(const std::string& text) {
     HAS_CHECK_MSG(text[i] >= '0' && text[i] <= '9', "bad digit in BigInt");
     out = out * ten + BigInt(text[i] - '0');
   }
-  if (neg && !out.is_zero()) out.negative_ = true;
-  return out;
+  return neg ? -out : out;
 }
 
-void BigInt::Trim(std::vector<uint32_t>* limbs) {
+void BigInt::Trim(Limbs* limbs) {
   while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
 }
 
-int BigInt::CompareMagnitude(const std::vector<uint32_t>& a,
-                             const std::vector<uint32_t>& b) {
+int BigInt::CompareMagnitude(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -47,9 +77,8 @@ int BigInt::CompareMagnitude(const std::vector<uint32_t>& a,
   return 0;
 }
 
-std::vector<uint32_t> BigInt::AddMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+BigInt::Limbs BigInt::AddMagnitude(const Limbs& a, const Limbs& b) {
+  Limbs out;
   out.reserve(std::max(a.size(), b.size()) + 1);
   uint64_t carry = 0;
   for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
@@ -63,9 +92,8 @@ std::vector<uint32_t> BigInt::AddMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::SubMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+BigInt::Limbs BigInt::SubMagnitude(const Limbs& a, const Limbs& b) {
+  Limbs out;
   out.reserve(a.size());
   int64_t borrow = 0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -83,10 +111,9 @@ std::vector<uint32_t> BigInt::SubMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::MulMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b) {
+BigInt::Limbs BigInt::MulMagnitude(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
-  std::vector<uint32_t> out(a.size() + b.size(), 0);
+  Limbs out(a.size() + b.size(), 0);
   for (size_t i = 0; i < a.size(); ++i) {
     uint64_t carry = 0;
     for (size_t j = 0; j < b.size(); ++j) {
@@ -106,20 +133,19 @@ std::vector<uint32_t> BigInt::MulMagnitude(const std::vector<uint32_t>& a,
   return out;
 }
 
-std::vector<uint32_t> BigInt::DivMagnitude(const std::vector<uint32_t>& a,
-                                           const std::vector<uint32_t>& b,
-                                           std::vector<uint32_t>* rem) {
+BigInt::Limbs BigInt::DivMagnitude(const Limbs& a, const Limbs& b,
+                                   Limbs* rem) {
   HAS_CHECK_MSG(!b.empty(), "BigInt division by zero");
   if (CompareMagnitude(a, b) < 0) {
     *rem = a;
     Trim(rem);
     return {};
   }
-  // Bit-by-bit long division: simple and obviously correct; coefficient
-  // sizes in this library stay small enough that O(bits * limbs) is
-  // never a bottleneck.
-  std::vector<uint32_t> quotient(a.size(), 0);
-  std::vector<uint32_t> remainder;
+  // Bit-by-bit long division: simple and obviously correct. Only values
+  // outside int64 take the limb path, so its O(bits * limbs) cost is
+  // paid only once a coefficient outgrows a machine word.
+  Limbs quotient(a.size(), 0);
+  Limbs remainder;
   for (size_t bit_index = a.size() * 32; bit_index-- > 0;) {
     // remainder <<= 1 | bit
     uint32_t bit = (a[bit_index / 32] >> (bit_index % 32)) & 1u;
@@ -141,68 +167,56 @@ std::vector<uint32_t> BigInt::DivMagnitude(const std::vector<uint32_t>& a,
   return quotient;
 }
 
-BigInt BigInt::operator-() const {
-  BigInt out = *this;
-  if (!out.is_zero()) out.negative_ = !out.negative_;
-  return out;
+BigInt BigInt::AddSlow(const BigInt& o, bool subtract) const {
+  Limbs sa, sb;
+  const Limbs& a = Magnitude(&sa);
+  const Limbs& b = o.Magnitude(&sb);
+  bool na = is_negative();
+  bool nb = o.is_negative() != subtract;
+  if (na == nb) return FromMagnitude(na, AddMagnitude(a, b));
+  int cmp = CompareMagnitude(a, b);
+  if (cmp == 0) return BigInt();
+  return cmp > 0 ? FromMagnitude(na, SubMagnitude(a, b))
+                 : FromMagnitude(nb, SubMagnitude(b, a));
 }
 
-BigInt BigInt::operator+(const BigInt& o) const {
-  BigInt out;
-  if (negative_ == o.negative_) {
-    out.limbs_ = AddMagnitude(limbs_, o.limbs_);
-    out.negative_ = negative_;
-  } else {
-    int cmp = CompareMagnitude(limbs_, o.limbs_);
-    if (cmp == 0) return BigInt();
-    if (cmp > 0) {
-      out.limbs_ = SubMagnitude(limbs_, o.limbs_);
-      out.negative_ = negative_;
-    } else {
-      out.limbs_ = SubMagnitude(o.limbs_, limbs_);
-      out.negative_ = o.negative_;
-    }
-  }
-  out.Normalize();
-  return out;
-}
-
-BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
-
-BigInt BigInt::operator*(const BigInt& o) const {
-  BigInt out;
-  out.limbs_ = MulMagnitude(limbs_, o.limbs_);
-  out.negative_ = !out.limbs_.empty() && (negative_ != o.negative_);
-  return out;
+BigInt BigInt::MulSlow(const BigInt& o) const {
+  Limbs sa, sb;
+  return FromMagnitude(is_negative() != o.is_negative(),
+                       MulMagnitude(Magnitude(&sa), o.Magnitude(&sb)));
 }
 
 BigInt BigInt::operator/(const BigInt& o) const {
-  BigInt out;
-  std::vector<uint32_t> rem;
-  out.limbs_ = DivMagnitude(limbs_, o.limbs_, &rem);
-  out.negative_ = !out.limbs_.empty() && (negative_ != o.negative_);
-  return out;
+  HAS_CHECK_MSG(!o.is_zero(), "BigInt division by zero");
+  if (is_small() && o.is_small()) return BigInt(small_ / o.small_);
+  Limbs sa, sb, rem;
+  return FromMagnitude(is_negative() != o.is_negative(),
+                       DivMagnitude(Magnitude(&sa), o.Magnitude(&sb), &rem));
 }
 
 BigInt BigInt::operator%(const BigInt& o) const {
-  BigInt out;
-  std::vector<uint32_t> rem;
-  DivMagnitude(limbs_, o.limbs_, &rem);
-  out.limbs_ = std::move(rem);
-  out.negative_ = !out.limbs_.empty() && negative_;
-  return out;
+  HAS_CHECK_MSG(!o.is_zero(), "BigInt division by zero");
+  if (is_small() && o.is_small()) return BigInt(small_ % o.small_);
+  Limbs sa, sb, rem;
+  DivMagnitude(Magnitude(&sa), o.Magnitude(&sb), &rem);
+  return FromMagnitude(is_negative(), std::move(rem));
 }
 
-bool BigInt::operator<(const BigInt& o) const {
-  if (negative_ != o.negative_) return negative_;
-  int cmp = CompareMagnitude(limbs_, o.limbs_);
-  return negative_ ? cmp > 0 : cmp < 0;
+bool BigInt::LessSlow(const BigInt& o) const {
+  if (is_negative() != o.is_negative()) return is_negative();
+  Limbs sa, sb;
+  int cmp = CompareMagnitude(Magnitude(&sa), o.Magnitude(&sb));
+  return is_negative() ? cmp > 0 : cmp < 0;
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
   a = a.Abs();
   b = b.Abs();
   while (!b.is_zero()) {
+    if (a.is_small() && b.is_small()) {
+      return BigInt(static_cast<int64_t>(std::gcd(
+          static_cast<uint64_t>(a.small_), static_cast<uint64_t>(b.small_))));
+    }
     BigInt r = a % b;
     a = std::move(b);
     b = std::move(r);
@@ -210,52 +224,53 @@ BigInt BigInt::Gcd(BigInt a, BigInt b) {
   return a;
 }
 
-BigInt BigInt::Abs() const {
-  BigInt out = *this;
-  out.negative_ = false;
-  return out;
-}
-
 double BigInt::ToDouble() const {
+  if (is_small()) return static_cast<double>(small_);
   double out = 0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     out = out * 4294967296.0 + static_cast<double>(limbs_[i]);
   }
-  return negative_ ? -out : out;
+  return is_negative() ? -out : out;
 }
 
 bool BigInt::FitsInt64(int64_t* out) const {
-  if (limbs_.size() > 2) return false;
-  uint64_t mag = 0;
-  if (limbs_.size() >= 1) mag = limbs_[0];
-  if (limbs_.size() == 2) mag |= static_cast<uint64_t>(limbs_[1]) << 32;
-  if (negative_) {
-    if (mag > (UINT64_C(1) << 63)) return false;
-    *out = -static_cast<int64_t>(mag);
-  } else {
-    if (mag >= (UINT64_C(1) << 63)) return false;
-    *out = static_cast<int64_t>(mag);
+  if (is_small()) {
+    *out = small_;
+    return true;
   }
-  return true;
+  // INT64_MIN is the only big-form value that fits.
+  if (is_negative() && limbs_ == Limbs{0u, 0x80000000u}) {
+    *out = INT64_MIN;
+    return true;
+  }
+  return false;
 }
 
 std::string BigInt::ToString() const {
-  if (is_zero()) return "0";
+  if (is_small()) return std::to_string(small_);
   std::string digits;
-  std::vector<uint32_t> mag = limbs_;
-  const std::vector<uint32_t> ten = {10};
+  Limbs mag = limbs_;
+  const Limbs ten = {10};
   while (!mag.empty()) {
-    std::vector<uint32_t> rem;
+    Limbs rem;
     mag = DivMagnitude(mag, ten, &rem);
     digits.push_back(static_cast<char>('0' + (rem.empty() ? 0 : rem[0])));
   }
-  if (negative_) digits.push_back('-');
+  if (is_negative()) digits.push_back('-');
   std::reverse(digits.begin(), digits.end());
   return digits;
 }
 
 size_t BigInt::Hash() const {
-  size_t seed = negative_ ? 1 : 0;
+  // Mixes the 32-bit limbs of |v| (low first) into a sign seed, for both
+  // forms alike, so hashes do not depend on the representation.
+  size_t seed = is_negative() ? 1 : 0;
+  if (is_small()) {
+    for (uint64_t mag = MagnitudeOfSmall(small_); mag != 0; mag >>= 32) {
+      HashMix(&seed, static_cast<uint32_t>(mag & 0xffffffffu));
+    }
+    return seed;
+  }
   for (uint32_t limb : limbs_) HashMix(&seed, limb);
   return seed;
 }

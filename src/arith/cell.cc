@@ -58,22 +58,27 @@ std::vector<int> PolyBasis::PolysOverVars(
 
 LinearSystem Cell::ToSystem(const PolyBasis& basis) const {
   LinearSystem out;
+  out.Reserve(size());
+  AddConstraintsTo(basis, &out);
+  return out;
+}
+
+void Cell::AddConstraintsTo(const PolyBasis& basis, LinearSystem* out) const {
   for (int i = 0; i < size(); ++i) {
     switch (signs_[i]) {
       case kSignNeg:
-        out.Add(basis.poly(i), Relop::kLt);
+        out->Add(basis.poly(i), Relop::kLt);
         break;
       case kSignZero:
-        out.Add(basis.poly(i), Relop::kEq);
+        out->Add(basis.poly(i), Relop::kEq);
         break;
       case kSignPos:
-        out.Add(-basis.poly(i), Relop::kLt);
+        out->Add(-basis.poly(i), Relop::kLt);
         break;
       default:
         break;  // unconstrained
     }
   }
-  return out;
 }
 
 bool Cell::IsNonEmpty(const PolyBasis& basis) const {
@@ -82,7 +87,9 @@ bool Cell::IsNonEmpty(const PolyBasis& basis) const {
 
 bool Cell::IsNonEmptyWith(const PolyBasis& basis,
                           const LinearSystem& extra) const {
-  LinearSystem s = ToSystem(basis);
+  LinearSystem s;
+  s.Reserve(size() + extra.size());
+  AddConstraintsTo(basis, &s);
   s.Append(extra);
   return FourierMotzkin::IsSatisfiable(s);
 }

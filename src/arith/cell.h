@@ -79,6 +79,9 @@ class Cell {
   size_t Hash() const;
 
  private:
+  /// Appends the constraints ToSystem returns to *out.
+  void AddConstraintsTo(const PolyBasis& basis, LinearSystem* out) const;
+
   std::vector<Sign> signs_;
 };
 

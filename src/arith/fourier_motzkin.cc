@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/status.h"
 
@@ -25,21 +26,22 @@ bool GroundHolds(const LinearConstraint& c) {
 
 }  // namespace
 
-LinearSystem FourierMotzkin::SimplifyGround(const LinearSystem& system,
+LinearSystem FourierMotzkin::SimplifyGround(LinearSystem system,
                                             bool* feasible) {
   *feasible = true;
-  LinearSystem out;
-  for (const LinearConstraint& c : system.constraints()) {
-    if (c.expr.IsConstant()) {
-      if (!GroundHolds(c)) {
-        *feasible = false;
-        return LinearSystem();
-      }
-    } else {
-      out.Add(c);
+  std::vector<LinearConstraint>& cs = *system.mutable_constraints();
+  for (const LinearConstraint& c : cs) {
+    if (c.expr.IsConstant() && !GroundHolds(c)) {
+      *feasible = false;
+      return LinearSystem();
     }
   }
-  return out;
+  cs.erase(std::remove_if(cs.begin(), cs.end(),
+                          [](const LinearConstraint& c) {
+                            return c.expr.IsConstant();
+                          }),
+           cs.end());
+  return system;
 }
 
 LinearSystem FourierMotzkin::EliminateImpl(const LinearSystem& system,
@@ -57,12 +59,13 @@ LinearSystem FourierMotzkin::EliminateImpl(const LinearSystem& system,
     rest.AddTerm(var, -a);
     LinearExpr replacement = (-rest) * (Rational(1) / a);
     LinearSystem substituted;
+    substituted.Reserve(system.size() - 1);
     for (const LinearConstraint& other : system.constraints()) {
       if (&other == &c) continue;
       substituted.Add(
           LinearConstraint{other.expr.Substitute(var, replacement), other.op});
     }
-    return SimplifyGround(substituted, feasible);
+    return SimplifyGround(std::move(substituted), feasible);
   }
 
   // Partition into lower bounds (a<0: expr<=>0 gives var >= bound),
@@ -72,11 +75,11 @@ LinearSystem FourierMotzkin::EliminateImpl(const LinearSystem& system,
     bool strict;
   };
   std::vector<Bound> lowers, uppers;
-  LinearSystem rest;
+  std::vector<const LinearConstraint*> var_free;
   for (const LinearConstraint& c : system.constraints()) {
     Rational a = c.expr.Coef(var);
     if (a.is_zero()) {
-      rest.Add(c);
+      var_free.push_back(&c);
       continue;
     }
     // a*var + r (op) 0  =>  var (op') -r/a, flipping for a<0.
@@ -90,6 +93,9 @@ LinearSystem FourierMotzkin::EliminateImpl(const LinearSystem& system,
       lowers.push_back(Bound{std::move(bound), strict});
     }
   }
+  LinearSystem rest;
+  rest.Reserve(var_free.size() + lowers.size() * uppers.size());
+  for (const LinearConstraint* c : var_free) rest.Add(*c);
   // Combine all lower/upper pairs: L <= var <= U  =>  L <= U.
   for (const Bound& lo : lowers) {
     for (const Bound& up : uppers) {
@@ -98,7 +104,7 @@ LinearSystem FourierMotzkin::EliminateImpl(const LinearSystem& system,
       rest.Add(LinearConstraint{std::move(diff), op});
     }
   }
-  return SimplifyGround(rest, feasible);
+  return SimplifyGround(std::move(rest), feasible);
 }
 
 LinearSystem FourierMotzkin::Eliminate(const LinearSystem& system,

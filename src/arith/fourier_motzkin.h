@@ -50,8 +50,7 @@ class FourierMotzkin {
                                     bool* feasible);
 
   /// Drops variable-free constraints, reporting contradictions.
-  static LinearSystem SimplifyGround(const LinearSystem& system,
-                                     bool* feasible);
+  static LinearSystem SimplifyGround(LinearSystem system, bool* feasible);
 };
 
 }  // namespace has

@@ -105,9 +105,13 @@ class LinearSystem {
     constraints_.push_back(LinearConstraint{std::move(expr), op});
   }
   void Append(const LinearSystem& o);
+  void Reserve(size_t n) { constraints_.reserve(n); }
 
   const std::vector<LinearConstraint>& constraints() const {
     return constraints_;
+  }
+  std::vector<LinearConstraint>* mutable_constraints() {
+    return &constraints_;
   }
   bool empty() const { return constraints_.empty(); }
   size_t size() const { return constraints_.size(); }

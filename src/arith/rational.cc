@@ -1,6 +1,7 @@
 #include "arith/rational.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/hashing.h"
 #include "common/status.h"
@@ -14,7 +15,36 @@ Rational::Rational(BigInt num, BigInt den)
   Normalize();
 }
 
+bool Rational::AssignReducedSmall(Wide num, Wide den) {
+  using UWide = unsigned __int128;
+  UWide mag = num < 0 ? -static_cast<UWide>(num) : static_cast<UWide>(num);
+  if (mag > UINT64_MAX || static_cast<UWide>(den) > UINT64_MAX) return false;
+  uint64_t n = static_cast<uint64_t>(mag);
+  uint64_t d = static_cast<uint64_t>(den);
+  if (n == 0) {
+    d = 1;
+  } else if (d != 1) {
+    uint64_t g = std::gcd(n, d);
+    n /= g;
+    d /= g;
+  }
+  if (n > INT64_MAX || d > INT64_MAX) return false;
+  int64_t signed_n = static_cast<int64_t>(n);
+  num_ = BigInt(num < 0 ? -signed_n : signed_n);
+  den_ = BigInt(static_cast<int64_t>(d));
+  return true;
+}
+
 void Rational::Normalize() {
+  if (num_.is_small() && den_.is_small()) {
+    Wide num = num_.small_;
+    Wide den = den_.small_;
+    if (den < 0) {
+      num = -num;
+      den = -den;
+    }
+    if (AssignReducedSmall(num, den)) return;
+  }
   if (den_.is_negative()) {
     num_ = -num_;
     den_ = -den_;
@@ -53,23 +83,48 @@ Rational Rational::operator-() const {
 }
 
 Rational Rational::operator+(const Rational& o) const {
+  Rational out;
+  if (BothSmall(o) &&
+      out.AssignReducedSmall(
+          Wide(num_.small_) * o.den_.small_ + Wide(o.num_.small_) * den_.small_,
+          Wide(den_.small_) * o.den_.small_)) {
+    return out;
+  }
   return Rational(num_ * o.den_ + o.num_ * den_, den_ * o.den_);
 }
 
-Rational Rational::operator-(const Rational& o) const {
-  return Rational(num_ * o.den_ - o.num_ * den_, den_ * o.den_);
-}
+Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
 
 Rational Rational::operator*(const Rational& o) const {
+  Rational out;
+  if (BothSmall(o) &&
+      out.AssignReducedSmall(Wide(num_.small_) * o.num_.small_,
+                             Wide(den_.small_) * o.den_.small_)) {
+    return out;
+  }
   return Rational(num_ * o.num_, den_ * o.den_);
 }
 
 Rational Rational::operator/(const Rational& o) const {
   HAS_CHECK_MSG(!o.is_zero(), "Rational division by zero");
+  if (BothSmall(o)) {
+    Wide num = Wide(num_.small_) * o.den_.small_;
+    Wide den = Wide(den_.small_) * o.num_.small_;
+    if (den < 0) {
+      num = -num;
+      den = -den;
+    }
+    Rational out;
+    if (out.AssignReducedSmall(num, den)) return out;
+  }
   return Rational(num_ * o.den_, den_ * o.num_);
 }
 
 bool Rational::operator<(const Rational& o) const {
+  if (BothSmall(o)) {
+    return Wide(num_.small_) * o.den_.small_ <
+           Wide(o.num_.small_) * den_.small_;
+  }
   return num_ * o.den_ < o.num_ * den_;
 }
 

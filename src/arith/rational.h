@@ -1,6 +1,10 @@
 // Exact rational numbers (normalized BigInt fractions). The arithmetic
 // variant of the verifier works over Q (linear constraints with integer
 // coefficients), as sanctioned by Section 5 of the paper.
+//
+// When all parts are small BigInts, the operators compute cross-products
+// in 128 bits and reduce with a 64-bit gcd; they fall back to BigInt
+// arithmetic only when a reduced result leaves the small range.
 #ifndef HAS_ARITH_RATIONAL_H_
 #define HAS_ARITH_RATIONAL_H_
 
@@ -48,6 +52,17 @@ class Rational {
   size_t Hash() const;
 
  private:
+  using Wide = __int128;
+
+  /// True when both operands' parts are in the small BigInt form, so
+  /// their cross-products fit in a Wide.
+  bool BothSmall(const Rational& o) const {
+    return num_.is_small() && den_.is_small() && o.num_.is_small() &&
+           o.den_.is_small();
+  }
+  /// Sets *this to num/den (den > 0) in lowest terms if both reduced
+  /// parts are small; otherwise returns false and leaves *this alone.
+  bool AssignReducedSmall(Wide num, Wide den);
   void Normalize();
 
   BigInt num_;

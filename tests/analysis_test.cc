@@ -11,8 +11,6 @@
 // (mirroring tests/por_test.cc's POR gate).
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +21,7 @@
 #include "core/verifier.h"
 #include "spec/parser.h"
 #include "spec/printer.h"
+#include "test_paths.h"
 #include "workloads.h"
 
 namespace has {
@@ -61,20 +60,6 @@ bool HasDiag(const std::vector<Diagnostic>& diags, const char* code,
     }
   }
   return false;
-}
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
 }
 
 /// Slicing on vs. off must agree on the verdict; the slice-on run must

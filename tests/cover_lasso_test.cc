@@ -15,14 +15,13 @@
 //     reports full_graph_builds == 0.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "builders.h"
 #include "core/rt_relation.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 #include "vass/karp_miller.h"
 #include "vass/repeated.h"
 #include "workloads.h"
@@ -361,20 +360,6 @@ TEST(CoverLassoTest, StarvedVerifierDegradesToInconclusive) {
 
 // ---------------------------------------------------------------------
 // Engine-level: the retired full-graph fallback as a test oracle.
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
-}
 
 /// For every root memo entry of a pruned engine run, rebuild the full
 /// (unpruned) graph from the SAME TaskVass — exactly what the old

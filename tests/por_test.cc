@@ -9,12 +9,12 @@
 // eligibility test is built on.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "core/verifier.h"
 #include "model/independence.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 #include "workloads.h"
 
 namespace has {
@@ -132,20 +132,6 @@ TEST(PorEquivalenceTest, CommutingServicesReduces) {
   EXPECT_GT(reduced.stats.ample_reduced_successors, 0u);
   EXPECT_LT(reduced.stats.cov_nodes, full.stats.cov_nodes);
   EXPECT_LT(reduced.stats.cov_edges, full.stats.cov_edges);
-}
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
 }
 
 TEST(PorEquivalenceTest, TravelMiniSpec) {

@@ -11,13 +11,12 @@
 // prune (strictly fewer nodes on subsumption-heavy systems).
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "builders.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 #include "vass/karp_miller.h"
 #include "workloads.h"
 
@@ -309,20 +308,6 @@ TEST(PruningCrossValidation, MultiRelation) {
   bench::Workload w = bench::MakeMultiRelation(/*size=*/3, /*depth=*/2,
                                                /*num_rels=*/2);
   ExpectPruningEquivalence(w.system, w.property, w.name);
-}
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
 }
 
 TEST(PruningCrossValidation, TravelMini) {

@@ -6,13 +6,13 @@
 // the travel spec, and on the Table 1 workload family.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "builders.h"
 #include "core/rt_relation.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 #include "vass/karp_miller.h"
 #include "workloads.h"
 
@@ -235,20 +235,6 @@ TEST(ShardedVerifierTest, TaskVassGraphsNodeForNode) {
     ++compared;
   }
   EXPECT_GT(compared, 0);
-}
-
-std::string LoadSpec(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
 }
 
 TEST(ShardedVerifierTest, TravelMiniIdenticalAcrossShardCounts) {

@@ -4,32 +4,18 @@
 // spec must parse and validate.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "core/verifier.h"
 #include "model/validate.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 
 namespace has {
 namespace {
 
-std::string Load(const std::string& name) {
-  for (const std::string& prefix :
-       {std::string("examples/specs/"), std::string("../examples/specs/"),
-        std::string("../../examples/specs/")}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream out;
-      out << in.rdbuf();
-      return out.str();
-    }
-  }
-  return "";
-}
-
 TEST(TravelTest, FullSpecParsesAndValidates) {
-  std::string text = Load("travel.has");
+  std::string text = LoadSpec("travel.has");
   ASSERT_FALSE(text.empty()) << "travel.has not found";
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -43,7 +29,7 @@ TEST(TravelTest, FullSpecParsesAndValidates) {
 }
 
 TEST(TravelTest, MiniDiscountPolicyViolated) {
-  std::string text = Load("travel_mini.has");
+  std::string text = LoadSpec("travel_mini.has");
   ASSERT_FALSE(text.empty()) << "travel_mini.has not found";
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -58,7 +44,7 @@ TEST(TravelTest, MiniDiscountPolicyViolated) {
 }
 
 TEST(TravelTest, MiniSanityPropertyHolds) {
-  std::string text = Load("travel_mini.has");
+  std::string text = LoadSpec("travel_mini.has");
   ASSERT_FALSE(text.empty());
   auto parsed = ParseSpec(text);
   ASSERT_TRUE(parsed.ok());
