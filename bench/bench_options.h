@@ -27,7 +27,6 @@ namespace bench {
 /// The toggles a bench row may vary; everything else stays at the
 /// VerifierOptions default so rows are comparable across binaries.
 struct BenchToggles {
-  int num_shards = 1;
   bool prune_coverability = true;
   bool por = true;
   bool slice = true;
@@ -35,7 +34,6 @@ struct BenchToggles {
 
 inline VerifierOptions ApplyCommonOptions(const BenchToggles& toggles = {}) {
   VerifierOptions options;
-  options.num_shards = toggles.num_shards;
   options.prune_coverability = toggles.prune_coverability;
   options.por = toggles.por;
   options.slice = toggles.slice;

@@ -4,12 +4,11 @@
 // exploration counters — coverability nodes/edges, dropped successors,
 // deactivated nodes, antichain peak, recorded cover-edges, full-graph
 // fallback count (pinned at 0 since the cover-edge lasso path landed),
-// product states and interned types. The counters are
-// schedule- and host-independent (identical at every shard count), so
-// bench/baselines/bench_pruning.json doubles as a perf-regression
-// oracle: scripts/check_bench_counters.py fails CI on unexplained
-// counter growth while wall-clock stays informational (the recording
-// host has 1 vCPU — see ROADMAP).
+// product states and interned types. The counters are deterministic
+// and host-independent, so bench/baselines/bench_pruning.json doubles
+// as a perf-regression oracle: scripts/check_bench_counters.py fails
+// CI on unexplained counter growth while wall-clock stays
+// informational (the recording host has 1 vCPU — see ROADMAP).
 #include <benchmark/benchmark.h>
 
 #include "bench_options.h"
@@ -53,6 +52,12 @@ const Workload& Table1Workload() {
       /*with_sets=*/true, /*with_arith=*/false));
   return *w;
 }
+const Workload& Table2Workload() {
+  static auto* w = new Workload(MakeWorkload(
+      has::SchemaClass::kAcyclic, /*size=*/3, /*depth=*/2,
+      /*with_sets=*/true, /*with_arith=*/true));
+  return *w;
+}
 const Workload& Table1CyclicWorkload() {
   static auto* w = new Workload(MakeWorkload(
       has::SchemaClass::kCyclic, /*size=*/3, /*depth=*/2,
@@ -76,6 +81,9 @@ const Workload& MultiSetWorkload() {
 
 void BM_Pruning_Table1(benchmark::State& s) {
   RunVerification(s, Table1Workload());
+}
+void BM_Pruning_Table2(benchmark::State& s) {
+  RunVerification(s, Table2Workload());
 }
 void BM_Pruning_Table1Cyclic(benchmark::State& s) {
   RunVerification(s, Table1CyclicWorkload());
@@ -101,6 +109,9 @@ BENCHMARK(BM_Pruning_Deep)->Arg(0)->Arg(1)
 BENCHMARK(BM_Pruning_AdversarialCyclic)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_Pruning_MultiSet)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+// Registered last so the families above keep their recorded indexes.
+BENCHMARK(BM_Pruning_Table2)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

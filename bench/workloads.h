@@ -38,14 +38,13 @@ Workload MakeWorkload(SchemaClass schema_class, int size, int depth,
 /// schema, with TWO relation-bound work services and an artifact
 /// relation per level — the per-level branching widens the product and
 /// every level of the recursion triggers child R_T queries, which is
-/// what stresses the sharded explorer's oracle path.
+/// what stresses the explorer's oracle path.
 Workload MakeDeepHierarchy(int depth, int size);
 
 /// Adversarial cyclic-schema family: every relation sits on two dense
 /// foreign-key cycles and tasks run work services over TWO distinct
 /// relations plus an artifact relation, so navigation-closed iso types
-/// blow up combinatorially — the worst case for the interning and
-/// frontier-partitioning layers.
+/// blow up combinatorially — the worst case for the interning layer.
 Workload MakeAdversarialCyclic(int size, int depth);
 
 /// Multi-variable-set family (ROADMAP "wider artifact relations"):

@@ -4,9 +4,9 @@
 Compares the DETERMINISTIC exploration counters of a Google-Benchmark
 JSON run against a committed baseline and fails on unexplained growth.
 The gated counters (coverability nodes/edges, product states, interned
-types, recorded cover-edges) are pure work counts: they are schedule-
-and host-independent, so exceeding the baseline means the change
-genuinely made the verifier explore more — unlike wall-clock, which
+types, recorded cover-edges) are pure work counts: they are
+deterministic and host-independent, so exceeding the baseline means the
+change genuinely made the verifier explore more — unlike wall-clock, which
 stays informational (the committed baselines come from a 1-vCPU
 container; see ROADMAP.md). full_graph_builds must be exactly 0 in
 every run: the pruned path's full-graph lasso fallback is retired
@@ -39,16 +39,15 @@ GATED = [
     "counter_dims",
     # Marking payloads touched by domination probes (DominanceLeq
     # calls made by the bucketed dominance index): the dominance
-    # kernel's work count. Shard-count-invariant (probes replay the
-    # sequential decision order), so the sharded --exact gate doubles
-    # as the probe-determinism check. NOTE: until the bucketed index
+    # kernel's work count. Deterministic, so the --exact POR-off and
+    # slice-off replays double as the probe-determinism check. NOTE:
+    # until the bucketed index
     # landed this counted entries EXAMINED (payload compares + summary
     # skips); the semantics change shipped with a baseline re-record.
     "antichain_probes",
     # Summary buckets examined by the bucketed dominance index — the
-    # sublinear-probe work count. Deterministic and shard-count-
-    # invariant like antichain_probes (the bucket layout replays the
-    # sequential insertion/removal history).
+    # sublinear-probe work count. Deterministic like antichain_probes
+    # (the bucket layout follows the insertion/removal history).
     "antichain_bucket_probes",
     # Coverability-node markings stored under the sparse
     # (dimension, value)-pair representation. A pure function of the
@@ -62,9 +61,9 @@ GATED = [
     "leq_true",
     "summary_pass",
     # Successors the ample-prefix partial-order reduction never
-    # generated. Deterministic and shard-count-invariant (the reduction
-    # replays the sequential decision order in the sharded merge), so
-    # any unexplained drift is a bug: growth fails outright, shrink
+    # generated. Deterministic (the ample choice is a pure function of
+    # the product state), so any unexplained drift is a bug: growth
+    # fails outright, shrink
     # fails under --exact and otherwise surfaces as a note next to the
     # cov_nodes growth it usually causes. Absent from pre-POR baseline
     # rows (the *_por_off.json differential baselines), which the
@@ -85,8 +84,8 @@ GATED = [
     # Entries the successor-enumeration memo filled (EnumMemo in
     # src/core/successor.h): one per distinct (configuration, service /
     # child / child outcome) key the products asked for, so a pure
-    # function of the explored graphs and shard-count-invariant. Growth
-    # means the products enumerate more distinct steps.
+    # function of the explored graphs. Growth means the products
+    # enumerate more distinct steps.
     "enum_memo_misses",
 ]
 # Counters that must be EXACTLY ZERO in every run: lasso analysis runs
@@ -114,8 +113,8 @@ INFORMATIONAL = [
     # timing rather than work done, so it is surfaced, not gated.
     "ample_full_expansions",
     # Memo lookups an already-filled entry answered: follows how often
-    # the explorer re-prepares a state (successor-cache evictions, the
-    # sharded schedule), so it is surfaced, not gated.
+    # the explorer re-prepares a state (successor-cache evictions), so
+    # it is surfaced, not gated.
     "enum_memo_hits",
 ]
 
@@ -142,20 +141,12 @@ def main():
         "so the default is exact)",
     )
     parser.add_argument(
-        "--allow-missing-rows",
-        action="store_true",
-        help="tolerate baselined benchmarks absent from the run (for "
-        "gating a --benchmark_filter subset, e.g. bench_sharded at "
-        "1/2/4 shards against a baseline that also has the 8-shard "
-        "rows)",
-    )
-    parser.add_argument(
         "--exact",
         action="store_true",
         help="fail on ANY drift of a gated counter, shrinks included "
-        "(for determinism gates: the sharded rows must EQUAL the "
-        "baseline, so a regression that explores fewer nodes at some "
-        "shard count fails instead of reading as an improvement)",
+        "(for determinism gates: the feature-off replays must EQUAL "
+        "the baseline, so a regression that explores fewer nodes fails "
+        "instead of reading as an improvement)",
     )
     args = parser.parse_args()
 
@@ -174,10 +165,7 @@ def main():
     for name, base in sorted(baseline.items()):
         cur = run.get(name)
         if cur is None:
-            if args.allow_missing_rows:
-                notes.append(f"{name}: not in the (filtered) run, skipped")
-            else:
-                failures.append(f"{name}: present in baseline but not in run")
+            failures.append(f"{name}: present in baseline but not in run")
             continue
         compared += 1
         for counter in GATED:

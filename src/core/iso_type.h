@@ -133,9 +133,9 @@ class PartialIsoType {
 
   /// Flattens the union-find so every element points directly at its
   /// class representative. The TypePool flattens canonical instances
-  /// before publishing them: on a flattened type, Find()'s path
-  /// compression never writes, so const queries on a shared pooled
-  /// instance are data-race-free under concurrent readers.
+  /// before pooling them: on a flattened type, Find()'s path
+  /// compression never writes, so const queries on a pooled instance
+  /// leave it untouched.
   void CompressPaths();
 
   /// Canonical signature (after Normalize); equal signatures iff equal

@@ -8,31 +8,6 @@
 
 namespace has {
 
-namespace {
-
-/// Releases the engine-wide shard token on every exit path. The token
-/// used to be released by a plain store at the end of ComputeEntry, so
-/// any exception between acquire and release (e.g. a HAS_CHECK inside
-/// a build) leaked it and silently degraded every later query to
-/// sequential exploration.
-class ShardTokenGuard {
- public:
-  ShardTokenGuard(std::atomic<int>* token, bool held)
-      : token_(token), held_(held) {}
-  ~ShardTokenGuard() {
-    if (held_) token_->store(0);
-  }
-  ShardTokenGuard(const ShardTokenGuard&) = delete;
-  ShardTokenGuard& operator=(const ShardTokenGuard&) = delete;
-  bool held() const { return held_; }
-
- private:
-  std::atomic<int>* token_;
-  bool held_;
-};
-
-}  // namespace
-
 RtEngine::RtEngine(const ArtifactSystem* system, const HltlProperty* property,
                    const VerifierOptions& options, const Hcd* hcd)
     : system_(system), property_(property), options_(options), hcd_(hcd) {
@@ -57,7 +32,6 @@ RtQueryKey RtEngine::EntryKey(TaskId task, const PartialIsoType& input_iso,
 }
 
 const RtEngine::Entry* RtEngine::FindEntry(const RtQueryKey& key) const {
-  std::lock_guard<std::mutex> lock(memo_mutex_);
   auto it = memo_.find(key);
   return it == memo_.end() ? nullptr : it->second.get();
 }
@@ -88,18 +62,15 @@ RtOracle::BatchedChildResult RtEngine::QueryAll(
 const ChildResult& RtEngine::QueryByKey(const RtQueryKey& key,
                                         const PartialIsoType& input_iso,
                                         const Cell& input_cell) {
-  Entry* entry;
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    std::unique_ptr<Entry>& slot = memo_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  if (entry->ready.load(std::memory_order_acquire)) return entry->result;
-  std::lock_guard<std::mutex> build_lock(entry->build_mutex);
-  if (entry->ready.load(std::memory_order_relaxed)) return entry->result;
+  std::unique_ptr<Entry>& slot = memo_[key];
+  if (slot == nullptr) slot = std::make_unique<Entry>();
+  Entry* entry = slot.get();
+  if (entry->build == Entry::Build::kReady) return entry->result;
+  HAS_CHECK_MSG(entry->build == Entry::Build::kPending,
+                "R_T entry queried while it is being built");
+  entry->build = Entry::Build::kBuilding;
   ComputeEntry(key, input_iso, input_cell, entry);
-  entry->ready.store(true, std::memory_order_release);
+  entry->build = Entry::Build::kReady;
   return entry->result;
 }
 
@@ -117,15 +88,6 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   km_options.succ_cache_capacity = options_.succ_cache_capacity;
   km_options.prune_coverability = options_.prune_coverability;
   km_options.por = options_.por;
-  // Take the shard token if free: the outermost in-flight exploration
-  // gets the worker team; nested child builds (reached from its
-  // workers) run sequential instead of multiplying threads per level.
-  int expected = 0;
-  ShardTokenGuard shard_token(
-      &sharded_builds_,
-      options_.num_shards > 1 &&
-          sharded_builds_.compare_exchange_strong(expected, 1));
-  km_options.num_shards = shard_token.held() ? options_.num_shards : 1;
   entry->graph = std::make_unique<KarpMiller>(entry->vass.get(), km_options);
   entry->graph->Build(entry->vass->InitialStates());
 
@@ -192,43 +154,40 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   const bool lasso_unresolved =
       lasso_budget_exhausted && !entry->result.has_bottom;
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-    stats_.enum_memo_misses = 0;
-    stats_.enum_memo_hits = 0;
-    for (const auto& context : contexts_) {
-      stats_.enum_memo_misses += context.second->memo().misses();
-      stats_.enum_memo_hits += context.second->memo().hits();
-    }
-    stats_.cov_nodes += entry->graph->num_nodes();
-    stats_.cov_edges += entry->graph->TotalEdges();
-    stats_.product_states += entry->vass->num_states();
-    stats_.counter_dims =
-        std::max(stats_.counter_dims,
-                 static_cast<size_t>(entry->vass->num_dimensions()));
-    stats_.pooled_types = pool_.num_types();
-    stats_.pooled_cells = pool_.num_cells();
-    stats_.succ_cache_hits += entry->graph->succ_cache_hits();
-    stats_.succ_cache_misses += entry->graph->succ_cache_misses();
-    stats_.pruned_successors += entry->graph->pruned_successors();
-    stats_.deactivated_nodes += entry->graph->deactivated_nodes();
-    stats_.antichain_peak =
-        std::max(stats_.antichain_peak, entry->graph->antichain_peak());
-    stats_.cover_edges += entry->graph->cover_edges();
-    stats_.antichain_probes += entry->graph->antichain_probes();
-    stats_.antichain_bucket_probes += entry->graph->antichain_bucket_probes();
-    stats_.antichain_skipped_by_summary +=
-        entry->graph->antichain_skipped_by_summary();
-    stats_.antichain_buckets_peak = std::max(
-        stats_.antichain_buckets_peak, entry->graph->antichain_buckets_peak());
-    stats_.sparse_markings += entry->graph->sparse_markings();
-    stats_.ample_reduced_successors +=
-        entry->graph->ample_reduced_successors();
-    stats_.ample_full_expansions += entry->graph->ample_full_expansions();
-    stats_.truncated = stats_.truncated || entry->graph->truncated() ||
-                       entry->vass->truncated() || lasso_unresolved;
+  ++stats_.queries;
+  stats_.enum_memo_misses = 0;
+  stats_.enum_memo_hits = 0;
+  for (const auto& context : contexts_) {
+    stats_.enum_memo_misses += context.second->memo().misses();
+    stats_.enum_memo_hits += context.second->memo().hits();
   }
+  stats_.cov_nodes += entry->graph->num_nodes();
+  stats_.cov_edges += entry->graph->TotalEdges();
+  stats_.product_states += entry->vass->num_states();
+  stats_.counter_dims =
+      std::max(stats_.counter_dims,
+               static_cast<size_t>(entry->vass->num_dimensions()));
+  stats_.pooled_types = pool_.num_types();
+  stats_.pooled_cells = pool_.num_cells();
+  stats_.succ_cache_hits += entry->graph->succ_cache_hits();
+  stats_.succ_cache_misses += entry->graph->succ_cache_misses();
+  stats_.pruned_successors += entry->graph->pruned_successors();
+  stats_.deactivated_nodes += entry->graph->deactivated_nodes();
+  stats_.antichain_peak =
+      std::max(stats_.antichain_peak, entry->graph->antichain_peak());
+  stats_.cover_edges += entry->graph->cover_edges();
+  stats_.antichain_probes += entry->graph->antichain_probes();
+  stats_.antichain_bucket_probes += entry->graph->antichain_bucket_probes();
+  stats_.antichain_skipped_by_summary +=
+      entry->graph->antichain_skipped_by_summary();
+  stats_.antichain_buckets_peak = std::max(
+      stats_.antichain_buckets_peak, entry->graph->antichain_buckets_peak());
+  stats_.sparse_markings += entry->graph->sparse_markings();
+  stats_.ample_reduced_successors +=
+      entry->graph->ample_reduced_successors();
+  stats_.ample_full_expansions += entry->graph->ample_full_expansions();
+  stats_.truncated = stats_.truncated || entry->graph->truncated() ||
+                     entry->vass->truncated() || lasso_unresolved;
 }
 
 RtEngine::RootWitness RtEngine::CheckRoot() {

@@ -10,10 +10,9 @@
 #ifndef HAS_CORE_RT_RELATION_H_
 #define HAS_CORE_RT_RELATION_H_
 
-#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,8 +46,8 @@ struct RtStats {
   size_t deactivated_nodes = 0;
   size_t antichain_peak = 0;
   size_t cover_edges = 0;
-  /// Antichain probe accounting (deterministic, shard-count-
-  /// invariant): marking payloads touched by domination probes
+  /// Antichain probe accounting (deterministic): marking payloads
+  /// touched by domination probes
   /// (DominanceLeq calls), summary buckets examined by the bucketed
   /// dominance index (vass/dominance_index.h), entries a summary test
   /// resolved without touching their payload, and the largest
@@ -58,13 +57,11 @@ struct RtStats {
   size_t antichain_skipped_by_summary = 0;
   size_t antichain_buckets_peak = 0;
   /// Coverability-node markings stored under the sparse
-  /// (dimension, value)-pair representation (MarkingArena::AddAuto;
-  /// deterministic — the node set and the per-marking selection rule
-  /// are shard-invariant).
+  /// (dimension, value)-pair representation (MarkingArena::AddAuto).
   size_t sparse_markings = 0;
   /// Partial-order reduction accounting (0 unless VerifierOptions::por):
   /// successors never generated because an ample prefix covered the
-  /// state (deterministic, shard-count-invariant), and ample attempts
+  /// state (deterministic), and ample attempts
   /// that reverted to full expansion because NO prefix edge made
   /// progress — every stutter folded into an antichain entry with an
   /// EQUAL marking, i.e. the diagonal is saturated (informational: the
@@ -75,7 +72,7 @@ struct RtStats {
   /// Successor-enumeration memo accounting (EnumMemo in
   /// core/successor.h), summed over the engine's tasks: entries filled,
   /// one per distinct (configuration, service / child / child outcome)
-  /// key and so deterministic and shard-count-invariant; and lookups an
+  /// key and so deterministic; and lookups an
   /// already-filled entry answered (informational: the count follows how
   /// often the explorer re-prepares a state).
   size_t enum_memo_misses = 0;
@@ -87,7 +84,7 @@ struct RtStats {
   size_t full_graph_builds = 0;
   /// Static analysis / slicing accounting (filled by Verify, not the
   /// engine; deterministic functions of the spec+property, invariant
-  /// under shard count, POR, and pruning): internal services dropped by
+  /// under POR and pruning): internal services dropped by
   /// the cone-of-influence slice, dimensions removed (dropped artifact
   /// relations + dropped variables), and diagnostics the analyzer
   /// emitted. The slice counters are 0 with VerifierOptions::slice off;
@@ -159,13 +156,10 @@ class RtEngine : public RtOracle {
     int blocking_node = -1;
     std::optional<LassoWitness> lasso;
     TaskId task = kNoTask;
-    /// Build latch: concurrent queriers of an uncomputed entry block on
-    /// `build_mutex` while the first one explores; `ready` flips (with
-    /// release semantics) once `result` is safe to read without the
-    /// lock. The hierarchy is a tree, so entry locks only nest downward
-    /// and cannot deadlock.
-    std::mutex build_mutex;
-    std::atomic<bool> ready{false};
+    /// Computed on first demand. Child queries only go down the task
+    /// tree, so an entry under construction is never queried again.
+    enum class Build : uint8_t { kPending, kBuilding, kReady };
+    Build build = Build::kPending;
   };
   const Entry* FindEntry(const RtQueryKey& key) const;
   /// Interns the query input into the pool and returns the memo key.
@@ -174,12 +168,11 @@ class RtEngine : public RtOracle {
 
  private:
   /// Memoized lookup by precomputed key; computes the entry on first
-  /// demand (blocking concurrent queriers of the same key).
+  /// demand.
   const ChildResult& QueryByKey(const RtQueryKey& key,
                                 const PartialIsoType& input_iso,
                                 const Cell& input_cell);
-  /// Runs the exploration for `key` and fills `entry` (caller holds the
-  /// entry's build mutex).
+  /// Runs the exploration for `key` and fills `entry`.
   void ComputeEntry(const RtQueryKey& key, const PartialIsoType& input_iso,
                     const Cell& input_cell, Entry* entry);
 
@@ -191,20 +184,11 @@ class RtEngine : public RtOracle {
   std::unique_ptr<PropertyAutomata> automata_;
   std::map<TaskId, std::unique_ptr<TaskContext>> contexts_;
   std::map<TaskId, const TaskContext*> context_ptrs_;
-  /// Guards the memo map itself; entries are heap-owned, so references
-  /// survive concurrent insertions.
-  mutable std::mutex memo_mutex_;
+  /// Entries are heap-owned, so references survive the insertions of
+  /// nested child queries.
   std::unordered_map<RtQueryKey, std::unique_ptr<Entry>, RtQueryKeyHash>
       memo_;
-  std::mutex stats_mutex_;
   RtStats stats_;
-  /// Thread-budget token: only one exploration shards at a time.
-  /// Child queries triggered from inside a sharded build (its workers'
-  /// prepare phase) run sequential — otherwise every nesting level
-  /// would multiply the worker count (num_shards^depth threads). The
-  /// sharded and sequential builds produce identical graphs, so this
-  /// is purely a scheduling decision.
-  std::atomic<int> sharded_builds_{0};
 };
 
 }  // namespace has

@@ -583,7 +583,6 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 }
 
 void EnumMemo::Bind(const TypePool* pool) {
-  std::lock_guard<std::mutex> lock(bind_mutex_);
   if (pool_ == nullptr) pool_ = pool;
   HAS_CHECK_MSG(pool_ == pool, "an enumeration memo serves a single TypePool");
 }

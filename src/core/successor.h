@@ -13,13 +13,9 @@
 #ifndef HAS_CORE_SUCCESSOR_H_
 #define HAS_CORE_SUCCESSOR_H_
 
-#include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -54,11 +50,11 @@ struct VerifierOptions {
   /// has fewer nodes than this. (Previously a buried `< 20000` literal
   /// on the unpruned path only; now honored with pruning on or off.)
   size_t lasso_witness_max_nodes = 20000;
-  /// Worker shards per coverability exploration: 1 = the sequential
-  /// explorer; > 1 shards Karp–Miller frontiers across that many
-  /// threads. The sharded build is deterministic and produces a graph
-  /// identical to the single-shard one, node for node.
-  int num_shards = 1;
+  /// The engine is single-threaded: every coverability exploration
+  /// runs on the calling thread. Not an option; the constant remains
+  /// only because the perfbench replica checks it, and goes together
+  /// with that check.
+  static constexpr int num_shards = 1;
   /// Bound on each exploration's successor cache (distinct product
   /// states kept; least-recently-used entries beyond are evicted).
   size_t succ_cache_capacity = 1 << 14;
@@ -71,9 +67,9 @@ struct VerifierOptions {
   /// cover-edges the pruned build records at its prune points — no
   /// unpruned graph is ever rebuilt (see RtEngine::ComputeEntry and
   /// vass/repeated.h). Default ON since the cover-edge lasso path
-  /// landed; verdicts are identical with the knob on or off, at every
-  /// shard count, but counterexample TEXT may differ (the graphs find
-  /// different — equally valid — witnesses).
+  /// landed; verdicts are identical with the knob on or off, but
+  /// counterexample TEXT may differ (the graphs find different —
+  /// equally valid — witnesses).
   bool prune_coverability = true;
   /// Ample-set partial-order reduction over internal services (the
   /// OTHER structural VERIFAS optimization; multiplies with, not
@@ -86,16 +82,15 @@ struct VerifierOptions {
   /// its successors as long as every one of them lands on a fresh node
   /// (the C3 discharge; see docs/ARCHITECTURE.md "Partial-order
   /// reduction"). Verdicts are identical with the knob on or off, on
-  /// every family and at every shard count — the sharded build keeps
-  /// node identity because the ample choice is a pure function of the
-  /// state — but counter counts (cov_nodes, cov_edges, ...) shrink.
+  /// every family, but counter counts (cov_nodes, cov_edges, ...)
+  /// shrink.
   bool por = true;
   /// Property-directed cone-of-influence slicing (analysis/slice.h):
   /// after validation and static analysis, drop services that can never
   /// fire, artifact relations no kept service retrieves from, and
   /// variables outside the property's cone before the product VASS is
   /// built. Verdicts are identical with the knob on or off, on every
-  /// family and at every shard count (differential-gated like POR), but
+  /// family (differential-gated like POR), but
   /// counter dimensions and node counts shrink on sliceable specs.
   /// Counterexample TEXT may omit sliced variables.
   bool slice = true;
@@ -122,7 +117,7 @@ class TaskContext {
 
   /// The task's successor-enumeration memo, shared by every product of
   /// this task (one context per task per engine). It is the context's
-  /// only mutable part, and it is thread-safe.
+  /// only mutable part.
   EnumMemo& memo() const { return *memo_; }
 
   const ArtifactSystem& system() const { return *system_; }
@@ -288,46 +283,22 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 /// The id is interned on first use, never when the entry is filled, so
 /// the pool sees exactly the interns an unmemoized enumeration makes: a
 /// successor the ib-bit precheck rejects is never interned. The first
-/// user interns and frees the value (the pool holds the canonical copy);
-/// a racing user waits for the id, which takes one intern.
+/// user interns and frees the value (the pool holds the canonical copy).
 template <typename T>
 class Pooled {
  public:
   Pooled() = default;
   explicit Pooled(T value) : value_(std::make_unique<T>(std::move(value))) {}
-  // Moves happen only while an entry is being filled, before any other
-  // thread can see it.
-  Pooled(Pooled&& other) noexcept
-      : value_(std::move(other.value_)),
-        id_(other.id_.load(std::memory_order_relaxed)) {}
-  Pooled& operator=(Pooled&& other) noexcept {
-    value_ = std::move(other.value_);
-    id_.store(other.id_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-    return *this;
-  }
 
   int32_t Id(TypePool* pool) const {
-    int32_t id = id_.load(std::memory_order_acquire);
-    if (id >= 0) return id;
-    int32_t unset = kUnset;
-    if (id_.compare_exchange_strong(unset, kInterning,
-                                    std::memory_order_acquire)) {
-      id = Intern(pool, *value_);
+    if (id_ < 0) {
+      id_ = Intern(pool, *value_);
       value_.reset();
-      id_.store(id, std::memory_order_release);
-      return id;
     }
-    while ((id = id_.load(std::memory_order_acquire)) < 0) {
-      std::this_thread::yield();
-    }
-    return id;
+    return id_;
   }
 
  private:
-  static constexpr int32_t kUnset = -1;
-  static constexpr int32_t kInterning = -2;
-
   static int32_t Intern(TypePool* pool, const PartialIsoType& iso) {
     return pool->InternNormalized(iso);
   }
@@ -336,7 +307,7 @@ class Pooled {
   }
 
   mutable std::unique_ptr<T> value_;
-  mutable std::atomic<int32_t> id_{kUnset};
+  mutable int32_t id_ = -1;
 };
 
 /// The successor-enumeration memo of one task. Keys hold pool-interned
@@ -420,8 +391,7 @@ class EnumMemo {
   void Bind(const TypePool* pool);
 
   /// The entry of `key`, filled by `fill(Value*)` on first demand. Each
-  /// key is filled exactly once: concurrent callers of a cold key block
-  /// on its latch until the first one has filled it.
+  /// key is filled exactly once.
   template <typename Fill>
   const Internal& GetInternal(const Key& key, const Fill& fill) {
     return internal_.Get(key, fill, &counts_);
@@ -435,17 +405,12 @@ class EnumMemo {
     return return_.Get(key, fill, &counts_);
   }
 
-  /// Entries filled: one per distinct key, so deterministic and
-  /// shard-count-invariant.
-  size_t misses() const {
-    return counts_.misses.load(std::memory_order_relaxed);
-  }
+  /// Entries filled: one per distinct key, so deterministic.
+  size_t misses() const { return counts_.misses; }
   /// Lookups answered by an entry that was already filled.
-  size_t hits() const { return counts_.hits.load(std::memory_order_relaxed); }
+  size_t hits() const { return counts_.hits; }
 
  private:
-  static constexpr size_t kNumStripes = 16;  // power of two
-
   struct KeyHash {
     size_t operator()(const Key& k) const {
       size_t seed = static_cast<size_t>(k.iso);
@@ -457,52 +422,32 @@ class EnumMemo {
     }
   };
   struct Counts {
-    std::atomic<size_t> hits{0};
-    std::atomic<size_t> misses{0};
+    size_t hits = 0;
+    size_t misses = 0;
   };
 
-  /// Striped map of latched entries: the stripe mutex guards only the
-  /// slot lookup, each slot's latch guards its one fill.
+  /// Entries are heap-owned, so a returned reference survives later
+  /// insertions. A miss fills the value before publishing it.
   template <typename Value>
   class Table {
    public:
     template <typename Fill>
     const Value& Get(const Key& key, const Fill& fill, Counts* counts) {
-      Stripe& stripe = stripes_[KeyHash{}(key) & (kNumStripes - 1)];
-      Slot* slot;
-      {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        std::unique_ptr<Slot>& owned = stripe.slots[key];
-        if (owned == nullptr) owned = std::make_unique<Slot>();
-        slot = owned.get();
+      auto it = entries_.find(key);
+      if (it != entries_.end()) {
+        ++counts->hits;
+        return *it->second;
       }
-      if (!slot->ready.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> latch(slot->latch);
-        if (!slot->ready.load(std::memory_order_relaxed)) {
-          fill(&slot->value);
-          slot->ready.store(true, std::memory_order_release);
-          counts->misses.fetch_add(1, std::memory_order_relaxed);
-          return slot->value;
-        }
-      }
-      counts->hits.fetch_add(1, std::memory_order_relaxed);
-      return slot->value;
+      auto value = std::make_unique<Value>();
+      fill(value.get());
+      ++counts->misses;
+      return *entries_.emplace(key, std::move(value)).first->second;
     }
 
    private:
-    struct Slot {
-      std::mutex latch;
-      std::atomic<bool> ready{false};
-      Value value;
-    };
-    struct Stripe {
-      std::mutex mutex;
-      std::unordered_map<Key, std::unique_ptr<Slot>, KeyHash> slots;
-    };
-    std::array<Stripe, kNumStripes> stripes_;
+    std::unordered_map<Key, std::unique_ptr<Value>, KeyHash> entries_;
   };
 
-  std::mutex bind_mutex_;
   const TypePool* pool_ = nullptr;
   Counts counts_;
   Table<Internal> internal_;

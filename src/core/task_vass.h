@@ -68,8 +68,7 @@ struct RtQueryKeyHash {
 };
 
 /// Interface the product uses to query children (implemented by the
-/// RtEngine with memoization; Lemma 21's recursion). Implementations
-/// must be safe to call from concurrent product workers.
+/// RtEngine with memoization; Lemma 21's recursion).
 class RtOracle {
  public:
   virtual ~RtOracle() = default;
@@ -157,23 +156,19 @@ class TaskVass : public VassSystem {
   /// Equivalent to CommitSuccessors(state, PrepareSuccessors(state)).
   void Successors(int state, std::vector<VassEdge>* out) override;
 
-  // --- sharded-exploration protocol ------------------------------------
+  // --- successor computation in two steps --------------------------------
   // Prepare runs the expensive symbolic work (successor enumeration,
-  // condition evaluation, child-oracle queries, pool interning) and is
-  // safe to call concurrently: it only reads product state and goes
-  // through thread-safe components (TypePool, RtOracle). Commit applies
-  // the cheap mutations (state/dimension/ib-bit/outcome/record
-  // interning); the explorer serializes commits in the sequential
-  // explorer's order, which keeps all product-internal numbering
-  // deterministic and schedule-independent.
-  bool SupportsConcurrentPrepare() const override { return true; }
-  std::unique_ptr<Prepared> PrepareSuccessors(int state) override;
+  // condition evaluation, child-oracle queries, pool interning) and
+  // only reads product state. Commit applies the cheap mutations
+  // (state/dimension/ib-bit/outcome/record interning). Successors runs
+  // both; they are public so profilers can time them separately.
+  std::unique_ptr<Prepared> PrepareSuccessors(int state);
   void CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
-                        std::vector<VassEdge>* out) override;
+                        std::vector<VassEdge>* out);
   /// Committed length of `state`'s ample prefix (0 = no reduction): the
   /// leading edges produced by the ample service selected in
-  /// PrepareSuccessors. Written only inside the serialized commit and a
-  /// pure function of the state's configuration, so recomputation after
+  /// PrepareSuccessors. Written only inside the commit and a pure
+  /// function of the state's configuration, so recomputation after
   /// cache eviction reproduces the same value.
   int AmplePrefix(int state) const override;
 

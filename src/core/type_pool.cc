@@ -25,12 +25,10 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
   iso.CanonicalEncode(&tokens, &consts);
   size_t hash = HashCanonicalEncoding(tokens, consts);
 
-  TypeStripe& stripe = type_stripes_[StripeOf(hash)];
-  std::lock_guard<std::mutex> stripe_lock(stripe.mutex);
-  std::vector<TypeEntry>& bucket = stripe.buckets[hash];
+  std::vector<TypeEntry>& bucket = type_buckets_[hash];
   for (const TypeEntry& entry : bucket) {
     if (entry.tokens == tokens && entry.consts == consts) {
-      iso_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++iso_hits_;
       // Id equality must coincide with signature equality (the
       // canonical encoding is a faithful re-coding of Signature()).
       assert(types_[static_cast<size_t>(entry.id)].Signature() ==
@@ -39,19 +37,13 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
     }
   }
   TypeId id;
-  {
-    // Stripe mutex is held, so no other thread can insert this key; the
-    // arena mutex (always acquired after a stripe mutex, never before)
-    // serializes appends across stripes.
-    std::lock_guard<std::mutex> arena_lock(types_arena_mutex_);
-    if (owned != nullptr) {
-      owned->CompressPaths();
-      id = static_cast<TypeId>(types_.Append(std::move(*owned)));
-    } else {
-      PartialIsoType copy = iso;
-      copy.CompressPaths();
-      id = static_cast<TypeId>(types_.Append(std::move(copy)));
-    }
+  if (owned != nullptr) {
+    owned->CompressPaths();
+    id = static_cast<TypeId>(types_.Append(std::move(*owned)));
+  } else {
+    PartialIsoType copy = iso;
+    copy.CompressPaths();
+    id = static_cast<TypeId>(types_.Append(std::move(copy)));
   }
   bucket.push_back(TypeEntry{id, std::move(tokens), std::move(consts)});
   return id;
@@ -59,40 +51,16 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
 
 CellId TypePool::InternCell(Cell cell) {
   size_t hash = cell.Hash();
-  CellStripe& stripe = cell_stripes_[StripeOf(hash)];
-  std::lock_guard<std::mutex> stripe_lock(stripe.mutex);
-  std::vector<CellId>& bucket = stripe.buckets[hash];
+  std::vector<CellId>& bucket = cell_buckets_[hash];
   for (CellId id : bucket) {
     if (cells_[static_cast<size_t>(id)] == cell) {
-      cell_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++cell_hits_;
       return id;
     }
   }
-  CellId id;
-  {
-    std::lock_guard<std::mutex> arena_lock(cells_arena_mutex_);
-    id = static_cast<CellId>(cells_.Append(std::move(cell)));
-  }
+  CellId id = static_cast<CellId>(cells_.Append(std::move(cell)));
   bucket.push_back(id);
   return id;
-}
-
-void TypePool::MergeFrom(const TypePool& other,
-                         std::vector<TypeId>* type_remap,
-                         std::vector<CellId>* cell_remap) {
-  size_t n_types = other.num_types();
-  type_remap->resize(n_types);
-  for (size_t i = 0; i < n_types; ++i) {
-    // Pooled instances are canonical (normalized at interning time), so
-    // the cheap path applies.
-    (*type_remap)[i] =
-        InternNormalized(other.type(static_cast<TypeId>(i)));
-  }
-  size_t n_cells = other.num_cells();
-  cell_remap->resize(n_cells);
-  for (size_t i = 0; i < n_cells; ++i) {
-    (*cell_remap)[i] = InternCell(other.cell(static_cast<CellId>(i)));
-  }
 }
 
 }  // namespace has

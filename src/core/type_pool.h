@@ -6,28 +6,20 @@
 // dimensions, coverability keys) degenerates to an integer compare, and
 // the per-type canonical hash is computed exactly once.
 //
-// The pool is shared across all per-task products of one RtEngine and
-// is SAFE FOR CONCURRENT INTERNING: lookups/inserts go through striped
-// mutexes (one bucket map per stripe, selected by canonical hash), and
-// the arenas are chunked so readers dereference ids lock-free while
-// other threads append. Canonical instances are path-compressed before
-// publication, so const queries on a shared pooled type never write.
-// For shard-local pools, MergeFrom folds another pool into this one and
-// reports the id remapping.
+// The pool is shared across all per-task products of one RtEngine.
+// The arenas are chunked, so a pooled instance never moves and its
+// address is as stable as its id. Canonical instances are
+// path-compressed before they are pooled, so const queries on a pooled
+// type never write.
 #ifndef HAS_CORE_TYPE_POOL_H_
 #define HAS_CORE_TYPE_POOL_H_
 
-#include <array>
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "arith/cell.h"
-#include "common/status.h"
 #include "core/iso_type.h"
 
 namespace has {
@@ -41,60 +33,33 @@ using CellId = int32_t;
 inline constexpr TypeId kNoTypeId = -1;
 inline constexpr CellId kNoCellId = -1;
 
-/// Append-only chunked arena with lock-free reads: elements never move
-/// (fixed-size chunks), the chunk directory is a fixed array of atomic
-/// pointers, so operator[] needs no lock while another thread appends.
-/// Appends themselves must be externally serialized (the TypePool holds
-/// its arena mutex across them). An id handed to a reader is always
-/// published through a synchronizing channel (bucket probe under the
-/// stripe mutex, or a cross-thread queue), which orders the element's
-/// construction before the read.
+/// Append-only chunked arena: elements live in fixed-size chunks, so
+/// appending never moves an element and references stay valid for the
+/// arena's lifetime.
 template <typename T>
 class ChunkedArena {
  public:
   static constexpr size_t kChunkShift = 10;  // 1024 elements per chunk
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
-  // 16M elements — two orders of magnitude above the default
-  // coverability budget; the directory is 128KB of inline atomics.
-  static constexpr size_t kMaxChunks = size_t{1} << 14;
 
-  ChunkedArena() {
-    for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
-  }
-  ~ChunkedArena() {
-    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
-  }
-  ChunkedArena(const ChunkedArena&) = delete;
-  ChunkedArena& operator=(const ChunkedArena&) = delete;
-
-  /// Caller must serialize appends (TypePool's arena mutex).
   size_t Append(T value) {
-    size_t index = size_.load(std::memory_order_relaxed);
-    size_t chunk = index >> kChunkShift;
-    // Hard capacity check (always on): overrunning the fixed chunk
-    // directory would be silent out-of-bounds writes in release builds.
-    HAS_CHECK(chunk < kMaxChunks);
-    T* storage = chunks_[chunk].load(std::memory_order_acquire);
-    if (storage == nullptr) {
-      storage = new T[kChunkSize];
-      chunks_[chunk].store(storage, std::memory_order_release);
+    const size_t index = size_++;
+    if ((index >> kChunkShift) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<T[]>(kChunkSize));
     }
-    storage[index & (kChunkSize - 1)] = std::move(value);
-    size_.store(index + 1, std::memory_order_release);
+    chunks_.back()[index & (kChunkSize - 1)] = std::move(value);
     return index;
   }
 
   const T& operator[](size_t index) const {
-    T* storage =
-        chunks_[index >> kChunkShift].load(std::memory_order_acquire);
-    return storage[index & (kChunkSize - 1)];
+    return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
-  size_t size() const { return size_.load(std::memory_order_acquire); }
+  size_t size() const { return size_; }
 
  private:
-  std::array<std::atomic<T*>, kMaxChunks> chunks_;
-  std::atomic<size_t> size_{0};
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  size_t size_ = 0;
 };
 
 class TypePool {
@@ -104,8 +69,7 @@ class TypePool {
   TypePool& operator=(const TypePool&) = delete;
 
   /// Normalizes `iso` and interns the canonical form. Equal constraint
-  /// sets (equal Signature()s) receive equal ids. Safe to call from
-  /// multiple threads concurrently.
+  /// sets (equal Signature()s) receive equal ids.
   TypeId Intern(PartialIsoType iso);
 
   /// Interns a type the caller guarantees is already normalized (the
@@ -113,14 +77,13 @@ class TypePool {
   /// ran during enumeration). Copies into the arena only on a miss —
   /// a hit costs one canonical encoding and a hash probe. Debug builds
   /// assert that a hit really has an identical Signature(), i.e. id
-  /// equality coincides with signature equality. Thread-safe.
+  /// equality coincides with signature equality.
   TypeId InternNormalized(const PartialIsoType& iso);
   /// Rvalue variant: a miss moves the type into the arena instead of
   /// copying it.
   TypeId InternNormalized(PartialIsoType&& iso);
 
-  /// Lock-free: ids never move, and an id obtained through interning or
-  /// a synchronized exchange is always safe to dereference.
+  /// Pooled types never move: the reference lives as long as the pool.
   const PartialIsoType& type(TypeId id) const {
     return types_[static_cast<size_t>(id)];
   }
@@ -130,44 +93,24 @@ class TypePool {
   const Cell& cell(CellId id) const { return cells_[static_cast<size_t>(id)]; }
   size_t num_cells() const { return cells_.size(); }
 
-  /// Folds every type and cell of `other` into this pool (the merge
-  /// step of per-shard pool exploration): `type_remap`/`cell_remap`
-  /// map `other`'s dense ids to ids of this pool. Requires `other` to
-  /// be quiescent; this pool may be interning concurrently.
-  void MergeFrom(const TypePool& other, std::vector<TypeId>* type_remap,
-                 std::vector<CellId>* cell_remap);
-
   struct Stats {
     size_t iso_queries = 0;
     size_t iso_hits = 0;
     size_t cell_queries = 0;
     size_t cell_hits = 0;
   };
-  /// Snapshot of the (atomic) counters. Queries are derived — every
-  /// intern is either a hit or populates the arena — so the hot path
-  /// pays exactly one relaxed increment.
+  /// Queries are derived: every intern is either a hit or populates
+  /// the arena.
   Stats stats() const {
     Stats s;
-    s.iso_hits = iso_hits_.load(std::memory_order_relaxed);
-    s.iso_queries = s.iso_hits + types_.size();
-    s.cell_hits = cell_hits_.load(std::memory_order_relaxed);
-    s.cell_queries = s.cell_hits + cells_.size();
+    s.iso_hits = iso_hits_;
+    s.iso_queries = iso_hits_ + types_.size();
+    s.cell_hits = cell_hits_;
+    s.cell_queries = cell_hits_ + cells_.size();
     return s;
   }
 
  private:
-  static constexpr size_t kNumStripes = 64;  // power of two
-
-  static size_t StripeOf(size_t hash) {
-    // The low bits select the bucket within the stripe map; fold the
-    // high bits into the stripe selector so both stay well-mixed. The
-    // shifts are expressed in fractions of the word width, so they
-    // stay defined on 32-bit size_t.
-    constexpr unsigned kHalf = sizeof(size_t) * 4;
-    return (hash >> kHalf ^ hash >> (kHalf / 2 + 3) ^ hash) &
-           (kNumStripes - 1);
-  }
-
   /// One hash bucket entry: the issued id plus the canonical encoding
   /// probe comparisons run against (kept beside the id so collisions
   /// resolve without re-encoding the pooled instance).
@@ -176,32 +119,19 @@ class TypePool {
     std::vector<int64_t> tokens;
     std::vector<Rational> consts;
   };
-  struct TypeStripe {
-    std::mutex mutex;
-    std::unordered_map<size_t, std::vector<TypeEntry>> buckets;
-  };
-  struct CellStripe {
-    std::mutex mutex;
-    std::unordered_map<size_t, std::vector<CellId>> buckets;
-  };
 
   /// Shared lookup/insert; `owned` (nullable) is moved into the arena
   /// on a miss, otherwise `iso` is copied.
   TypeId InternImpl(const PartialIsoType& iso, PartialIsoType* owned);
 
-  // Arena storage: chunked so element addresses are stable and reads
-  // stay lock-free while interning continues on other threads.
   ChunkedArena<PartialIsoType> types_;
   ChunkedArena<Cell> cells_;
-  /// Serializes arena appends (misses only; hits never take it).
-  std::mutex types_arena_mutex_;
-  std::mutex cells_arena_mutex_;
+  /// Canonical hash -> the types / cells interned under it.
+  std::unordered_map<size_t, std::vector<TypeEntry>> type_buckets_;
+  std::unordered_map<size_t, std::vector<CellId>> cell_buckets_;
 
-  std::array<TypeStripe, kNumStripes> type_stripes_;
-  std::array<CellStripe, kNumStripes> cell_stripes_;
-
-  std::atomic<size_t> iso_hits_{0};
-  std::atomic<size_t> cell_hits_{0};
+  size_t iso_hits_ = 0;
+  size_t cell_hits_ = 0;
 };
 
 }  // namespace has

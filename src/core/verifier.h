@@ -40,12 +40,9 @@ struct VerifyResult {
   std::vector<Diagnostic> diagnostics;
 };
 
-/// Model-checks `property` against `system`. With
-/// VerifierOptions::num_shards > 1 the coverability explorations run
-/// sharded across worker threads; the verdict, counterexample and
-/// exploration statistics are identical to the sequential run (the
-/// sharded Karp–Miller graph is deterministic and node-identical to
-/// the single-shard one).
+/// Model-checks `property` against `system` on the calling thread. The
+/// verdict, counterexample and exploration statistics are deterministic
+/// functions of the inputs and options.
 VerifyResult Verify(const ArtifactSystem& system,
                     const HltlProperty& property,
                     const VerifierOptions& options = {});

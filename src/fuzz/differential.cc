@@ -62,18 +62,15 @@ DiffReport RunDifferential(const ArtifactSystem& system,
                                        : std::vector<bool>{true};
   for (bool por : por_values) {
     for (bool slice : slice_values) {
-      for (int shards : options.shard_counts) {
-        VerifierOptions vo;
-        vo.por = por;
-        vo.slice = slice;
-        vo.num_shards = shards;
-        vo.max_cov_nodes = options.max_cov_nodes;
-        VerifyResult result = Verify(system, property, vo);
-        runs.push_back(ConfigRun{StrCat("por=", por ? 1 : 0, " slice=",
-                                        slice ? 1 : 0, " shards=", shards),
-                                 result.verdict});
-        if (result.verdict == Verdict::kInconclusive) any_inconclusive = true;
-      }
+      VerifierOptions vo;
+      vo.por = por;
+      vo.slice = slice;
+      vo.max_cov_nodes = options.max_cov_nodes;
+      VerifyResult result = Verify(system, property, vo);
+      runs.push_back(ConfigRun{
+          StrCat("por=", por ? 1 : 0, " slice=", slice ? 1 : 0),
+          result.verdict});
+      if (result.verdict == Verdict::kInconclusive) any_inconclusive = true;
     }
   }
   if (any_inconclusive) {

@@ -1,6 +1,6 @@
 // Three-way differential driver for one (system, property) pair: the
 // symbolic verifier across a configuration matrix (POR on/off × slice
-// on/off × 1/2/4 shards — every knob advertised verdict-invariant),
+// on/off — both knobs advertised verdict-invariant),
 // the concrete simulator (every simulated tree must pass CheckRunTree),
 // and the bounded checker.
 //
@@ -38,11 +38,10 @@
 namespace has {
 
 struct DiffOptions {
-  /// Symbolic matrix: {por} × {slice} × shard_counts when varied,
-  /// default-only otherwise.
+  /// Symbolic matrix: {por} × {slice} when varied, default-only
+  /// otherwise.
   bool vary_por = true;
   bool vary_slice = true;
-  std::vector<int> shard_counts = {1, 2, 4};
   /// Coverability budget per query — deliberately smaller than the
   /// verifier default so adversarial random specs time out into
   /// kInconclusive (skipped, counted) instead of stalling the run.

@@ -76,9 +76,8 @@ LtlPtr TaskAutomata::RemapSkeleton(const HltlNode& node) {
 }
 
 const BuchiAutomaton& TaskAutomata::automaton(Assignment beta) {
-  // Serializes lazy construction; automata are heap-owned so returned
-  // references survive later insertions.
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  // Automata are heap-owned, so returned references survive later
+  // insertions.
   auto it = cache_.find(beta);
   if (it != cache_.end()) return *it->second;
   LtlPtr combined = LtlFormula::True();

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "hltl/hltl.h"
@@ -39,9 +38,8 @@ class TaskAutomata {
   /// The unified proposition table shared by all assignments of T.
   const std::vector<HltlProp>& props() const { return props_; }
 
-  /// B(T, β); built on first use and cached. Thread-safe: concurrent
-  /// RT queries construct their products from worker threads, and a
-  /// returned reference stays valid for the automata's lifetime.
+  /// B(T, β); built on first use and cached. A returned reference
+  /// stays valid for the automata's lifetime.
   const BuchiAutomaton& automaton(Assignment beta);
 
  private:
@@ -54,7 +52,6 @@ class TaskAutomata {
   std::vector<int> phi_nodes_;
   std::vector<HltlProp> props_;
   std::vector<LtlPtr> remapped_;  // parallel to phi_nodes_
-  std::mutex cache_mutex_;
   std::map<Assignment, std::unique_ptr<BuchiAutomaton>> cache_;
 };
 

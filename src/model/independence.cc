@@ -1,7 +1,5 @@
 #include "model/independence.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 
 namespace has {
@@ -16,39 +14,7 @@ void CollectDbRelations(const Condition& c, std::set<RelationId>* out) {
   }
 }
 
-bool DisjointRels(const ServiceFootprint& a, const ServiceFootprint& b) {
-  for (int r : a.insert_rels) {
-    if (b.TouchesRelation(r)) return false;
-  }
-  for (int r : a.retrieve_rels) {
-    if (b.TouchesRelation(r)) return false;
-  }
-  return true;
-}
-
-bool DisjointVars(const std::set<int>& a, const std::set<int>& b) {
-  auto it_a = a.begin();
-  auto it_b = b.begin();
-  while (it_a != a.end() && it_b != b.end()) {
-    if (*it_a < *it_b) {
-      ++it_a;
-    } else if (*it_b < *it_a) {
-      ++it_b;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
-
-bool ServiceFootprint::TouchesRelation(int rel) const {
-  return std::find(insert_rels.begin(), insert_rels.end(), rel) !=
-             insert_rels.end() ||
-         std::find(retrieve_rels.begin(), retrieve_rels.end(), rel) !=
-             retrieve_rels.end();
-}
 
 TaskIndependence TaskIndependence::Analyze(const Task& task,
                                            std::vector<std::string>* errors) {
@@ -111,18 +77,6 @@ TaskIndependence TaskIndependence::Analyze(const Task& task,
     out.footprints_.push_back(std::move(fp));
   }
 
-  const size_t n = static_cast<size_t>(out.n_);
-  out.commutes_.assign(n * n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      const ServiceFootprint& a = out.footprints_[i];
-      const ServiceFootprint& b = out.footprints_[j];
-      const bool commutes =
-          DisjointRels(a, b) && DisjointVars(a.noninput_vars, b.noninput_vars);
-      out.commutes_[i * n + j] = commutes ? 1 : 0;
-      out.commutes_[j * n + i] = commutes ? 1 : 0;
-    }
-  }
   return out;
 }
 

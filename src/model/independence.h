@@ -1,7 +1,6 @@
 // Static independence analysis between internal services (the VERIFAS
-// optimization, arXiv 1705.10007): per-service read/write footprints
-// plus a per-task symmetric commutation matrix. The footprints are the
-// raw material of partial-order reduction — validation computes them
+// optimization, arXiv 1705.10007): per-service read/write footprints,
+// the raw material of partial-order reduction. Validation computes them
 // once per task (model/validate.cc), and the successor pipeline reads
 // the derived eligibility bits (core/successor.cc) to pick ample
 // services during expansion (core/task_vass.cc, vass/karp_miller.cc).
@@ -37,19 +36,16 @@ struct ServiceFootprint {
   bool insert_only() const {
     return !insert_rels.empty() && retrieve_rels.empty();
   }
-  /// σ touches artifact relation `rel` (insert or retrieve).
-  bool TouchesRelation(int rel) const;
 };
 
-/// Per-task independence: footprints for every internal service and the
-/// symmetric commutation matrix derived from them.
+/// Per-task independence: footprints for every internal service.
 class TaskIndependence {
  public:
   /// Analyzes `task`. Malformed δ targets (out-of-range or duplicate
   /// relation indices) are skipped from the footprint and, when
   /// `errors` is non-null, reported with the exact validation-error
   /// wording (validate.cc routes its service δ checks through here so
-  /// the matrix is computed where the checks already walk the data).
+  /// the footprints are computed where the checks already walk the data).
   static TaskIndependence Analyze(const Task& task,
                                   std::vector<std::string>* errors = nullptr);
 
@@ -58,20 +54,8 @@ class TaskIndependence {
     return footprints_[static_cast<size_t>(i)];
   }
 
-  /// Static commutation: services i and j touch disjoint artifact
-  /// relations AND disjoint non-input variables. Input reads and
-  /// read-only database relations are shared freely — neither is ever
-  /// written by an internal service. Symmetric; the diagonal uses the
-  /// same criterion (a service sharing state with itself does not
-  /// self-commute) and is not consulted by the reduction.
-  bool Commutes(int i, int j) const {
-    return commutes_[static_cast<size_t>(i) * static_cast<size_t>(n_) +
-                     static_cast<size_t>(j)] != 0;
-  }
-
  private:
   std::vector<ServiceFootprint> footprints_;
-  std::vector<char> commutes_;  ///< n_ x n_, row-major, symmetric
   int n_ = 0;
 };
 

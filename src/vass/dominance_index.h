@@ -31,11 +31,10 @@
 // Determinism contract: DominatorOf returns the MINIMUM node id among
 // all dominators of the candidate ("resolve ties by node rank"), which
 // is a pure function of the antichain CONTENT — independent of bucket
-// enumeration order, insertion history, or removal order. The
-// sequential build, the sharded rank-order merge replay, and the POR
-// ample-progress path therefore pick the identical node. (Bucket order
-// itself is insertion-ordered and replayed identically anyway, which
-// keeps the probe counters shard-invariant too.)
+// enumeration order, insertion history, or removal order. The pruned
+// build and the POR ample-progress path therefore pick the identical
+// node. (Bucket order itself is insertion-ordered, which keeps the
+// probe counters deterministic too.)
 #ifndef HAS_VASS_DOMINANCE_INDEX_H_
 #define HAS_VASS_DOMINANCE_INDEX_H_
 

@@ -1,45 +1,10 @@
 #include "vass/karp_miller.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <deque>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <thread>
-
-#include "common/status.h"
-#include "common/sync.h"
-#include "core/shard_map.h"
 
 namespace has {
-
-namespace {
-
-/// A successor produced during the expansion phase of one sharded
-/// round, routed to the shard owning its (state, marking) key. The
-/// rank (parent, ordinal) totally orders the round's candidates in
-/// exactly the order the sequential explorer would have visited them.
-struct Candidate {
-  int parent = -1;
-  int ordinal = -1;  ///< edge position within the parent's successors
-  int target_state = -1;
-  std::vector<int64_t> marking;  ///< accelerated, canonical
-  int64_t label = -1;
-  Delta delta;
-  /// Dedup result: a final node id (>= 0) or a pending-node reference
-  /// encoded as -(pending_index + 2) within the owning shard.
-  int resolved = 1;
-};
-
-bool CandidateRankLess(const Candidate& a, const Candidate& b) {
-  if (a.parent != b.parent) return a.parent < b.parent;
-  return a.ordinal < b.ordinal;
-}
-
-}  // namespace
 
 KarpMiller::KarpMiller(VassSystem* system, KarpMillerOptions options)
     : system_(system), options_(options) {}
@@ -75,9 +40,7 @@ bool KarpMiller::SuccessorMarking(int parent_node, int target,
   }
   // ω-acceleration along the spanning-tree ancestry: if an ancestor
   // with the same VASS state is strictly covered by `next`, the
-  // strictly increased coordinates can be pumped arbitrarily. The
-  // ancestry consists of finalized nodes only (a node's ancestors are
-  // strictly older), so concurrent workers may run this freely.
+  // strictly increased coordinates can be pumped arbitrarily.
   std::vector<int64_t>& next = *out;
   bool accelerated = true;
   while (accelerated) {
@@ -127,9 +90,8 @@ void KarpMiller::AntichainAbsorb(int node) {
       // A same-round newcomer: unexpanded, so deactivation cuts its
       // entire would-be subtree. Older covered entries are either
       // already expanded or sit in the round's frontier (their
-      // expansion proceeds — round-granular deactivation keeps the
-      // sharded build's speculative expansion equivalent to the
-      // sequential one); they only leave the antichain.
+      // expansion proceeds — deactivation is round-granular); they
+      // only leave the antichain.
       deactivated_[static_cast<size_t>(victim)] = 1;
       ++deactivated_count_;
       // The retired node never expands, so walks entering it would
@@ -150,63 +112,31 @@ void KarpMiller::AntichainAbsorb(int node) {
       std::max(antichain_buckets_peak_, index.num_buckets());
 }
 
-KarpMiller::CacheEntry* KarpMiller::PinCached(int state, size_t round) {
+const std::vector<VassEdge>& KarpMiller::CacheSuccessors(int state) {
   auto it = succ_cache_.find(state);
-  if (it == succ_cache_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  if (round != pin_round_) {
-    pin_round_ = round;
-    pinned_count_ = 0;
-  }
-  if (it->second.pinned_round != round) {
-    it->second.pinned_round = round;
-    ++pinned_count_;
-  }
-  return &it->second;
-}
-
-const std::vector<VassEdge>& KarpMiller::CacheSuccessors(
-    int state, size_t round,
-    const std::function<void(std::vector<VassEdge>*)>& commit) {
-  if (CacheEntry* hit = PinCached(state, round)) {
+  if (it != succ_cache_.end()) {
     ++cache_hits_;
-    return hit->edges;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return it->second.edges;
   }
   ++cache_misses_;
   CacheEntry entry;
-  commit(&entry.edges);
+  system_->Successors(state, &entry.edges);
   lru_.push_front(state);
   entry.lru_pos = lru_.begin();
-  entry.pinned_round = round;
-  if (round != pin_round_) {
-    pin_round_ = round;
-    pinned_count_ = 0;
-  }
-  ++pinned_count_;
-  auto it = succ_cache_.emplace(state, std::move(entry)).first;
-  // Evict least-recently-used entries beyond the cap. Pinned entries
-  // (their edge lists may still be read this round) cluster at the LRU
-  // front, so tail pops are O(1); the pinned count bounds the scan when
-  // a round holds more states than the cap.
-  while (succ_cache_.size() > options_.succ_cache_capacity &&
-         succ_cache_.size() > pinned_count_) {
-    auto victim = succ_cache_.find(lru_.back());
-    if (victim->second.pinned_round == round) break;  // only pins remain
+  it = succ_cache_.emplace(state, std::move(entry)).first;
+  // Evict least-recently-used entries beyond the cap. The new entry sits
+  // at the LRU front and the caller reads its edges, so it survives even
+  // at capacity 0.
+  const size_t capacity = std::max<size_t>(options_.succ_cache_capacity, 1);
+  while (succ_cache_.size() > capacity) {
+    succ_cache_.erase(lru_.back());
     lru_.pop_back();
-    succ_cache_.erase(victim);
   }
   return it->second.edges;
 }
 
 void KarpMiller::Build(const std::vector<int>& initial_states) {
-  if (options_.num_shards > 1 && system_->SupportsConcurrentPrepare()) {
-    BuildSharded(initial_states);
-  } else {
-    BuildSequential(initial_states);
-  }
-}
-
-void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
   const bool prune = options_.prune_coverability;
   std::deque<int> worklist;
   // Per-node BFS round (pruning only): newcomers of the round being
@@ -215,8 +145,7 @@ void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
   // The pruned path creates nodes directly: an exact duplicate is
   // always dominated and dropped before a node is made, so the
   // exact-match index_ could never hit — maintaining it would be a
-  // dead marking-vector copy per node (the sharded merge skips its
-  // shard indexes for the same reason).
+  // dead marking-vector copy per node.
   auto make_node = [&](int state, const std::vector<int64_t>& marking,
                        int parent, int64_t parent_label) {
     int id = static_cast<int>(nodes_.size());
@@ -243,7 +172,6 @@ void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
     }
     worklist.push_back(id);
   }
-  size_t step = 0;
   int cur_round = -1;
   // Successor-marking scratch, reused across all candidates: the
   // surviving value is copied into the arena, so nothing here needs an
@@ -266,11 +194,9 @@ void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
       if (deactivated_[static_cast<size_t>(n)]) continue;
     }
     const int state = nodes_[n].state;
-    // Copy: interning may invalidate references into nodes_, and a
-    // later insertion may evict this cache entry.
-    const std::vector<VassEdge> out = CacheSuccessors(
-        state, ++step,
-        [&](std::vector<VassEdge>* edges) { system_->Successors(state, edges); });
+    // The cache entry lives at least until the next CacheSuccessors
+    // call, and nothing below touches the cache.
+    const std::vector<VassEdge>& out = CacheSuccessors(state);
     // Ample-prefix partial-order reduction (options_.por): expand only
     // the leading `ample` edges, and only if at least one of them lands
     // on a FRESH node — a folded stutter is covered by its dominator,
@@ -308,7 +234,7 @@ void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
       if (!SuccessorMarking(n, e.target, e.delta, &next)) {
         // A disabled prefix edge (impossible for insert-only stutters
         // by the AmplePrefix contract) simply contributes no fresh
-        // node; the sharded replay sees the same ordinal gap.
+        // node.
         continue;
       }
       if (prune) {
@@ -350,585 +276,6 @@ void KarpMiller::BuildSequential(const std::vector<int>& initial_states) {
       }
     }
   }
-}
-
-// Sharded exploration proceeds in BFS rounds over the global frontier;
-// each round runs four phases, PIPELINED across two team barriers:
-//   P  PrepareSuccessors for the round's distinct uncached states —
-//      concurrent, work shared through an atomic cursor; each finished
-//      token raises a per-state ready flag;
-//   C  CommitSuccessors serially in frontier (node id) order — the
-//      exact first-encounter order of the sequential explorer, so the
-//      system's internal numbering is schedule-independent. The
-//      coordinator runs C CONCURRENTLY WITH P: a commit of a DISTINCT
-//      state starts as soon as that state's prepare completes (commit
-//      order itself never changes — the loop still walks the frontier
-//      in order), and a commit blocked on an unready token first
-//      steals prepare work before parking on the ready flag. Because
-//      commits mutate system state that in-flight prepares read (see
-//      prep_commit_rw), each PrepareSuccessors call holds a shared
-//      lock and each CommitSuccessors call an exclusive one — taken
-//      only AFTER the token is ready, never while stealing prepares,
-//      so the writer cannot deadlock against the readers it waits on;
-//   E  expansion: workers expand frontier nodes (own shard first, then
-//      stealing), apply + ω-accelerate markings against the finalized
-//      ancestry, and route each candidate to the shard owning its
-//      (state, marking) key through a bounded queue — a worker whose
-//      push finds a full queue drains its own inbound queue, which
-//      bounds memory without deadlock; each shard then sorts its
-//      received candidates by (parent, ordinal) and dedups them
-//      against its locally-owned slice of the node index;
-//   M  merge: the coordinator materializes the round's new nodes and
-//      edges in global (parent, ordinal) order — the sequential
-//      creation order — so node numbering, markings, edges and labels
-//      are identical to the single-shard graph, node for node.
-void KarpMiller::BuildSharded(const std::vector<int>& initial_states) {
-  const int num_shards = options_.num_shards;
-  const bool prune = options_.prune_coverability;
-  ShardMap shard_map(num_shards);
-
-  // Candidates cross shards in batches: per-candidate queue traffic
-  // (one mutex round-trip each) dominated the exchange on wide rounds.
-  using CandidateBatch = std::vector<Candidate>;
-  constexpr size_t kBatch = 128;
-  struct Shard {
-    std::unordered_map<NodeKey, int, IdVectorHash> index;
-    std::vector<int> frontier;           // owned node ids, ascending
-    std::vector<Candidate> received;     // this round's candidates
-    std::vector<NodeKey> pending_keys;   // this round's new keys
-    std::vector<int> pending_final;      // pending index -> node id
-    std::unique_ptr<BoundedQueue<CandidateBatch>> queue;
-  };
-  std::vector<Shard> shards(static_cast<size_t>(num_shards));
-  for (Shard& s : shards) {
-    s.queue = std::make_unique<BoundedQueue<CandidateBatch>>(256);
-  }
-  // Producer-side outboxes, one row per producer (workers + the
-  // coordinator at row num_shards), one slot per destination shard.
-  std::vector<std::vector<CandidateBatch>> outboxes(
-      static_cast<size_t>(num_shards) + 1,
-      std::vector<CandidateBatch>(static_cast<size_t>(num_shards)));
-
-  // Seed roots exactly like the sequential explorer; equal keys always
-  // land in one shard, so per-shard dedup is global dedup. Pruned
-  // builds dedup through the antichain (same call the sequential
-  // explorer makes, keeping the probe counters shard-count-invariant);
-  // the per-shard indexes are unused under pruning.
-  for (int st : initial_states) {
-    NodeKey key{st, {}};
-    Shard& owner = shards[shard_map.ShardOf(st, key.second)];
-    if (prune) {
-      if (DominatorOf(st, MarkingView()) >= 0) continue;  // duplicate root
-    } else if (owner.index.find(key) != owner.index.end()) {
-      continue;
-    }
-    int id = static_cast<int>(nodes_.size());
-    Node node;
-    node.state = st;
-    nodes_.push_back(std::move(node));
-    owner.frontier.push_back(id);
-    if (prune) {
-      deactivated_.resize(nodes_.size(), 0);
-      AntichainAbsorb(id);
-    } else {
-      owner.index.emplace(std::move(key), id);
-    }
-  }
-
-  // Round context shared with the worker team (rebuilt per round by
-  // the coordinator between barriers).
-  std::vector<int> prep_states;
-  std::unordered_map<int, size_t> prep_index;
-  std::vector<std::unique_ptr<VassSystem::Prepared>> prep_tokens;
-  std::atomic<size_t> prep_cursor{0};
-  // Per-prepare completion flags (allocated per round before barrier
-  // A; a vector of atomics cannot be resized). The release-store on a
-  // flag publishes its token to the coordinator's acquire-load, and
-  // the store happens under prep_mutex so the coordinator's condition-
-  // variable wait cannot miss the final wakeup.
-  std::unique_ptr<std::atomic<char>[]> prep_ready;
-  std::mutex prep_mutex;
-  std::condition_variable prep_cv;
-  // Prepares overlap the pipelined commits, but the system's commit
-  // path mutates structures concurrent prepares read (e.g. TaskVass
-  // interns successor STATES at commit while prepares snapshot their
-  // own state row). Prepares hold this shared, commits exclusive:
-  // each commit interleaves between in-flight prepares instead of
-  // waiting for the whole phase — the old barrier's fence shrunk to a
-  // per-call lock. Child builds nested inside a prepare lock only
-  // their own (descendant) explorers, so lock order is acyclic.
-  std::shared_mutex prep_commit_rw;
-  std::vector<std::atomic<size_t>> frontier_cursors(
-      static_cast<size_t>(num_shards));
-  std::atomic<int> producers_done{0};
-  bool done = false;
-  Barrier barrier(num_shards + 1);
-
-  // Worker ids: 0..num_shards-1 are team workers (own the same-numbered
-  // shard's inbound queue), kCoordinator produces without an own queue,
-  // kInline marks single-threaded rounds where direct pushes are safe.
-  constexpr int kCoordinator = -1;
-  constexpr int kInline = -2;
-  auto drain_own = [&](int w) {
-    bool progress = false;
-    CandidateBatch batch;
-    while (shards[w].queue->TryPop(&batch)) {
-      progress = true;
-      for (Candidate& c : batch) {
-        shards[w].received.push_back(std::move(c));
-      }
-    }
-    return progress;
-  };
-  auto flush_outbox = [&](int w, int dest) {
-    CandidateBatch& box = outboxes[w >= 0 ? w : num_shards][dest];
-    if (box.empty()) return;
-    while (!shards[dest].queue->TryPush(std::move(box))) {
-      // Make progress on the own inbound queue when possible; when
-      // there is nothing useful to do, park on the destination's
-      // not-full condition instead of busy-spinning (the destination's
-      // owner never parks while its own queue is full, so the wait
-      // chain is acyclic and every TryPop wakes us).
-      if (w < 0 || !drain_own(w)) {
-        shards[dest].queue->WaitNotFull();
-      }
-    }
-    box = CandidateBatch();
-    box.reserve(kBatch);
-  };
-  auto emit = [&](int w, Candidate c) {
-    // Pruned builds used to pre-filter dominated candidates here
-    // against the round-frozen antichain. With cover-edge recording
-    // every dominated candidate must instead reach the coordinator's
-    // merge: its cover-edge target is whatever the LIVE antichain holds
-    // at the candidate's global rank (the sequential explorer's exact
-    // decision point), which only the rank-order replay can know.
-    int dest = shard_map.ShardOf(c.target_state, c.marking);
-    if (dest == w || w == kInline) {
-      shards[dest].received.push_back(std::move(c));
-      return;
-    }
-    CandidateBatch& box = outboxes[w >= 0 ? w : num_shards][dest];
-    box.push_back(std::move(c));
-    if (box.size() >= kBatch) flush_outbox(w, dest);
-  };
-  auto expand_node = [&](int w, int n) {
-    const int state = nodes_[n].state;
-    // Present and pinned by the commit phase; the map is read-only
-    // during expansion.
-    const std::vector<VassEdge>& edges =
-        succ_cache_.find(state)->second.edges;
-    for (size_t i = 0; i < edges.size(); ++i) {
-      const VassEdge& e = edges[i];
-      Candidate c;
-      if (!SuccessorMarking(n, e.target, e.delta, &c.marking)) continue;
-      c.parent = n;
-      c.ordinal = static_cast<int>(i);
-      c.target_state = e.target;
-      c.label = e.label;
-      c.delta = e.delta;
-      emit(w, std::move(c));
-    }
-  };
-  auto run_prepare = [&](size_t i) {
-    {
-      std::shared_lock<std::shared_mutex> read_lock(prep_commit_rw);
-      prep_tokens[i] = system_->PrepareSuccessors(prep_states[i]);
-    }
-    {
-      // Prepares are the round's expensive units, so the per-unit lock
-      // is noise; holding it across the store is what closes the
-      // check-then-wait race with WaitPrepared below.
-      std::lock_guard<std::mutex> lock(prep_mutex);
-      prep_ready[i].store(1, std::memory_order_release);
-    }
-    prep_cv.notify_all();
-  };
-  auto phase_prepare = [&]() {
-    size_t i;
-    while ((i = prep_cursor.fetch_add(1)) < prep_states.size()) {
-      run_prepare(i);
-    }
-  };
-  // Coordinator-only: returns once prep_tokens[idx] is ready,
-  // preferring to steal an unclaimed prepare over parking — the
-  // commit pipeline keeps the coordinator productive while workers
-  // chew on the state it needs next. Once the cursor is exhausted
-  // every unit is claimed by SOME thread, so the awaited flag is
-  // guaranteed to be raised and the wait terminates.
-  auto wait_prepared = [&](size_t idx) {
-    while (!prep_ready[idx].load(std::memory_order_acquire)) {
-      const size_t j = prep_cursor.fetch_add(1);
-      if (j < prep_states.size()) {
-        run_prepare(j);
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(prep_mutex);
-      prep_cv.wait(lock, [&] {
-        return prep_ready[idx].load(std::memory_order_acquire) != 0;
-      });
-    }
-  };
-  // Deterministic rank-order dedup of one shard's received candidates
-  // against its locally-owned slice of the node index.
-  auto dedup_shard = [&](Shard& shard) {
-    std::sort(shard.received.begin(), shard.received.end(),
-              CandidateRankLess);
-    // Pruned builds resolve candidates in the merge's exact antichain
-    // walk instead: a candidate can never alias an existing node there
-    // (an exact duplicate is dominated and becomes a cover-edge), so
-    // the per-shard index has nothing to contribute beyond the sort.
-    if (prune) return;
-    for (Candidate& c : shard.received) {
-      NodeKey key{c.target_state, c.marking};
-      auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        c.resolved = it->second;
-        continue;
-      }
-      int p = static_cast<int>(shard.pending_keys.size());
-      shard.pending_keys.push_back(key);
-      shard.index.emplace(std::move(key), -(p + 2));
-      c.resolved = -(p + 2);
-    }
-  };
-  auto phase_expand = [&](int w) {
-    // Own frontier first, then steal expansion work from other shards
-    // (expansion is pure; routing keeps ownership intact).
-    for (int offset = 0; offset < num_shards; ++offset) {
-      int t = ((w < 0 ? 0 : w) + offset) % num_shards;
-      size_t i;
-      while ((i = frontier_cursors[t].fetch_add(1)) <
-             shards[t].frontier.size()) {
-        expand_node(w, shards[t].frontier[i]);
-      }
-    }
-    for (int dest = 0; dest < num_shards; ++dest) flush_outbox(w, dest);
-    producers_done.fetch_add(1);
-    // The producers_done transition is part of every drainer's exit
-    // condition, so wake all parked drainers to re-check it.
-    for (Shard& s : shards) s.queue->Nudge();
-    if (w < 0) return;
-    // Drain until every producer (workers + coordinator) finished and
-    // the own queue is empty, then dedup in deterministic rank order.
-    // Idle drainers park on their queue's not-empty condition; TryPush
-    // and the Nudge above provide the wakeups. The epoch is read BEFORE
-    // the producers_done check: the final producer's increment
-    // happens-before its Nudge, so if the check missed the increment,
-    // the Nudge's epoch bump postdates our read and WaitNotEmpty
-    // returns immediately — the check→wait window cannot lose the last
-    // wakeup.
-    for (;;) {
-      size_t epoch = shards[w].queue->Epoch();
-      if (producers_done.load() >= num_shards + 1) break;
-      if (!drain_own(w)) {
-        shards[w].queue->WaitNotEmpty(epoch);
-      }
-    }
-    drain_own(w);
-    dedup_shard(shards[w]);
-  };
-  auto worker_main = [&](int w) {
-    for (;;) {
-      barrier.ArriveAndWait();  // A: round published
-      if (done) return;
-      phase_prepare();
-      // B doubles as the commit fence: the coordinator arrives only
-      // after the last commit (commits pipeline against the prepares
-      // above), so its release implies the cache and system state are
-      // frozen for expansion.
-      barrier.ArriveAndWait();  // B: prepares AND commits done
-      phase_expand(w);
-      barrier.ArriveAndWait();  // D: candidates dedup'd
-    }
-  };
-
-  // The worker team is spawned lazily: narrow rounds (most child-query
-  // graphs never leave this regime) run inline with zero barrier
-  // traffic, and the team only exists once a round is wide enough to
-  // pay for coordination. Inline rounds execute the identical
-  // algorithm single-threaded, so the produced graph is unchanged.
-  std::vector<std::thread> team;
-  auto spawn_team = [&]() {
-    if (!team.empty()) return;
-    team.reserve(static_cast<size_t>(num_shards));
-    for (int w = 0; w < num_shards; ++w) team.emplace_back(worker_main, w);
-  };
-
-  std::vector<int> frontier_all;
-  size_t round = 0;
-  for (;;) {
-    frontier_all.clear();
-    for (const Shard& s : shards) {
-      frontier_all.insert(frontier_all.end(), s.frontier.begin(),
-                          s.frontier.end());
-    }
-    std::sort(frontier_all.begin(), frontier_all.end());
-    if (frontier_all.empty() || nodes_.size() > options_.max_nodes) {
-      truncated_ = truncated_ || !frontier_all.empty();
-      if (!team.empty()) {
-        done = true;
-        barrier.ArriveAndWait();  // release workers into exit
-      }
-      break;
-    }
-    ++round;
-    // Distinct uncached frontier states in first-node order; existing
-    // entries are pinned so commits cannot evict edge lists this round
-    // still needs.
-    prep_states.clear();
-    prep_index.clear();
-    for (int n : frontier_all) {
-      int state = nodes_[n].state;
-      if (PinCached(state, round) != nullptr) continue;
-      if (prep_index.find(state) != prep_index.end()) continue;
-      prep_index.emplace(state, prep_states.size());
-      prep_states.push_back(state);
-    }
-    // Narrow rounds run inline: a round pays 4 barrier cycles across
-    // num_shards+1 threads, so it must bring at least a worker's worth
-    // of preparable states (the expensive phase) or a frontier wide
-    // enough for expansion parallelism to matter.
-    const bool parallel_round =
-        prep_states.size() >= static_cast<size_t>(std::max(2, num_shards)) ||
-        frontier_all.size() >= 256;
-    if (parallel_round) {
-      spawn_team();
-      prep_tokens.clear();
-      prep_tokens.resize(prep_states.size());
-      prep_ready.reset(new std::atomic<char>[prep_states.size()]());
-      prep_cursor.store(0);
-      for (auto& c : frontier_cursors) c.store(0);
-      producers_done.store(0);
-
-      barrier.ArriveAndWait();  // A
-
-      // Pipelined commit phase: commits stay serial and in frontier
-      // order (the sequential explorer's first-encounter order), but
-      // each one starts as soon as ITS state's prepare lands instead
-      // of after the whole prepare phase — full-team barrier between
-      // P and C is gone. Blocked commits steal prepare work first.
-      for (int n : frontier_all) {
-        const int state = nodes_[n].state;
-        CacheSuccessors(state, round, [&](std::vector<VassEdge>* edges) {
-          const size_t idx = prep_index.at(state);
-          wait_prepared(idx);  // may steal prepares; takes shared locks
-          std::unique_lock<std::shared_mutex> write_lock(prep_commit_rw);
-          system_->CommitSuccessors(state, std::move(prep_tokens[idx]),
-                                    edges);
-        });
-      }
-      barrier.ArriveAndWait();          // B (commits done — see worker_main)
-      phase_expand(kCoordinator);       // coordinator helps expanding
-      barrier.ArriveAndWait();          // D
-    } else {
-      for (int n : frontier_all) {
-        const int state = nodes_[n].state;
-        CacheSuccessors(state, round, [&](std::vector<VassEdge>* edges) {
-          system_->Successors(state, edges);
-        });
-      }
-      for (const Shard& s : shards) {
-        for (int n : s.frontier) expand_node(kInline, n);
-      }
-      for (Shard& s : shards) dedup_shard(s);
-    }
-
-    // Merge: walk all shards' (sorted) candidates in global rank order.
-    // Pre-size per-parent edge lists first: parents receive their edges
-    // interleaved across shards during the k-way walk, and the repeated
-    // push_back reallocations were a measurable slice of this
-    // coordinator-only phase. Every candidate appends exactly one edge
-    // to its parent: a real edge, or (pruned builds) a cover-edge when
-    // the exact filter below folds it into a dominator.
-    {
-      std::unordered_map<int, size_t> per_parent;
-      for (const Shard& s : shards) {
-        for (const Candidate& c : s.received) ++per_parent[c.parent];
-      }
-      for (const auto& [parent, count] : per_parent) {
-        nodes_[parent].edges.reserve(count);
-      }
-    }
-    for (Shard& s : shards) {
-      s.pending_final.assign(s.pending_keys.size(), -1);
-    }
-    std::vector<size_t> pos(static_cast<size_t>(num_shards), 0);
-    std::vector<std::vector<int>> next_frontier(
-        static_cast<size_t>(num_shards));
-    if (prune) round_first_new_id_ = nodes_.size();
-    std::vector<int> round_new_nodes;
-    // Ample-prefix replay (options_.por), mirroring the sequential
-    // explorer edge for edge. Workers emit EVERY enabled candidate, so
-    // the rank-order walk below sees the same per-parent edge sequence
-    // the sequential loop iterates, and replays the identical decision:
-    // expand only the leading AmplePrefix(parent) edges, and only if
-    // at least one of them lands on a fresh node; otherwise revert to
-    // full expansion. A candidate past a committed prefix is simply
-    // dropped (the sequential loop `break`s there).
-    int por_parent = -1;
-    size_t por_ample = 0;      // clamped prefix length of por_parent
-    bool por_active = false;   // prefix decision still pending
-    bool por_fresh = false;    // some prefix candidate created a node
-    bool por_skipping = false; // prefix committed: dropping the rest
-    auto por_edge_count = [&](int parent) -> size_t {
-      // Pinned for the whole round by the commit phase.
-      return succ_cache_.find(nodes_[parent].state)->second.edges.size();
-    };
-    auto por_finish_parent = [&]() {
-      if (por_parent < 0) return;
-      if (por_active && !por_skipping) {
-        // No candidate past the prefix arrived (every remaining edge
-        // was disabled): the sequential loop still reaches its
-        // boundary at i == ample and decides there.
-        if (por_fresh) {
-          ample_reduced_successors_ +=
-              por_edge_count(por_parent) - por_ample;
-        } else {
-          ++ample_full_expansions_;
-        }
-      }
-      por_parent = -1;
-      por_active = false;
-      por_fresh = false;
-      por_skipping = false;
-    };
-    for (;;) {
-      int best = -1;
-      for (int s = 0; s < num_shards; ++s) {
-        if (pos[s] >= shards[s].received.size()) continue;
-        if (best == -1 ||
-            CandidateRankLess(shards[s].received[pos[s]],
-                              shards[best].received[pos[best]])) {
-          best = s;
-        }
-      }
-      if (best == -1) break;
-      Candidate& c = shards[best].received[pos[best]++];
-      if (options_.por) {
-        if (c.parent != por_parent) {
-          por_finish_parent();
-          por_parent = c.parent;
-          por_fresh = false;
-          por_skipping = false;
-          int a = system_->AmplePrefix(nodes_[c.parent].state);
-          const size_t edge_count = por_edge_count(c.parent);
-          por_ample = (a > 0 && static_cast<size_t>(a) < edge_count)
-                          ? static_cast<size_t>(a)
-                          : 0;
-          por_active = por_ample > 0;
-        }
-        if (por_skipping) continue;
-        if (por_active && static_cast<size_t>(c.ordinal) >= por_ample) {
-          // Prefix boundary: the same decision the sequential loop
-          // takes at i == ample. Disabled prefix edges (ordinal gaps)
-          // need no special handling — they just never contributed a
-          // fresh node.
-          if (por_fresh) {
-            ample_reduced_successors_ +=
-                por_edge_count(c.parent) - por_ample;
-            por_skipping = true;
-            continue;
-          }
-          por_active = false;
-          ++ample_full_expansions_;
-        }
-      }
-      if (prune) {
-        // Exact filter, replayed in the sequential explorer's order:
-        // a dominated candidate becomes a cover-edge to the live
-        // antichain's dominator at this exact rank — the same target
-        // the single-shard build records — and survivors intern +
-        // absorb exactly as the single-shard build would.
-        int dom = DominatorOf(c.target_state, MarkingView(c.marking));
-        if (dom >= 0) {
-          if (por_active &&
-              !marking::Equal(MarkingView(c.marking),
-                              nodes_[dom].marking)) {
-            // Strictly dominated stutter: progress, exactly as the
-            // sequential loop records at this rank.
-            por_fresh = true;
-          }
-          // A folded prefix edge stays a cover-edge like any other:
-          // the dominator's expansion stands in for the stutter
-          // target's, so no revert is needed (the fresh-progress check
-          // at the boundary is the C3 discharge).
-          nodes_[c.parent].edges.push_back(Edge{dom, c.label,
-                                                std::move(c.delta),
-                                                /*cover=*/true});
-          ++cover_edges_;
-          ++pruned_successors_;
-          continue;
-        }
-        if (por_active) por_fresh = true;
-        int id = static_cast<int>(nodes_.size());
-        Node node;
-        node.state = c.target_state;
-        node.marking = marking_arena_.AddAuto(c.marking);
-        node.parent = c.parent;
-        node.parent_label = c.label;
-        nodes_.push_back(std::move(node));
-        deactivated_.resize(nodes_.size(), 0);
-        nodes_[c.parent].edges.push_back(Edge{id, c.label,
-                                              std::move(c.delta)});
-        AntichainAbsorb(id);
-        round_new_nodes.push_back(id);
-        continue;
-      }
-      int target;
-      if (c.resolved >= 0) {
-        target = c.resolved;
-      } else {
-        int p = -c.resolved - 2;
-        int& final_id = shards[best].pending_final[p];
-        if (final_id == -1) {
-          // The sequential InternNode would report created=true here —
-          // a fresh prefix node is the progress the boundary check
-          // requires. Duplicates (this round's or older) just fail to
-          // contribute.
-          if (por_active) por_fresh = true;
-          final_id = static_cast<int>(nodes_.size());
-          Node node;
-          node.state = c.target_state;
-          node.marking = marking_arena_.AddAuto(c.marking);
-          node.parent = c.parent;
-          node.parent_label = c.label;
-          nodes_.push_back(std::move(node));
-          next_frontier[best].push_back(final_id);
-        }
-        target = final_id;
-      }
-      nodes_[c.parent].edges.push_back(Edge{target, c.label,
-                                            std::move(c.delta)});
-    }
-    por_finish_parent();
-    if (prune) {
-      // Newcomers deactivated later in the same walk never reach a
-      // frontier — their subtree is cut before it exists.
-      for (int id : round_new_nodes) {
-        if (deactivated_[static_cast<size_t>(id)]) continue;
-        int owner = shard_map.ShardOf(nodes_[id].state, nodes_[id].marking);
-        next_frontier[static_cast<size_t>(owner)].push_back(id);
-      }
-    }
-    for (int s = 0; s < num_shards; ++s) {
-      Shard& shard = shards[s];
-      for (size_t p = 0; p < shard.pending_keys.size(); ++p) {
-        if (shard.pending_final[p] == -1) {
-          // Every candidate referencing this key was dropped by the
-          // ample-prefix replay: no node exists, so the key must leave
-          // the index (a -1 entry would poison later-round dedup).
-          shard.index.erase(shard.pending_keys[p]);
-        } else {
-          shard.index[shard.pending_keys[p]] = shard.pending_final[p];
-        }
-      }
-      shard.pending_keys.clear();
-      shard.received.clear();
-      shard.frontier = std::move(next_frontier[s]);
-    }
-  }
-  for (std::thread& t : team) t.join();
 }
 
 int KarpMiller::FindNode(const std::function<bool(int)>& pred) const {

@@ -11,19 +11,11 @@
 // sound: node markings are exact on non-ω coordinates and arbitrarily
 // pumpable on ω ones.
 //
-// Exploration is either sequential (num_shards == 1, the historical
-// BFS) or sharded across worker threads (num_shards > 1, requires the
-// system to support concurrent preparation — see VassSystem). The
-// sharded build is DETERMINISTIC: it proceeds in BFS rounds, prepares
-// successor computations concurrently, commits them in frontier order,
-// partitions node ownership by hashed (state, marking) key, exchanges
-// cross-shard successors through bounded queues, and materializes each
-// round's new nodes in the exact global order the sequential explorer
-// would have used — so the produced graph (node numbering, markings,
-// edges, labels) is identical to the single-shard graph node for node,
-// independent of the thread schedule.
+// Exploration is a single-threaded BFS, so the produced graph (node
+// numbering, markings, edges, labels) is a deterministic function of
+// the system and the options.
 //
-// With KarpMillerOptions::prune_coverability both explorers apply
+// With KarpMillerOptions::prune_coverability the explorer applies
 // antichain subsumption (minimal-coverability-set pruning): dominated
 // successors are discarded and strictly-covered active nodes retired.
 // The pruned graph preserves exactly the reachable VASS states (state
@@ -34,8 +26,7 @@
 // edge to its coverer — so the pruned forest plus cover-edges carries
 // the closed-walk structure repeated-reachability (lasso) consumers
 // need: see vass/repeated.h for the criterion and why traversing
-// cover-edges is sound. Pruned builds keep the shard-count determinism
-// guarantee: same graph (cover-edges included) at 1, 2, ... shards.
+// cover-edges is sound.
 #ifndef HAS_VASS_KARP_MILLER_H_
 #define HAS_VASS_KARP_MILLER_H_
 
@@ -54,23 +45,13 @@ namespace has {
 
 struct KarpMillerOptions {
   /// Hard cap on coverability-graph nodes; exceeded => truncated().
-  /// (The sharded build checks the cap at round boundaries, so a
-  /// truncated sharded graph may cut at a slightly different point
-  /// than a truncated sequential one; non-truncated graphs are always
-  /// identical.)
   size_t max_nodes = 1 << 18;
-  /// Worker shards for Build. 1 = the sequential explorer; > 1 shards
-  /// the frontier across that many worker threads (falls back to
-  /// sequential when the system does not support concurrent prepare).
-  int num_shards = 1;
   /// Bound on the successor cache (distinct VASS states kept); least-
-  /// recently-used entries beyond the cap are evicted. States needed by
-  /// the current sharded round are pinned and never evicted mid-round.
-  /// Eviction never changes the produced graph — systems must make
-  /// successor recomputation idempotent (TaskVass interns its
-  /// transition records, so re-commits reproduce the original labels) —
-  /// but hit/miss counts may differ across shard counts once the cap
-  /// binds.
+  /// recently-used entries beyond the cap are evicted. The entry being
+  /// expanded is never evicted, so 0 behaves like 1. Eviction never
+  /// changes the produced graph — systems must make successor
+  /// recomputation idempotent (TaskVass interns its transition records,
+  /// so recomputations reproduce the original labels).
   size_t succ_cache_capacity = 1 << 14;
   /// Antichain subsumption pruning (minimal-coverability-set style, à
   /// la Reynier–Servais): a successor whose marking is ≤ an active
@@ -85,9 +66,7 @@ struct KarpMillerOptions {
   /// cover-edge (Edge::cover) so closed-walk (lasso) analysis runs
   /// directly on the pruned graph — see the file comment and
   /// vass/repeated.h. Deactivation is round-granular: a node already
-  /// in the round's frontier when it is covered still expands, which
-  /// is what keeps the sharded build node-identical to the sequential
-  /// one under pruning.
+  /// in the BFS round's frontier when it is covered still expands.
   bool prune_coverability = false;
   /// Ample-prefix partial-order reduction: when the system reports a
   /// positive AmplePrefix(state) (see VassSystem::AmplePrefix), expand
@@ -103,9 +82,7 @@ struct KarpMillerOptions {
   /// strictly growing markings) or strictly ascends the marking order
   /// (acyclic by strictness), and every chain therefore ends at a
   /// fully-expanded node whose configuration and marking cover the
-  /// deferring state's. Reduction decisions replay in the sequential
-  /// rank order during sharded merges, so the reduced graph keeps the
-  /// node-identity guarantee at every shard count. Default OFF here so
+  /// deferring state's. Default OFF here so
   /// direct KarpMiller consumers (unit tests, explicit VASSes) are
   /// unaffected; the verifier sets it from VerifierOptions::por.
   bool por = false;
@@ -169,8 +146,7 @@ class KarpMiller {
   size_t succ_cache_hits() const { return cache_hits_; }
   size_t succ_cache_misses() const { return cache_misses_; }
 
-  /// Pruning accounting (all 0 unless prune_coverability). The counts
-  /// are deterministic: identical across shard counts for one system.
+  /// Pruning accounting (all 0 unless prune_coverability).
   /// Successor candidates dropped by the antichain domination check.
   size_t pruned_successors() const { return pruned_successors_; }
   /// Nodes retired before expansion (their subtrees were never built).
@@ -181,16 +157,14 @@ class KarpMiller {
   /// successor plus one per retired node; included in TotalEdges).
   size_t cover_edges() const { return cover_edges_; }
   /// Marking payloads touched across all domination probes
-  /// (DominanceLeq calls made by the bucketed index; deterministic —
-  /// probes happen only in serial code replaying the sequential
-  /// decision order, so the count is identical at every shard count).
+  /// (DominanceLeq calls made by the bucketed index).
   /// NOTE: before the bucketed index this counted entries EXAMINED
   /// (payload compares + summary skips); the narrowing to payload
   /// touches was an explicit baseline re-record.
   size_t antichain_probes() const { return antichain_probes_; }
   /// Summary buckets examined across all probes (one strengthened
   /// summary test per bucket stands in for one per entry —
-  /// vass/dominance_index.h). Deterministic like antichain_probes.
+  /// vass/dominance_index.h).
   size_t antichain_bucket_probes() const { return antichain_bucket_probes_; }
   /// Antichain entries resolved by a summary test alone — bucket-key
   /// misses count every member of the bucket, the ω-saturated wild
@@ -204,13 +178,10 @@ class KarpMiller {
   /// Largest per-state bucket count observed (wild bucket included).
   size_t antichain_buckets_peak() const { return antichain_buckets_peak_; }
   /// Node markings stored under the sparse (dimension, value)-pair
-  /// representation (MarkingArena::AddAuto). Deterministic: the node
-  /// set and the per-marking selection rule are both shard-invariant.
+  /// representation (MarkingArena::AddAuto).
   size_t sparse_markings() const { return marking_arena_.sparse_markings(); }
   /// Partial-order-reduction accounting (both 0 unless options.por and
-  /// the system reports ample prefixes). Deterministic: decisions
-  /// replay the sequential rank order, so the counts are identical at
-  /// every shard count.
+  /// the system reports ample prefixes).
   /// Successors skipped because an ample prefix expanded in their
   /// place.
   size_t ample_reduced_successors() const {
@@ -240,50 +211,33 @@ class KarpMiller {
   /// flat integer mix with no serialization.
   using NodeKey = std::pair<int, std::vector<int64_t>>;
 
-  /// Bounded LRU successor cache. Entries pinned to the current round
-  /// (sharded build) survive eviction until the round completes.
+  /// Bounded LRU successor cache entry.
   struct CacheEntry {
     std::vector<VassEdge> edges;
     std::list<int>::iterator lru_pos;
-    size_t pinned_round = 0;
   };
 
   int InternNode(int state, const std::vector<int64_t>& marking, int parent,
                  int64_t parent_label, bool* created);
 
-  void BuildSequential(const std::vector<int>& initial_states);
-  void BuildSharded(const std::vector<int>& initial_states);
-
   /// Accelerated successor marking of `parent_node` under `delta` into
   /// state `target`: marking apply, ω-acceleration against the
-  /// spanning-tree ancestry, canonical trailing-zero strip. Reads only
-  /// finalized nodes, so it is safe from concurrent workers. False if
+  /// spanning-tree ancestry, canonical trailing-zero strip. False if
   /// the delta is not enabled.
   bool SuccessorMarking(int parent_node, int target, const Delta& delta,
                         std::vector<int64_t>* out) const;
 
-  /// Looks up / inserts `state` in the successor cache. `commit` is
-  /// invoked on a miss to produce the edges; entries touched this
-  /// round are pinned against eviction.
-  const std::vector<VassEdge>& CacheSuccessors(
-      int state, size_t round,
-      const std::function<void(std::vector<VassEdge>*)>& commit);
-
-  /// Pins `state`'s cache entry (if present) to `round`, moving it to
-  /// the LRU front; returns the entry or nullptr. Keeping the pinned
-  /// set clustered at the front makes eviction tail-pops O(1).
-  CacheEntry* PinCached(int state, size_t round);
+  /// Looks up `state` in the successor cache (moving it to the LRU
+  /// front), asking the system for its edges on a miss. The returned
+  /// list stays valid until the next call.
+  const std::vector<VassEdge>& CacheSuccessors(int state);
 
   /// MINIMUM-id active antichain node of `state` whose marking
   /// dominates `marking` (ω-aware, 0-padded compare); -1 if none. The
   /// minimum over all dominators is a pure function of the antichain
-  /// CONTENT — independent of bucket or scan order — so the cover-edge
-  /// target it yields is identical at every shard count by
-  /// construction (see vass/dominance_index.h for the rank-cutoff walk
-  /// that keeps it sublinear). The probe counters are deterministic
-  /// too: the antichain is mutated only by serial code replaying the
-  /// sequential decision order, so the bucketed index replays
-  /// identically. Non-const for the probe accounting.
+  /// CONTENT — independent of bucket or scan order (see
+  /// vass/dominance_index.h for the rank-cutoff walk that keeps it
+  /// sublinear). Non-const for the probe accounting.
   int DominatorOf(int state, const MarkingView& marking);
 
   /// Inserts freshly interned `node` into its state's antichain and
@@ -291,7 +245,7 @@ class KarpMiller {
   /// with id >= round_first_new_id_ (same-round newcomers, hence not
   /// yet expanded) are deactivated: flagged so they never reach a
   /// frontier, and given a cover-edge to `node` so walks entering them
-  /// continue through the coverer's subtree. Serial phases only.
+  /// continue through the coverer's subtree.
   void AntichainAbsorb(int node);
 
   VassSystem* system_;
@@ -304,10 +258,6 @@ class KarpMiller {
   std::unordered_map<NodeKey, int, IdVectorHash> index_;
   std::unordered_map<int, CacheEntry> succ_cache_;
   std::list<int> lru_;  // front = most recently used state
-  /// Entries pinned to pin_round_ (they cluster at the LRU front and
-  /// are never evicted; the count caps the eviction scan).
-  size_t pin_round_ = 0;
-  size_t pinned_count_ = 0;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   bool truncated_ = false;
@@ -315,8 +265,7 @@ class KarpMiller {
   // --- antichain pruning state (prune_coverability only) ---------------
   /// VASS state -> the state's maximal active markings (pairwise
   /// incomparable), bucketed by extended summary so probes enumerate
-  /// only summary-compatible buckets (vass/dominance_index.h). Frozen
-  /// during concurrent phases; mutated only by serial code.
+  /// only summary-compatible buckets (vass/dominance_index.h).
   std::unordered_map<int, DominanceIndex> antichain_;
   /// Per node: retired before expansion (parallel to nodes_).
   std::vector<char> deactivated_;
@@ -325,11 +274,6 @@ class KarpMiller {
   /// covered entries only leave the antichain (round-granular
   /// deactivation — see KarpMillerOptions::prune_coverability).
   size_t round_first_new_id_ = 0;
-  /// Counted by the serial exact filter only (each dominated candidate
-  /// exactly once, in the sequential decision order). No longer
-  /// atomic: recording a deterministic cover-edge per drop requires
-  /// every candidate to reach the serial walk, so the sharded build's
-  /// old emit-time pre-filter — the one concurrent writer — is gone.
   size_t pruned_successors_ = 0;
   size_t deactivated_count_ = 0;
   size_t antichain_peak_ = 0;

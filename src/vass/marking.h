@@ -226,7 +226,7 @@ class MarkingArena {
   /// dense payload (2 * nnz < width, i.e. density below 50%) is stored
   /// sparse; everything else stays dense. The rule is entry-local and
   /// a pure function of the marking, so the stored representation is
-  /// deterministic across build paths and shard counts.
+  /// deterministic.
   MarkingView AddAuto(const int64_t* data, size_t size) {
     assert(size == 0 || data[size - 1] != 0);
     size_t nnz = 0;

@@ -270,7 +270,7 @@ std::optional<LassoWitness> FindAcceptingLasso(
 
   for (int target = 0; target < num_sccs; ++target) {
     // Cheapest filter first: an SCC without an accepting node can be
-    // skipped before any cycle test touches its edge lists (on sharded
+    // skipped before any cycle test touches its edge lists (on
     // task-VASS graphs most SCCs are accepting-free singletons).
     bool has_accepting = false;
     for (int n : members[target]) {

@@ -15,7 +15,6 @@
 #define HAS_VASS_VASS_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "vass/marking.h"
@@ -32,54 +31,25 @@ struct VassEdge {
 };
 
 /// Callback interface: a (possibly implicit) VASS.
-///
-/// Sharded exploration protocol: a system that sets
-/// SupportsConcurrentPrepare() splits its successor computation into
-///   - PrepareSuccessors: the expensive part (symbolic enumeration,
-///     oracle queries). May be called CONCURRENTLY from many worker
-///     threads, and must therefore not mutate system state except
-///     through thread-safe components (the interning pool, memoized
-///     oracles).
-///   - CommitSuccessors: the mutating part (state/dimension/record
-///     interning). Calls are SERIALIZED by the explorer in a
-///     deterministic order — the same order the sequential explorer
-///     would have used — so the system's internal numbering is
-///     schedule-independent.
-/// Successors(state, out) must stay equivalent to
-/// CommitSuccessors(state, PrepareSuccessors(state), out); the default
-/// implementations make a plain Successors-only system work unsharded.
 class VassSystem {
  public:
   virtual ~VassSystem() = default;
   /// Appends the outgoing edges of `state` to `out`.
   virtual void Successors(int state, std::vector<VassEdge>* out) = 0;
 
-  /// Opaque token carrying the prepared (pure) part of one successor
-  /// computation from the concurrent phase into the ordered commit.
+  /// Opaque token for systems that split one successor computation
+  /// into a pure prepare step and a mutating commit step (TaskVass).
   class Prepared {
    public:
     virtual ~Prepared() = default;
   };
-
-  /// Whether PrepareSuccessors may be invoked concurrently (and the
-  /// sharded explorer may be used at all).
-  virtual bool SupportsConcurrentPrepare() const { return false; }
-  virtual std::unique_ptr<Prepared> PrepareSuccessors(int state) {
-    (void)state;
-    return nullptr;
-  }
-  virtual void CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
-                                std::vector<VassEdge>* out) {
-    (void)prepared;
-    Successors(state, out);
-  }
 
   /// Partial-order reduction hook: the number of LEADING edges of
   /// `state`'s successor list that form a valid ample prefix — the
   /// explorer may expand only those edges as long as at least one of
   /// them makes progress (see KarpMillerOptions::por). 0 means no
   /// reduction. Contract: the value is a pure function of `state`
-  /// (never of markings, shard or arrival order) and idempotent across
+  /// (never of markings or arrival order) and idempotent across
   /// successor recomputations, and every prefix edge has a non-negative
   /// delta (it can never be marking-disabled) and targets a real
   /// successor — the reduced graph is a subgraph of the full one's
@@ -105,11 +75,6 @@ class ExplicitVass : public VassSystem {
   int64_t AddAction(int from, Delta delta, int to);
 
   void Successors(int state, std::vector<VassEdge>* out) override;
-
-  /// Successors only reads the adjacency list, so the default
-  /// Prepare/Commit split (everything in the serialized commit) is
-  /// already thread-safe.
-  bool SupportsConcurrentPrepare() const override { return true; }
 
  private:
   std::vector<std::vector<VassEdge>> adj_;

@@ -92,8 +92,8 @@ void ExpectWitnessReplays(const ReplayableVass& rv, const KarpMiller& g,
 
 /// Lasso-existence agreement between the pruned graph (cover-edge
 /// criterion) and a full graph of the same system (classical
-/// criterion), plus witness replay and shard determinism of the
-/// pruned graph's cover structure.
+/// criterion), plus witness replay and determinism of the pruned
+/// graph's cover structure across repeated builds.
 void ExpectPrunedLassoMatchesFull(
     const std::function<ReplayableVass()>& make,
     const std::function<bool(int)>& accepting, const std::string& what) {
@@ -117,23 +117,20 @@ void ExpectPrunedLassoMatchesFull(
   if (pruned_lasso.has_value()) {
     ExpectWitnessReplays(pruned_sys, pruned, *pruned_lasso);
   }
-  // The pruned graph's lasso answer is shard-independent because the
-  // graph itself is (cover-edges included).
-  for (int shards : {2, 4}) {
-    ReplayableVass sys = make();
-    KarpMillerOptions par_options = options;
-    par_options.num_shards = shards;
-    KarpMiller par(&sys.vass, par_options);
-    par.Build({0});
-    ASSERT_EQ(par.num_nodes(), pruned.num_nodes()) << what;
-    EXPECT_EQ(par.cover_edges(), pruned.cover_edges()) << what;
-    std::optional<LassoWitness> par_lasso = FindAcceptingLasso(par, accepting);
-    ASSERT_EQ(par_lasso.has_value(), pruned_lasso.has_value()) << what;
-    if (par_lasso.has_value()) {
-      EXPECT_EQ(par_lasso->node, pruned_lasso->node) << what;
-      EXPECT_EQ(par_lasso->stem_labels, pruned_lasso->stem_labels) << what;
-      EXPECT_EQ(par_lasso->loop_labels, pruned_lasso->loop_labels) << what;
-    }
+  // The pruned graph's lasso answer is deterministic because the graph
+  // itself is (cover-edges included).
+  ReplayableVass again_sys = make();
+  KarpMiller again(&again_sys.vass, options);
+  again.Build({0});
+  ASSERT_EQ(again.num_nodes(), pruned.num_nodes()) << what;
+  EXPECT_EQ(again.cover_edges(), pruned.cover_edges()) << what;
+  std::optional<LassoWitness> again_lasso =
+      FindAcceptingLasso(again, accepting);
+  ASSERT_EQ(again_lasso.has_value(), pruned_lasso.has_value()) << what;
+  if (again_lasso.has_value()) {
+    EXPECT_EQ(again_lasso->node, pruned_lasso->node) << what;
+    EXPECT_EQ(again_lasso->stem_labels, pruned_lasso->stem_labels) << what;
+    EXPECT_EQ(again_lasso->loop_labels, pruned_lasso->loop_labels) << what;
   }
 }
 
@@ -458,23 +455,19 @@ TEST(CoverLassoOracleTest, TravelMiniSpecs) {
   }
 }
 
-TEST(CoverLassoOracleTest, FullGraphBuildsStayZeroAcrossShardCounts) {
+TEST(CoverLassoOracleTest, FullGraphBuildsStayZero) {
   // End-to-end: with pruning (now the default) the verifier never
-  // rebuilds an unpruned graph, at any shard count, and verdicts match
-  // the pruning-off reference.
+  // rebuilds an unpruned graph, and verdicts match the pruning-off
+  // reference.
   bench::Workload w = bench::MakeMultiSet(/*size=*/2, /*depth=*/2,
                                           /*set_width=*/2);
   VerifierOptions reference_options;
   reference_options.prune_coverability = false;
   VerifyResult reference = Verify(w.system, w.property, reference_options);
-  for (int shards : {1, 2, 4}) {
-    VerifierOptions options;
-    options.num_shards = shards;
-    VerifyResult result = Verify(w.system, w.property, options);
-    EXPECT_EQ(result.verdict, reference.verdict) << shards;
-    EXPECT_EQ(result.stats.full_graph_builds, 0u) << shards;
-    EXPECT_GT(result.stats.cover_edges, 0u) << shards;
-  }
+  VerifyResult result = Verify(w.system, w.property);
+  EXPECT_EQ(result.verdict, reference.verdict);
+  EXPECT_EQ(result.stats.full_graph_builds, 0u);
+  EXPECT_GT(result.stats.cover_edges, 0u);
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 // (VerifierOptions::por): verdicts must be IDENTICAL with the reduction
 // on and off — on every committed workload family (lasso/kViolated
 // verdicts included) and on the parsed example specs — the reduced
-// graph must never be larger than the full one, and the POR-on
-// exploration itself must stay shard-count-deterministic at 1/2/4
-// shards, counterexamples and query counts included. Plus unit coverage of the
-// static independence analysis (model/independence.h) the reduction's
-// eligibility test is built on.
+// graph must never be larger than the full one. Plus unit coverage of
+// the static independence analysis (model/independence.h) the
+// reduction's eligibility test is built on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,11 +18,8 @@
 namespace has {
 namespace {
 
-/// POR on vs. off must agree on everything user-visible; POR on must
-/// additionally be deterministic across shard counts (the ample choice
-/// is a pure function of the product state, replayed identically by the
-/// sharded merge). Returns the POR-off verdict so callers can pin the
-/// expected outcome.
+/// POR on vs. off must agree on everything user-visible. Returns the
+/// POR-off verdict so callers can pin the expected outcome.
 Verdict ExpectPorEquivalence(const ArtifactSystem& system,
                              const HltlProperty& property,
                              const std::string& what,
@@ -33,44 +28,17 @@ Verdict ExpectPorEquivalence(const ArtifactSystem& system,
   VerifyResult reference = Verify(system, property, base);
   EXPECT_EQ(reference.stats.ample_reduced_successors, 0u) << what;
   EXPECT_EQ(reference.stats.ample_full_expansions, 0u) << what;
-  VerifyResult por_seq;
-  for (int shards : {1, 2, 4}) {
-    VerifierOptions options = base;
-    options.por = true;
-    options.num_shards = shards;
-    VerifyResult por = Verify(system, property, options);
-    EXPECT_EQ(por.verdict, reference.verdict) << what << " shards=" << shards;
-    // NOTE: the counterexample itself may legitimately differ from the
-    // POR-off one (the reduced graph keeps a witness, not THE witness),
-    // and so may the child-query count — stutter targets can carry
-    // input-bound bits the POR-off opening states lack, so some opens
-    // key new oracle queries. Both must however be identical across
-    // shard counts, checked below.
-    EXPECT_LE(por.stats.cov_nodes, reference.stats.cov_nodes)
-        << what << " shards=" << shards;
-    EXPECT_EQ(por.stats.full_graph_builds, 0u) << what << " shards=" << shards;
-    if (shards == 1) {
-      por_seq = por;
-      continue;
-    }
-    // Shard-count determinism of the REDUCED build, counterexample and
-    // counters included: the merge's rank-order replay must reproduce
-    // the sequential ample decisions edge for edge.
-    EXPECT_EQ(por.counterexample, por_seq.counterexample)
-        << what << " shards=" << shards;
-    EXPECT_EQ(por.stats.queries, por_seq.stats.queries) << what;
-    EXPECT_EQ(por.stats.cov_nodes, por_seq.stats.cov_nodes) << what;
-    EXPECT_EQ(por.stats.cov_edges, por_seq.stats.cov_edges) << what;
-    EXPECT_EQ(por.stats.product_states, por_seq.stats.product_states) << what;
-    EXPECT_EQ(por.stats.counter_dims, por_seq.stats.counter_dims) << what;
-    EXPECT_EQ(por.stats.cover_edges, por_seq.stats.cover_edges) << what;
-    EXPECT_EQ(por.stats.ample_reduced_successors,
-              por_seq.stats.ample_reduced_successors)
-        << what;
-    EXPECT_EQ(por.stats.ample_full_expansions,
-              por_seq.stats.ample_full_expansions)
-        << what;
-  }
+  VerifierOptions options = base;
+  options.por = true;
+  VerifyResult por = Verify(system, property, options);
+  EXPECT_EQ(por.verdict, reference.verdict) << what;
+  // NOTE: the counterexample itself may legitimately differ from the
+  // POR-off one (the reduced graph keeps a witness, not THE witness),
+  // and so may the child-query count — stutter targets can carry
+  // input-bound bits the POR-off opening states lack, so some opens
+  // key new oracle queries.
+  EXPECT_LE(por.stats.cov_nodes, reference.stats.cov_nodes) << what;
+  EXPECT_EQ(por.stats.full_graph_builds, 0u) << what;
   return reference.verdict;
 }
 
@@ -188,20 +156,9 @@ TEST(TaskIndependenceTest, MultiRelationFootprints) {
   EXPECT_FALSE(indep.footprint(load0).insert_only());   // retrieves
   EXPECT_FALSE(indep.footprint(work).insert_only());    // no set ops
   EXPECT_FALSE(indep.footprint(rotate).insert_only());  // mixed delta
-
-  // Disjoint relations AND disjoint non-input variables.
-  EXPECT_TRUE(indep.Commutes(store0, store1));
-  EXPECT_TRUE(indep.Commutes(store1, store0));  // symmetric
-  // Same relation (A0) and same variable (s0).
-  EXPECT_FALSE(indep.Commutes(store0, load0));
-  // rotate touches both relations.
-  EXPECT_FALSE(indep.Commutes(rotate, store0));
-  EXPECT_FALSE(indep.Commutes(rotate, store1));
-  // A service never commutes with itself (same footprint).
-  EXPECT_FALSE(indep.Commutes(store0, store0));
 }
 
-TEST(TaskIndependenceTest, CommutingFamilyIsPairwiseIndependent) {
+TEST(TaskIndependenceTest, CommutingFamilyStoresAreInsertOnly) {
   bench::Workload w = bench::MakeCommutingServices(/*width=*/3, /*depth=*/1);
   const Task& task = w.system.task(w.system.root());
   TaskIndependence indep = TaskIndependence::Analyze(task);
@@ -214,16 +171,13 @@ TEST(TaskIndependenceTest, CommutingFamilyIsPairwiseIndependent) {
   ASSERT_EQ(stores.size(), 3u);
   for (int a : stores) {
     EXPECT_TRUE(indep.footprint(a).insert_only());
-    for (int b : stores) {
-      EXPECT_EQ(indep.Commutes(a, b), a != b);
-    }
   }
 }
 
-TEST(TaskIndependenceTest, SharedInputReadsStillCommute) {
+TEST(TaskIndependenceTest, InputReadsStayOutOfNonInputFootprint) {
   // Two insert-only services whose pre/post both read the same INPUT
   // variable: input-bound reads are never written inside a segment, so
-  // they must not break commutation.
+  // they land in input_reads, not in the re-decided noninput_vars.
   Task task("T", 0, kNoTask);
   int x = task.vars().AddVar("x", VarSort::kId);
   int a = task.vars().AddVar("a", VarSort::kId);
@@ -245,11 +199,11 @@ TEST(TaskIndependenceTest, SharedInputReadsStillCommute) {
   task.AddInternalService(std::move(sb));
 
   TaskIndependence indep = TaskIndependence::Analyze(task);
-  EXPECT_TRUE(indep.Commutes(0, 1));
-  EXPECT_EQ(indep.footprint(0).input_reads.count(x), 1u);
-  EXPECT_EQ(indep.footprint(0).noninput_vars.count(x), 0u);
-  // Sharing a NON-input variable does break commutation: flip b's
-  // service to also read a.
+  for (int svc : {0, 1}) {
+    EXPECT_EQ(indep.footprint(svc).input_reads.count(x), 1u);
+    EXPECT_EQ(indep.footprint(svc).noninput_vars.count(x), 0u);
+  }
+  // A read of a NON-input variable lands in noninput_vars: s2 reads a.
   Task task2("T2", 0, kNoTask);
   int a2 = task2.vars().AddVar("a", VarSort::kId);
   int ra2 = task2.AddSetRelation("A", {a2});
@@ -267,7 +221,8 @@ TEST(TaskIndependenceTest, SharedInputReadsStillCommute) {
   s2.MarkInsert(rb2);
   task2.AddInternalService(std::move(s2));
   TaskIndependence indep2 = TaskIndependence::Analyze(task2);
-  EXPECT_FALSE(indep2.Commutes(0, 1));
+  EXPECT_EQ(indep2.footprint(1).noninput_vars.count(a2), 1u);
+  EXPECT_TRUE(indep2.footprint(1).input_reads.empty());
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // Correctness bar (ISSUE 3): verifier verdicts must be IDENTICAL with
 // pruning on vs. off — across the Table-1 workloads, the travel specs,
 // the deep-hierarchy / adversarial-cyclic families and the
-// multi-variable-set family, at 1, 2 and 4 shards. On top of that the
-// pruned build itself must keep the sharded determinism guarantee
-// (node-for-node equality and equal pruning counters at every shard
-// count), preserve exactly the reachable VASS states, and actually
-// prune (strictly fewer nodes on subsumption-heavy systems).
+// multi-variable-set family. On top of that the pruned build itself
+// must be deterministic (node-for-node equality and equal pruning
+// counters across repeated builds), preserve exactly the reachable
+// VASS states, and actually prune (strictly fewer nodes on
+// subsumption-heavy systems).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -163,105 +163,69 @@ TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
   EXPECT_GT(cover, 0u);
 }
 
-TEST(PrunedKarpMillerTest, ShardedPrunedBuildIsNodeIdentical) {
+TEST(PrunedKarpMillerTest, RepeatedPrunedBuildIsNodeIdentical) {
   for (int variant = 0; variant < 3; ++variant) {
     auto make = [&]() {
       return variant == 0 ? PumpVass(2)
              : variant == 1 ? PumpVass(4)
                             : SubsumptionVass(5);
     };
+    KarpMillerOptions options;
+    options.prune_coverability = true;
     ExplicitVass v1 = make();
-    KarpMillerOptions seq_options;
-    seq_options.prune_coverability = true;
-    KarpMiller seq(&v1, seq_options);
-    seq.Build({0});
-    for (int shards : {2, 4}) {
-      ExplicitVass v2 = make();
-      KarpMillerOptions options;
-      options.prune_coverability = true;
-      options.num_shards = shards;
-      KarpMiller par(&v2, options);
-      par.Build({0});
-      const std::string what =
-          "variant=" + std::to_string(variant) + " shards=" +
-          std::to_string(shards);
-      ASSERT_EQ(seq.num_nodes(), par.num_nodes()) << what;
-      for (int n = 0; n < seq.num_nodes(); ++n) {
-        EXPECT_EQ(seq.node_state(n), par.node_state(n)) << what << " " << n;
-        EXPECT_EQ(seq.node_marking(n), par.node_marking(n))
-            << what << " " << n;
-        EXPECT_EQ(seq.node_parent(n), par.node_parent(n)) << what << " " << n;
-        ASSERT_EQ(seq.edges(n).size(), par.edges(n).size()) << what << " " << n;
-        for (size_t i = 0; i < seq.edges(n).size(); ++i) {
-          EXPECT_EQ(seq.edges(n)[i].target, par.edges(n)[i].target)
-              << what << " " << n << " edge " << i;
-          EXPECT_EQ(seq.edges(n)[i].label, par.edges(n)[i].label)
-              << what << " " << n << " edge " << i;
-          EXPECT_EQ(seq.edges(n)[i].cover, par.edges(n)[i].cover)
-              << what << " " << n << " edge " << i;
-        }
-        EXPECT_EQ(seq.node_deactivated(n), par.node_deactivated(n))
-            << what << " " << n;
+    KarpMiller first(&v1, options);
+    first.Build({0});
+    ExplicitVass v2 = make();
+    KarpMiller again(&v2, options);
+    again.Build({0});
+    const std::string what = "variant=" + std::to_string(variant);
+    ASSERT_EQ(first.num_nodes(), again.num_nodes()) << what;
+    for (int n = 0; n < first.num_nodes(); ++n) {
+      EXPECT_EQ(first.node_state(n), again.node_state(n))
+          << what << " " << n;
+      EXPECT_EQ(first.node_marking(n), again.node_marking(n))
+          << what << " " << n;
+      EXPECT_EQ(first.node_parent(n), again.node_parent(n))
+          << what << " " << n;
+      ASSERT_EQ(first.edges(n).size(), again.edges(n).size())
+          << what << " " << n;
+      for (size_t i = 0; i < first.edges(n).size(); ++i) {
+        EXPECT_EQ(first.edges(n)[i].target, again.edges(n)[i].target)
+            << what << " " << n << " edge " << i;
+        EXPECT_EQ(first.edges(n)[i].label, again.edges(n)[i].label)
+            << what << " " << n << " edge " << i;
+        EXPECT_EQ(first.edges(n)[i].cover, again.edges(n)[i].cover)
+            << what << " " << n << " edge " << i;
       }
-      // Pruning counters are part of the determinism contract —
-      // cover-edges included (same targets, same interleaved order).
-      EXPECT_EQ(seq.pruned_successors(), par.pruned_successors()) << what;
-      EXPECT_EQ(seq.deactivated_nodes(), par.deactivated_nodes()) << what;
-      EXPECT_EQ(seq.antichain_peak(), par.antichain_peak()) << what;
-      EXPECT_EQ(seq.cover_edges(), par.cover_edges()) << what;
+      EXPECT_EQ(first.node_deactivated(n), again.node_deactivated(n))
+          << what << " " << n;
     }
+    // Pruning counters are part of the determinism contract —
+    // cover-edges included (same targets, same interleaved order).
+    EXPECT_EQ(first.pruned_successors(), again.pruned_successors()) << what;
+    EXPECT_EQ(first.deactivated_nodes(), again.deactivated_nodes()) << what;
+    EXPECT_EQ(first.antichain_peak(), again.antichain_peak()) << what;
+    EXPECT_EQ(first.cover_edges(), again.cover_edges()) << what;
   }
 }
 
-/// Cross-validation core: verdict equality pruned vs. unpruned at every
-/// shard count, plus stat-level determinism of the pruned runs across
-/// shard counts.
+/// Cross-validation core: verdict equality pruned vs. unpruned.
 void ExpectPruningEquivalence(const ArtifactSystem& system,
                               const HltlProperty& property,
                               const std::string& what,
                               VerifierOptions base = {}) {
   base.prune_coverability = false;
   VerifyResult reference = Verify(system, property, base);
-  VerifyResult pruned_seq;
-  for (int shards : {1, 2, 4}) {
-    VerifierOptions options = base;
-    options.num_shards = shards;
-    options.prune_coverability = true;
-    VerifyResult pruned = Verify(system, property, options);
-    EXPECT_EQ(pruned.verdict, reference.verdict)
-        << what << " shards=" << shards;
-    // Lasso analysis runs on the pruned graph itself (cover-edges);
-    // the full-graph fallback is gone for good.
-    EXPECT_EQ(pruned.stats.full_graph_builds, 0u)
-        << what << " shards=" << shards;
-    // Without fallback rebuilds, pruning never explores more nodes
-    // than the full build.
-    EXPECT_LE(pruned.stats.cov_nodes, reference.stats.cov_nodes)
-        << what << " shards=" << shards;
-    if (shards == 1) {
-      pruned_seq = pruned;
-      continue;
-    }
-    // Determinism of the pruned build across shard counts: identical
-    // exploration statistics, counterexamples included.
-    EXPECT_EQ(pruned.counterexample, pruned_seq.counterexample)
-        << what << " shards=" << shards;
-    EXPECT_EQ(pruned.stats.queries, pruned_seq.stats.queries) << what;
-    EXPECT_EQ(pruned.stats.cov_nodes, pruned_seq.stats.cov_nodes) << what;
-    EXPECT_EQ(pruned.stats.cov_edges, pruned_seq.stats.cov_edges) << what;
-    EXPECT_EQ(pruned.stats.product_states, pruned_seq.stats.product_states)
-        << what;
-    EXPECT_EQ(pruned.stats.pruned_successors,
-              pruned_seq.stats.pruned_successors)
-        << what;
-    EXPECT_EQ(pruned.stats.deactivated_nodes,
-              pruned_seq.stats.deactivated_nodes)
-        << what;
-    EXPECT_EQ(pruned.stats.antichain_peak, pruned_seq.stats.antichain_peak)
-        << what;
-    EXPECT_EQ(pruned.stats.cover_edges, pruned_seq.stats.cover_edges)
-        << what;
-  }
+  VerifierOptions options = base;
+  options.prune_coverability = true;
+  VerifyResult pruned = Verify(system, property, options);
+  EXPECT_EQ(pruned.verdict, reference.verdict) << what;
+  // Lasso analysis runs on the pruned graph itself (cover-edges);
+  // the full-graph fallback is gone for good.
+  EXPECT_EQ(pruned.stats.full_graph_builds, 0u) << what;
+  // Without fallback rebuilds, pruning never explores more nodes
+  // than the full build.
+  EXPECT_LE(pruned.stats.cov_nodes, reference.stats.cov_nodes) << what;
 }
 
 TEST(PruningCrossValidation, BuilderSystems) {

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
-#include <set>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "core/type_pool.h"
 #include "data/generator.h"
@@ -177,103 +176,6 @@ TEST(TypePoolTest, DifferentialIdEqualityMatchesSignatureEquality) {
   EXPECT_GT(pool.num_types(), 1u);
 }
 
-TEST(TypePoolTest, ConcurrentInterningConsistentWithSignatures) {
-  // N threads intern overlapping slices of a random corpus (each in its
-  // own order) into one shared pool; ids must agree with Signature()
-  // equality across ALL threads, and the pool must end with exactly the
-  // distinct-signature count.
-  Fixture f;
-  GeneratorOptions gen;
-  gen.tuples_per_relation = 5;
-  gen.seed = 11;
-  DatabaseInstance db = GenerateInstance(f.schema, gen);
-
-  std::mt19937_64 rng(20260730);
-  std::vector<PartialIsoType> corpus;
-  std::vector<std::string> sigs;
-  for (int i = 0; i < 400; ++i) {
-    corpus.push_back(RandomType(f, db, &rng));
-    sigs.push_back(corpus.back().Signature());
-  }
-  std::set<std::string> distinct(sigs.begin(), sigs.end());
-
-  constexpr int kThreads = 8;
-  TypePool pool;
-  std::vector<std::vector<TypeId>> ids(kThreads,
-                                       std::vector<TypeId>(corpus.size()));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Each thread walks the corpus at a different stride so the
-      // first-interner of any given type varies across threads.
-      std::mt19937_64 order_rng(1000 + t);
-      std::vector<size_t> order(corpus.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::shuffle(order.begin(), order.end(), order_rng);
-      for (size_t i : order) ids[t][i] = pool.Intern(corpus[i]);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(pool.num_types(), distinct.size());
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[t], ids[0]) << "thread " << t << " saw different ids";
-  }
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    for (size_t j = i + 1; j < corpus.size(); ++j) {
-      EXPECT_EQ(ids[0][i] == ids[0][j], sigs[i] == sigs[j])
-          << "id/signature equality diverged for pair (" << i << ", " << j
-          << ")";
-    }
-  }
-}
-
-TEST(TypePoolTest, MergeFromRemapsShardLocalIds) {
-  // Two "shard" pools intern overlapping corpora; merging the second
-  // into the first must map every id to the first pool's id for the
-  // same signature.
-  Fixture f;
-  GeneratorOptions gen;
-  gen.tuples_per_relation = 5;
-  gen.seed = 13;
-  DatabaseInstance db = GenerateInstance(f.schema, gen);
-  std::mt19937_64 rng(42);
-  std::vector<PartialIsoType> corpus;
-  for (int i = 0; i < 120; ++i) corpus.push_back(RandomType(f, db, &rng));
-
-  TypePool target;
-  TypePool shard;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    if (i % 3 != 2) target.Intern(corpus[i]);  // overlap: 2/3 of corpus
-    if (i % 2 == 0) shard.Intern(corpus[i]);
-  }
-  Cell pos(2);
-  pos.set_sign(0, kSignPos);
-  Cell neg(2);
-  neg.set_sign(0, kSignNeg);
-  target.InternCell(pos);
-  shard.InternCell(neg);
-  shard.InternCell(pos);
-
-  std::vector<TypeId> type_remap;
-  std::vector<CellId> cell_remap;
-  target.MergeFrom(shard, &type_remap, &cell_remap);
-
-  ASSERT_EQ(type_remap.size(), shard.num_types());
-  for (size_t i = 0; i < shard.num_types(); ++i) {
-    const PartialIsoType& original = shard.type(static_cast<TypeId>(i));
-    TypeId mapped = type_remap[i];
-    EXPECT_EQ(target.type(mapped).Signature(), original.Signature());
-    // Re-interning resolves to the same canonical id.
-    EXPECT_EQ(target.InternNormalized(original), mapped);
-  }
-  ASSERT_EQ(cell_remap.size(), shard.num_cells());
-  for (size_t i = 0; i < shard.num_cells(); ++i) {
-    EXPECT_TRUE(target.cell(cell_remap[i]) ==
-                shard.cell(static_cast<CellId>(i)));
-  }
-}
-
 TEST(TypePoolTest, CellInterning) {
   TypePool pool;
   Cell a(3);
@@ -287,6 +189,27 @@ TEST(TypePoolTest, CellInterning) {
   EXPECT_NE(pool.InternCell(c), ia);
   EXPECT_EQ(pool.num_cells(), 2u);
   EXPECT_EQ(pool.cell(ia).sign(0), kSignPos);
+}
+
+TEST(TypePoolTest, PooledAddressesSurviveArenaGrowth) {
+  // Consumers key on &pool.type(id) / &pool.cell(id), so interning past
+  // several arena chunks must never move an earlier element.
+  TypePool pool;
+  const Sign signs[] = {kSignNeg, kSignZero, kSignPos};
+  std::vector<const Cell*> addresses;
+  for (int code = 0; code < 2187; ++code) {  // 3^7 distinct sign vectors
+    Cell cell(7);
+    for (int i = 0, rest = code; i < 7; ++i, rest /= 3) {
+      cell.set_sign(i, signs[rest % 3]);
+    }
+    CellId id = pool.InternCell(cell);
+    ASSERT_EQ(id, code);
+    addresses.push_back(&pool.cell(id));
+  }
+  for (int code = 0; code < 2187; ++code) {
+    EXPECT_EQ(&pool.cell(code), addresses[static_cast<size_t>(code)]);
+    EXPECT_EQ(pool.cell(code).sign(0), signs[code % 3]) << code;
+  }
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 // the diagnostics re-derived from a fresh parse and compared — the
 // machine check that generated specs carry stable expected
 // diagnostics, (3) run through the differential matrix: symbolic
-// verdicts across POR on/off x slice on/off x {1,2,4} shards, the
+// verdicts across POR on/off x slice on/off, the
 // concrete simulator (CheckRunTree legality), the bounded checker,
 // and the exact verdict-algebra relations of fuzz/metamorphic.h.
 // Symbolic spreads, CheckRunTree failures and algebra violations are
