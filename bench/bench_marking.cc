@@ -1,6 +1,6 @@
 // Dominance-kernel microbenchmark: all-pairs DominanceLeq over a
-// fixed-seed corpus of canonical markings, at dims 8/32/128 and dense
-// vs sparse support, with and without the per-dimension-group support-
+// fixed-seed corpus of canonical markings, at dims 8/32/128 and 90% vs
+// 25% nonzero support, with and without the per-dimension-group support-
 // summary prefilter (src/vass/marking.h). Two deterministic kernel-
 // semantics counters feed the CI gate (scripts/check_bench_counters.py
 // against bench/baselines/bench_marking.json, run with --exact):
@@ -42,7 +42,7 @@ struct Corpus {
   std::vector<uint64_t> summaries;
 };
 
-Corpus MakeCorpus(int dims, bool dense, bool auto_repr = false) {
+Corpus MakeCorpus(int dims, bool dense) {
   Corpus c;
   std::mt19937 rng(0x5eed0000u + static_cast<unsigned>(dims) * 2u +
                    (dense ? 1u : 0u));
@@ -61,8 +61,7 @@ Corpus MakeCorpus(int dims, bool dense, bool auto_repr = false) {
                                   : static_cast<int64_t>(1 + rng() % 3);
     }
     while (!m.empty() && m.back() == 0) m.pop_back();  // canonical form
-    c.views.push_back(auto_repr ? c.arena.AddAuto(m.data(), m.size())
-                                : c.arena.Add(m));
+    c.views.push_back(c.arena.Add(m));
     c.summaries.push_back(SupportSummary(c.views.back()));
   }
   return c;
@@ -119,38 +118,6 @@ void BM_DominanceSummaryFiltered(benchmark::State& state) {
   state.counters["summary_pass"] = static_cast<double>(summary_pass);
 }
 
-// Same corpus VALUES as BM_Dominance, but stored via MarkingArena::
-// AddAuto, so markings below the density threshold land in the sparse
-// (dimension, value)-pair representation and the all-pairs loop drives
-// the sparse-sparse / sparse-dense / dense-sparse DominanceLeq paths.
-// leq_true is gated and must EQUAL the matching BM_Dominance row (the
-// representation cannot change the order); sparse_markings pins how
-// many of the 128 markings the selection rule turned sparse — the
-// product workloads are all narrower than the sparse threshold, so
-// this row is where the sparse path gets nonzero CI coverage.
-void BM_DominanceAutoRepr(benchmark::State& state) {
-  const Corpus c = MakeCorpus(static_cast<int>(state.range(0)),
-                              state.range(1) != 0, /*auto_repr=*/true);
-  size_t leq_true = 0;
-  size_t pairs = 0;
-  for (auto _ : state) {
-    size_t count = 0;
-    for (size_t i = 0; i < kCorpusSize; ++i) {
-      for (size_t j = 0; j < kCorpusSize; ++j) {
-        count += DominanceLeq(c.views[i], c.views[j]) ? 1 : 0;
-      }
-    }
-    benchmark::DoNotOptimize(count);
-    leq_true = count;
-    pairs += kCorpusSize * kCorpusSize;
-  }
-  state.counters["pairs_per_sec"] = benchmark::Counter(
-      static_cast<double>(pairs), benchmark::Counter::kIsRate);
-  state.counters["leq_true"] = static_cast<double>(leq_true);
-  state.counters["sparse_markings"] =
-      static_cast<double>(c.arena.sparse_markings());
-}
-
 }  // namespace
 
 // Args: {dims, dense}. dims 8/32/128 brackets the products seen in the
@@ -165,13 +132,6 @@ BENCHMARK(BM_DominanceSummaryFiltered)
     ->Args({8, 0})->Args({8, 1})
     ->Args({32, 0})->Args({32, 1})
     ->Args({128, 0})->Args({128, 1})
-    ->Unit(benchmark::kMicrosecond)->UseRealTime();
-// Sparse-support rows only: the dense corpus never crosses the AddAuto
-// density threshold, so its auto rows would just repeat BM_Dominance.
-BENCHMARK(BM_DominanceAutoRepr)
-    ->Args({8, 0})
-    ->Args({32, 0})
-    ->Args({128, 0})
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -19,8 +19,6 @@ namespace bench {
 /// Writes the per-verification counters of `stats` into `state`. They
 /// are identical every iteration and on every host (the timing-dependent
 /// enum_memo_hits aside), which makes them the regression-gate payload.
-/// full_graph_builds is always 0 since lasso analysis runs on the pruned
-/// graph itself; the gate fails if it ever revives.
 inline void ExportStats(const RtStats& stats, benchmark::State* state) {
   const std::pair<const char*, size_t> fields[] = {
       {"cov_nodes", stats.cov_nodes},
@@ -36,10 +34,8 @@ inline void ExportStats(const RtStats& stats, benchmark::State* state) {
       {"antichain_skipped_by_summary", stats.antichain_skipped_by_summary},
       {"antichain_bucket_probes", stats.antichain_bucket_probes},
       {"antichain_buckets_peak", stats.antichain_buckets_peak},
-      {"sparse_markings", stats.sparse_markings},
       {"ample_reduced_successors", stats.ample_reduced_successors},
       {"ample_full_expansions", stats.ample_full_expansions},
-      {"full_graph_builds", stats.full_graph_builds},
       {"sliced_services", stats.sliced_services},
       {"sliced_dims", stats.sliced_dims},
       {"diagnostics_emitted", stats.diagnostics_emitted},

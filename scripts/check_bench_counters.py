@@ -8,19 +8,15 @@ types, recorded cover-edges) are pure work counts: they are
 deterministic and host-independent, so exceeding the baseline means the
 change genuinely made the verifier explore more — unlike wall-clock, which
 stays informational (the committed baselines come from a 1-vCPU
-container; see ROADMAP.md). full_graph_builds must be exactly 0 in
-every run: the pruned path's full-graph lasso fallback is retired
-(lasso search traverses the pruned graph's cover-edges), and this
-counter coming back nonzero is the regression the gate exists to
-catch.
+container; see ROADMAP.md).
 
 Usage:
-  check_bench_counters.py BASELINE.json RUN.json [--tolerance PCT]
+  check_bench_counters.py BASELINE.json RUN.json [--tolerance PCT] [--exact]
 
-Exit code 1 iff a gated counter grew beyond the tolerance (default 0%)
-or a baselined benchmark is missing from the run. Benchmarks present in
-the run but not in the baseline are reported as needing a baseline
-update, not failed.
+Exit code 1 iff a gated counter grew beyond the tolerance (default 0%),
+shrank under --exact, or a baselined benchmark is missing from the run.
+Benchmarks present in the run but not in the baseline are reported as
+needing a baseline update, not failed.
 """
 
 import argparse
@@ -39,9 +35,8 @@ GATED = [
     "counter_dims",
     # Marking payloads touched by domination probes (DominanceLeq
     # calls made by the bucketed dominance index): the dominance
-    # kernel's work count. Deterministic, so the --exact POR-off and
-    # slice-off replays double as the probe-determinism check. NOTE:
-    # until the bucketed index
+    # kernel's work count. Deterministic, so the --exact gates double
+    # as the probe-determinism check. NOTE: until the bucketed index
     # landed this counted entries EXAMINED (payload compares + summary
     # skips); the semantics change shipped with a baseline re-record.
     "antichain_probes",
@@ -49,11 +44,6 @@ GATED = [
     # sublinear-probe work count. Deterministic like antichain_probes
     # (the bucket layout follows the insertion/removal history).
     "antichain_bucket_probes",
-    # Coverability-node markings stored under the sparse
-    # (dimension, value)-pair representation. A pure function of the
-    # (deterministic) node set and the per-marking density rule, so any
-    # drift means the stored representation changed.
-    "sparse_markings",
     # bench_marking kernel-semantics counts: the number of ≤ pairs and
     # of summary-filter survivors over a fixed-seed random corpus.
     # Gated with --exact in CI, so the scalar and SIMD kernel builds
@@ -65,19 +55,15 @@ GATED = [
     # the product state), so any unexplained drift is a bug: growth
     # fails outright, shrink
     # fails under --exact and otherwise surfaces as a note next to the
-    # cov_nodes growth it usually causes. Absent from pre-POR baseline
-    # rows (the *_por_off.json differential baselines), which the
-    # counter-skip rule below handles.
+    # cov_nodes growth it usually causes.
     "ample_reduced_successors",
     # Property-directed slicing (VerifierOptions::slice): services and
     # dimensions (relations + variables) dropped before the product
     # VASS is built, plus the static analyzer's finding count. All
     # three are pure functions of the input spec — any drift means the
     # analyzer's liveness facts or the slicer's cone changed, which
-    # must come with a deliberate baseline re-record. Absent from the
-    # pre-slicer differential baselines (*_slice_off.json), which the
-    # counter-skip rule below handles; sliced_* are zero by
-    # construction in rows recorded with slicing off.
+    # must come with a deliberate baseline re-record. sliced_* are zero
+    # by construction in rows recorded with slicing off.
     "sliced_services",
     "sliced_dims",
     "diagnostics_emitted",
@@ -87,13 +73,6 @@ GATED = [
     # function of the explored graphs. Growth means the products
     # enumerate more distinct steps.
     "enum_memo_misses",
-]
-# Counters that must be EXACTLY ZERO in every run: lasso analysis runs
-# on the pruned graph itself (via cover-edges), so a single full-graph
-# rebuild means the fallback came back. Checked against the run alone —
-# a stale baseline cannot grandfather a regression in.
-EXPECT_ZERO = [
-    "full_graph_builds",
 ]
 # Deterministic but directionless: a drift is worth a look, not a fail
 # (e.g. pruning MORE successors is usually good news).
@@ -144,9 +123,9 @@ def main():
         "--exact",
         action="store_true",
         help="fail on ANY drift of a gated counter, shrinks included "
-        "(for determinism gates: the feature-off replays must EQUAL "
-        "the baseline, so a regression that explores fewer nodes fails "
-        "instead of reading as an improvement)",
+        "(for determinism gates: the run must EQUAL the baseline, so a "
+        "regression that explores fewer nodes fails instead of reading "
+        "as an improvement)",
     )
     args = parser.parse_args()
 
@@ -208,27 +187,6 @@ def main():
                 notes.append(
                     f"{name}: wall-clock {(c - b) / b:+.1%} vs baseline "
                     "(informational; hosts differ)"
-                )
-
-    # Zero-expected counters are checked against the RUN alone (every
-    # benchmark, baselined or not): a stale baseline cannot grandfather
-    # a revived fallback in. A benchmark that exports the counter in
-    # the baseline but not in the run fails too — deleting the counter
-    # must not silently disarm the tripwire.
-    for name, cur in sorted(run.items()):
-        for counter in EXPECT_ZERO:
-            if counter not in cur:
-                if name in baseline and counter in baseline[name]:
-                    failures.append(
-                        f"{name}: zero-expected counter {counter} "
-                        "disappeared from the run"
-                    )
-                continue
-            if float(cur[counter]) != 0.0:
-                failures.append(
-                    f"{name}: {counter} must be 0, got "
-                    f"{float(cur[counter]):.0f} (the full-graph lasso "
-                    "fallback is retired)"
                 )
 
     for name in sorted(set(run) - set(baseline)):

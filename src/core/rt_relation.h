@@ -56,8 +56,8 @@ struct RtStats {
   size_t antichain_bucket_probes = 0;
   size_t antichain_skipped_by_summary = 0;
   size_t antichain_buckets_peak = 0;
-  /// Coverability-node markings stored under the sparse
-  /// (dimension, value)-pair representation (MarkingArena::AddAuto).
+  /// Always 0 (markings are stored dense only). Kept solely because the
+  /// perfbench replica (perfbench/replica.cc) still accumulates it.
   size_t sparse_markings = 0;
   /// Partial-order reduction accounting (0 unless VerifierOptions::por):
   /// successors never generated because an ample prefix covered the
@@ -77,11 +77,6 @@ struct RtStats {
   /// often the explorer re-prepares a state).
   size_t enum_memo_misses = 0;
   size_t enum_memo_hits = 0;
-  /// Queries that fell back to rebuilding a full (unpruned) graph for
-  /// lasso analysis. Lasso search runs on the pruned graph itself via
-  /// its cover-edges, so this is ALWAYS 0 now; the counter is kept as
-  /// a regression tripwire (tests and the CI bench gate assert zero).
-  size_t full_graph_builds = 0;
   /// Static analysis / slicing accounting (filled by Verify, not the
   /// engine; deterministic functions of the spec+property, invariant
   /// under POR and pruning): internal services dropped by

@@ -19,7 +19,7 @@ int KarpMiller::InternNode(int state, const std::vector<int64_t>& marking,
   }
   Node node;
   node.state = state;
-  node.marking = marking_arena_.AddAuto(marking);
+  node.marking = marking_arena_.Add(marking);
   node.parent = parent;
   node.parent_label = parent_label;
   int id = static_cast<int>(nodes_.size());
@@ -32,9 +32,9 @@ int KarpMiller::InternNode(int state, const std::vector<int64_t>& marking,
 bool KarpMiller::SuccessorMarking(int parent_node, int target,
                                   const Delta& delta,
                                   std::vector<int64_t>* out) const {
-  // Sparse apply: enabledness is decided from the delta'd dimensions
-  // alone (a disabled transition never materializes a next-vector),
-  // then one copy at the final width. `*out` leaves in canonical form.
+  // Delta-only enabledness check: the delta'd dimensions alone decide
+  // it (a disabled transition never materializes a next-vector), then
+  // one copy at the final width. `*out` leaves in canonical form.
   if (!marking::ApplyView(nodes_[parent_node].marking, delta, out)) {
     return false;
   }
@@ -151,7 +151,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
     int id = static_cast<int>(nodes_.size());
     Node node;
     node.state = state;
-    node.marking = marking_arena_.AddAuto(marking);
+    node.marking = marking_arena_.Add(marking);
     node.parent = parent;
     node.parent_label = parent_label;
     nodes_.push_back(std::move(node));

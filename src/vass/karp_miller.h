@@ -177,9 +177,9 @@ class KarpMiller {
   }
   /// Largest per-state bucket count observed (wild bucket included).
   size_t antichain_buckets_peak() const { return antichain_buckets_peak_; }
-  /// Node markings stored under the sparse (dimension, value)-pair
-  /// representation (MarkingArena::AddAuto).
-  size_t sparse_markings() const { return marking_arena_.sparse_markings(); }
+  /// Always 0: markings are stored dense only. Kept solely because the
+  /// perfbench replica (perfbench/replica.cc) still reads it.
+  size_t sparse_markings() const { return 0; }
   /// Partial-order-reduction accounting (both 0 unless options.por and
   /// the system reports ample prefixes).
   /// Successors skipped because an ample prefix expanded in their

@@ -6,72 +6,6 @@
 
 namespace has {
 
-bool MarkingViewEqualMixed(const MarkingView& a, const MarkingView& b) {
-  const MarkingView& sp = a.sparse() ? a : b;
-  const MarkingView& de = a.sparse() ? b : a;
-  if (de.size() != sp.size()) return false;
-  const int64_t* pairs = sp.data();
-  const size_t n = sp.num_pairs();
-  size_t pair = 0;
-  for (size_t d = 0; d < de.size(); ++d) {
-    const int64_t dv = de.data()[d];
-    if (pair < n && pairs[2 * pair] == static_cast<int64_t>(d)) {
-      if (dv != pairs[2 * pair + 1]) return false;
-      ++pair;
-    } else if (dv != 0) {
-      return false;
-    }
-  }
-  return pair == n;
-}
-
-bool DominanceLeqSparse(const MarkingView& a, const MarkingView& b) {
-  // Canonical widths: a wider than b fails immediately (a's last
-  // dimension is nonzero against b's implicit 0).
-  if (a.size() > b.size()) return false;
-  if (a.sparse() && b.sparse()) {
-    // Values are non-negative, so only a's support matters: merge-walk
-    // b's pairs past each a pair; a nonzero a-dimension missing from
-    // b's support compares against 0 and fails.
-    const int64_t* pa = a.data();
-    const int64_t* pb = b.data();
-    const size_t na = a.num_pairs();
-    const size_t nb = b.num_pairs();
-    size_t j = 0;
-    for (size_t i = 0; i < na; ++i) {
-      const int64_t d = pa[2 * i];
-      while (j < nb && pb[2 * j] < d) ++j;
-      if (j == nb || pb[2 * j] != d) return false;  // b[d] == 0 < a[d]
-      if (pa[2 * i + 1] > pb[2 * j + 1]) return false;
-    }
-    return true;
-  }
-  if (a.sparse()) {
-    // Dense b: direct-index each of a's pairs.
-    const int64_t* pa = a.data();
-    const int64_t* db = b.data();
-    for (size_t i = 0, n = a.num_pairs(); i < n; ++i) {
-      const size_t d = static_cast<size_t>(pa[2 * i]);
-      if (pa[2 * i + 1] > db[d]) return false;  // d < b.size() by width
-    }
-    return true;
-  }
-  // Dense a, sparse b: every dense dimension off b's support must be 0.
-  const int64_t* da = a.data();
-  const int64_t* pb = b.data();
-  const size_t nb = b.num_pairs();
-  size_t j = 0;
-  for (size_t d = 0; d < a.size(); ++d) {
-    if (j < nb && pb[2 * j] == static_cast<int64_t>(d)) {
-      if (da[d] > pb[2 * j + 1]) return false;
-      ++j;
-    } else if (da[d] != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace marking {
 
 int64_t Get(const std::vector<int64_t>& m, int d) {
@@ -115,21 +49,14 @@ bool ApplyView(const MarkingView& m, const Delta& delta,
     }
     if (v + change < 0) return false;
   }
-  // One sizing decision, one copy, sparse patches, one canonical trim.
+  // One sizing decision, one copy, delta patches, one canonical trim.
   size_t width = m.size();
   for (const auto& [d, change] : delta) {
     (void)change;
     width = std::max(width, static_cast<size_t>(d) + 1);
   }
   out->assign(width, 0);
-  if (m.sparse()) {
-    const int64_t* pairs = m.data();
-    for (size_t i = 0, n = m.num_pairs(); i < n; ++i) {
-      (*out)[static_cast<size_t>(pairs[2 * i])] = pairs[2 * i + 1];
-    }
-  } else {
-    std::copy(m.data(), m.data() + m.size(), out->begin());
-  }
+  std::copy(m.begin(), m.end(), out->begin());
   for (const auto& [d, change] : delta) {
     int64_t& v = (*out)[static_cast<size_t>(d)];
     if (v != kOmega) v += change;

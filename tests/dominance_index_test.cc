@@ -4,8 +4,8 @@
 // identical victim set as a linear walk over the same antichain, on
 // randomized explorer-like insert/probe/absorb sequences mixing ω
 // lanes (wild-bucket routing), widths past the 32-dimension group wrap
-// (inexact summaries), sparse pair-payload markings (AddAuto), and
-// tie-rank cases with several simultaneous dominators. A second part
+// (inexact summaries), and tie-rank cases with several simultaneous
+// dominators. A second part
 // pins the end-to-end guarantee the index must preserve: verdict and
 // every exploration counter of the MakeMultiRelation k=3 family are
 // identical across repeated runs with the index on.
@@ -59,9 +59,7 @@ std::vector<int64_t> Canonical(std::vector<int64_t> m) {
 }
 
 /// Random canonical marking. `max_dims` up to 40 crosses the 32-dim
-/// group wrap (inexact summaries, no ω-cover fast accept); a high zero
-/// probability at large widths makes AddAuto pick the sparse pair
-/// representation for a healthy fraction of the corpus.
+/// group wrap (inexact summaries, no ω-cover fast accept).
 std::vector<int64_t> RandomMarking(std::mt19937* rng, int max_dims) {
   std::vector<int64_t> m(static_cast<size_t>((*rng)() % (max_dims + 1)), 0);
   for (auto& v : m) {
@@ -113,9 +111,9 @@ void RunExplorerLikeSequence(int max_dims, uint32_t seed) {
     }
     flat = std::move(kept);
 
-    // Store through AddAuto so sparse pair payloads enter the index;
-    // the flat reference keeps the owned vector.
-    const MarkingView stored = arena.AddAuto(m.data(), m.size());
+    // The index holds arena views; the flat reference keeps the owned
+    // vector.
+    const MarkingView stored = arena.Add(m);
     index.Insert(next_node, stored);
     flat.push_back(FlatEntry{next_node, m, stored});
     ++next_node;
@@ -125,21 +123,17 @@ void RunExplorerLikeSequence(int max_dims, uint32_t seed) {
   // The sequence actually exercised the interesting paths.
   EXPECT_GT(index.num_buckets(), 1u);
   EXPECT_GT(fast_accepts_possible, 0u);
-  if (max_dims >= static_cast<int>(MarkingArena::kSparseMinWidth)) {
-    EXPECT_GT(arena.sparse_markings(), 0u);
-  }
 }
 
 TEST(DominanceIndexTest, MatchesFlatReferenceNarrow) {
   // Widths <= 6 mirror the real product VASSes: exact summaries, the
-  // ω-cover fast accept live on every bucket, no sparse payloads.
+  // ω-cover fast accept live on every bucket.
   RunExplorerLikeSequence(/*max_dims=*/6, /*seed=*/20260808u);
 }
 
-TEST(DominanceIndexTest, MatchesFlatReferenceWideWithSparsePayloads) {
+TEST(DominanceIndexTest, MatchesFlatReferenceWide) {
   // Widths up to 40: group wrap disables the fast accept for part of
-  // the corpus (exact and inexact entries share buckets), and AddAuto
-  // stores the sparse half of the corpus as pair payloads.
+  // the corpus (exact and inexact entries share buckets).
   RunExplorerLikeSequence(/*max_dims=*/40, /*seed=*/0xd0117e5u);
 }
 
@@ -199,8 +193,6 @@ TEST(DominanceIndexTest, MultiRelationK3Deterministic) {
             reference.stats.antichain_skipped_by_summary);
   EXPECT_EQ(again.stats.antichain_buckets_peak,
             reference.stats.antichain_buckets_peak);
-  EXPECT_EQ(again.stats.sparse_markings,
-            reference.stats.sparse_markings);
   EXPECT_EQ(again.stats.ample_reduced_successors,
             reference.stats.ample_reduced_successors);
 }

@@ -151,109 +151,6 @@ TEST(MarkingKernelTest, SummaryFilterIsSoundOnRandomPairs) {
   EXPECT_GT(skipped, 1000u);
 }
 
-/// Builds the sparse pair payload of a canonical marking (empty when
-/// the marking has no nonzero dimension — the empty marking is always
-/// dense).
-std::vector<int64_t> PairsOf(const std::vector<int64_t>& m) {
-  std::vector<int64_t> pairs;
-  for (size_t d = 0; d < m.size(); ++d) {
-    if (m[d] == 0) continue;
-    pairs.push_back(static_cast<int64_t>(d));
-    pairs.push_back(m[d]);
-  }
-  return pairs;
-}
-
-TEST(MarkingKernelTest, SparseKernelsMatchScalarReferenceOnRandomPairs) {
-  // Every representation combination of every random pair must agree
-  // with the scalar reference: dense-dense runs the SIMD/unrolled
-  // kernel, the three mixed/sparse combinations run the pair-merge
-  // kernels in marking.cc. FORCED sparse views (not AddAuto) so narrow
-  // and dense-support markings exercise the sparse paths too.
-  std::mt19937 rng(0x59a25eu);
-  size_t sparse_pairs_tested = 0;
-  for (int trial = 0; trial < 20000; ++trial) {
-    const int max_dims = 1 + trial % 40;
-    const std::vector<int64_t> a = RandomMarking(&rng, max_dims);
-    const std::vector<int64_t> b = RandomMarking(&rng, max_dims);
-    const std::vector<int64_t> pa = PairsOf(a);
-    const std::vector<int64_t> pb = PairsOf(b);
-    std::vector<MarkingView> va{MarkingView(a)};
-    std::vector<MarkingView> vb{MarkingView(b)};
-    if (!pa.empty()) va.push_back(MarkingView::Sparse(pa.data(),
-                                                      pa.size() / 2));
-    if (!pb.empty()) vb.push_back(MarkingView::Sparse(pb.data(),
-                                                      pb.size() / 2));
-    const bool leq = marking::LessEq(a, b);
-    const bool geq = marking::LessEq(b, a);
-    const bool eq = marking::Equal(a, b);
-    for (const MarkingView& x : va) {
-      ASSERT_EQ(x.size(), a.size());
-      for (const MarkingView& y : vb) {
-        sparse_pairs_tested += x.sparse() || y.sparse();
-        EXPECT_EQ(DominanceLeq(x, y), leq)
-            << marking::ToString(a) << " vs " << marking::ToString(b)
-            << " sparse " << x.sparse() << "/" << y.sparse();
-        EXPECT_EQ(DominanceLeq(y, x), geq)
-            << marking::ToString(a) << " vs " << marking::ToString(b);
-        EXPECT_EQ(x == y, eq)
-            << marking::ToString(a) << " vs " << marking::ToString(b)
-            << " sparse " << x.sparse() << "/" << y.sparse();
-      }
-    }
-    if (!pa.empty()) {
-      const MarkingView sv = va.back();
-      // The logical accessors see through the representation.
-      EXPECT_EQ(sv.num_pairs(), pa.size() / 2);
-      for (size_t d = 0; d < a.size(); ++d) {
-        ASSERT_EQ(sv[d], a[d]) << marking::ToString(a) << " dim " << d;
-      }
-      size_t d = 0;
-      for (int64_t v : sv) {
-        ASSERT_EQ(v, a[d]) << marking::ToString(a) << " iter dim " << d;
-        ++d;
-      }
-      EXPECT_EQ(d, a.size());
-      // Summaries are representation-independent (the bucketed index
-      // mixes representations inside one bucket).
-      EXPECT_EQ(SupportSummary(sv), SupportSummary(MarkingView(a)));
-      EXPECT_EQ(ExtendedSummary(sv), ExtendedSummary(MarkingView(a)));
-      // ApplyView from a sparse source matches the scalar reference.
-      Delta delta = RandomDelta(&rng, max_dims + 2);
-      std::vector<int64_t> ref_out;
-      std::vector<int64_t> view_out;
-      const bool ref_enabled = marking::Apply(a, delta, &ref_out);
-      ASSERT_EQ(marking::ApplyView(sv, delta, &view_out), ref_enabled)
-          << marking::ToString(a);
-      if (ref_enabled) {
-        ASSERT_EQ(view_out, ref_out) << marking::ToString(a);
-      }
-    }
-  }
-  EXPECT_GT(sparse_pairs_tested, 10000u);
-}
-
-TEST(MarkingKernelTest, AddAutoSelectionRuleIsDensityThreshold) {
-  MarkingArena arena;
-  // Below the width floor: always dense, however sparse the support.
-  std::vector<int64_t> narrow{0, 0, 0, 0, 0, 0, 1};
-  EXPECT_FALSE(arena.AddAuto(narrow.data(), narrow.size()).sparse());
-  // Width 8, 3 nonzeros: 6 pair values < 8 dense values → sparse.
-  std::vector<int64_t> wide_sparse{1, 0, 0, kOmega, 0, 0, 0, 2};
-  MarkingView sv = arena.AddAuto(wide_sparse.data(), wide_sparse.size());
-  EXPECT_TRUE(sv.sparse());
-  EXPECT_EQ(sv.num_pairs(), 3u);
-  EXPECT_EQ(sv.size(), 8u);
-  EXPECT_TRUE(sv == MarkingView(wide_sparse));
-  // Width 8, 4 nonzeros: 8 pair values == 8 dense values → dense (ties
-  // keep the SIMD-friendly layout).
-  std::vector<int64_t> wide_half{1, 0, 1, 0, 1, 0, 0, 1};
-  EXPECT_FALSE(arena.AddAuto(wide_half.data(), wide_half.size()).sparse());
-  EXPECT_EQ(arena.sparse_markings(), 1u);
-  // The stored payload is the pair list, not the dense width.
-  EXPECT_EQ(arena.total_values(), narrow.size() + 6 + wide_half.size());
-}
-
 TEST(MarkingKernelTest, ArenaViewsAreStableAndStructurallyEqual) {
   MarkingArena arena;
   std::mt19937 rng(7u);

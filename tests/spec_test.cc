@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "model/validate.h"
 #include "spec/lexer.h"
 #include "spec/parser.h"
@@ -31,6 +34,56 @@ TEST(LexerTest, CommentsSkipped) {
 
 TEST(LexerTest, BadCharacterRejected) {
   EXPECT_FALSE(Tokenize("a $ b").ok());
+}
+
+// Strict UTF-8 check written from the code-point side (shortest form,
+// no surrogates, at most U+10FFFF), independent of the lexer's lead-byte
+// table.
+bool IsValidUtf8(const std::string& s) {
+  for (size_t i = 0; i < s.size();) {
+    const unsigned char lead = static_cast<unsigned char>(s[i]);
+    size_t len = lead < 0x80 ? 1 : lead >> 5 == 0x6 ? 2
+                                 : lead >> 4 == 0xE ? 3
+                                 : lead >> 3 == 0x1E ? 4 : 0;
+    if (len == 0 || i + len > s.size()) return false;
+    uint32_t cp = len == 1 ? lead : lead & (0x7F >> len);
+    for (size_t k = 1; k < len; ++k) {
+      const unsigned char b = static_cast<unsigned char>(s[i + k]);
+      if (b >> 6 != 0x2) return false;
+      cp = (cp << 6) | (b & 0x3F);
+    }
+    const uint32_t min_cp[] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < min_cp[len] || cp > 0x10FFFF ||
+        (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += len;
+  }
+  return true;
+}
+
+TEST(LexerTest, BadCharacterMessageIsValidUtf8AndNamesTheCharacter) {
+  const struct {
+    std::string source;
+    std::string shown;
+  } cases[] = {
+      {"a \xC3\xA9 b", "'\xC3\xA9'"},                  // é, 2 bytes
+      {"a \xF0\x9F\x98\x80 b", "'\xF0\x9F\x98\x80'"},  // 😀, 4 bytes
+      {"a \xFF b", "'\\xFF'"},                          // never UTF-8
+      {"a \xC3", "'\\xC3'"},        // lead byte truncated by end of input
+      {"a \xE2\x82 b", "'\\xE2'"},  // 3-byte lead, continuation missing
+      {"a \xED\xA0\x80 b", "'\\xED'"},  // UTF-16 surrogate U+D800
+      {"a \x01 b", "'\\x01'"},  // ASCII control character
+  };
+  for (const auto& c : cases) {
+    auto tokens = Tokenize(c.source);
+    ASSERT_FALSE(tokens.ok()) << c.shown;
+    const std::string message = tokens.status().ToString();
+    EXPECT_TRUE(IsValidUtf8(message)) << message;
+    EXPECT_NE(message.find("unexpected character " + c.shown),
+              std::string::npos)
+        << message;
+  }
 }
 
 constexpr char kTinySpec[] = R"(
