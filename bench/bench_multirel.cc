@@ -2,9 +2,8 @@
 // MakeMultiRelation family as a function of the number of artifact
 // relations per task (S_T,1 … S_T,k at k = 1/2/3), reporting the
 // DETERMINISTIC exploration counters — coverability nodes/edges,
-// product states, interned types, recorded cover-edges, full-graph
-// fallback count (pinned at 0) — that feed the CI counter gate
-// (scripts/check_bench_counters.py against
+// product states, interned types and recorded cover-edges — that feed
+// the CI counter gate (scripts/check_bench_counters.py against
 // bench/baselines/bench_multirel.json). Each relation owns its own
 // counter-dimension group in every product VASS, so k scales the
 // number of independent counter groups; wall-clock stays

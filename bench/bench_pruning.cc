@@ -2,10 +2,9 @@
 // VerifierOptions::prune_coverability off (arg 0) vs. on (arg 1, the
 // default) per workload family, reporting the DETERMINISTIC
 // exploration counters — coverability nodes/edges, dropped successors,
-// deactivated nodes, antichain peak, recorded cover-edges, full-graph
-// fallback count (pinned at 0 since the cover-edge lasso path landed),
-// product states and interned types. The counters are deterministic
-// and host-independent, so bench/baselines/bench_pruning.json doubles
+// deactivated nodes, antichain peak, recorded cover-edges, product
+// states and interned types. The counters are deterministic and
+// host-independent, so bench/baselines/bench_pruning.json doubles
 // as a perf-regression oracle: scripts/check_bench_counters.py fails
 // CI on unexplained counter growth while wall-clock stays
 // informational (the recording host has 1 vCPU — see ROADMAP).

@@ -1,11 +1,16 @@
-// Scalable HAS families regenerating the rows of the paper's Tables 1
-// and 2: one family per schema class ({acyclic, linearly-cyclic,
-// cyclic}) × {without, with artifact relations} × {without, with
-// arithmetic}, parameterized by a size knob and hierarchy depth. The
-// benchmark harness verifies a canonical safety property on each family
-// member and reports the verifier's work (product states, coverability
-// nodes, counter dimensions) — the measurable proxy for the paper's
-// space bounds.
+// Parameterized HAS families, each with a canonical property: the
+// workloads of the counter-gated benches (bench_pruning, bench_multirel,
+// bench_por, bench_slice) and of the tests, and, through
+// MakeDeepHierarchy, of perfbench's deep_h4.
+//
+// MakeWorkload spans the schema classes of the paper's Tables 1 and 2
+// ({acyclic, linearly-cyclic, cyclic} × {without, with artifact
+// relations} × {without, with arithmetic}). At the default
+// max_nav_depth of 2 neither `size` nor the schema class changes the
+// exploration: for sizes 2–5 and all three classes at depth 2,
+// (cov_nodes, product_states) is (12, 12) without sets, (292, 209)
+// with sets, and (24, 24) and (438, 314) with arithmetic. Only the
+// navigation bound h(T) grows with the class (tests/nav_test.cc).
 #ifndef HAS_BENCH_WORKLOADS_H_
 #define HAS_BENCH_WORKLOADS_H_
 

@@ -602,6 +602,12 @@ Truth PartialIsoType::EvalAtom(const Condition& atom) const {
   };
   switch (atom.kind()) {
     case CondKind::kEq: {
+      // A ground atom (null or constants only) decides by its terms
+      // alone, whether or not the type holds elements for them.
+      if (atom.lhs().kind != Term::Kind::kVar &&
+          atom.rhs().kind != Term::Kind::kVar) {
+        return atom.lhs() == atom.rhs() ? Truth::kTrue : Truth::kFalse;
+      }
       int a = lookup_term(atom.lhs());
       int b = lookup_term(atom.rhs());
       // Null/const terms carry their own semantics even when the

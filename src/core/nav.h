@@ -1,6 +1,7 @@
 // Navigation-depth analysis: the paper's h(T) bound (Section 4.1) per
-// task, unclamped, used by bench_navigation to reproduce the growth of
-// navigation sets per schema class (Appendix C.3).
+// task, unclamped. It is reported, not used: the verifier runs at the
+// fixed VerifierOptions::max_nav_depth. Its growth per schema class
+// (Appendix C.3, Theorems 56-58) is pinned by tests/nav_test.cc.
 #ifndef HAS_CORE_NAV_H_
 #define HAS_CORE_NAV_H_
 

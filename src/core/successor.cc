@@ -5,30 +5,10 @@
 
 #include "common/status.h"
 #include "model/independence.h"
-#include "schema/fk_graph.h"
 
 namespace has {
 
 namespace {
-
-/// Paper navigation depth h(T), clamped to the configured cap.
-int ComputeNavDepth(const ArtifactSystem& system, TaskId task,
-                    const VerifierOptions& options) {
-  if (!options.use_paper_depth) return options.max_nav_depth;
-  FkGraph fk(system.schema());
-  std::function<uint64_t(TaskId)> h = [&](TaskId t) -> uint64_t {
-    std::vector<uint64_t> child_depths;
-    for (TaskId c : system.task(t).children()) child_depths.push_back(h(c));
-    return NavigationDepthBound(
-        fk, static_cast<uint64_t>(system.task(t).vars().size()),
-        child_depths);
-  };
-  uint64_t depth = h(task);
-  if (depth > static_cast<uint64_t>(options.max_nav_depth)) {
-    return options.max_nav_depth;
-  }
-  return static_cast<int>(depth);
-}
 
 /// Whether an atom belongs to the equality component (everything except
 /// genuine arithmetic).
@@ -57,7 +37,6 @@ TaskContext::TaskContext(const ArtifactSystem* system,
       options_(&options),
       basis_(hcd != nullptr ? &hcd->basis(task) : nullptr),
       memo_(std::make_unique<EnumMemo>()) {
-  nav_depth_ = ComputeNavDepth(*system, task, options);
   const Task& t = system->task(task);
   for (int v : t.InputVars()) input_vars_.insert(v);
   for (const SetRelation& rel : t.set_relations()) {
@@ -236,14 +215,20 @@ Truth TaskContext::EvalSym(const Condition& cond,
     case CondKind::kRel:
       return s.iso.EvalAtom(cond);
     case CondKind::kArith: {
-      if (!cond.UsesArithmetic()) return s.iso.EvalAtom(cond);
-      if (basis_ == nullptr) return Truth::kUnknown;
-      bool negated = false;
-      int poly = basis_->Find(cond.constraint().expr, &negated);
-      if (poly == -1 || s.cell.size() <= poly) return Truth::kUnknown;
-      Sign sign = s.cell.sign(poly);
-      if (sign == kSignAny) return Truth::kUnknown;
-      int value = negated ? -sign : sign;
+      int value = 0;
+      if (cond.constraint().expr.IsConstant()) {
+        // Ground constraint: its constant's sign decides it.
+        value = cond.constraint().expr.constant().sign();
+      } else {
+        if (!cond.UsesArithmetic()) return s.iso.EvalAtom(cond);
+        if (basis_ == nullptr) return Truth::kUnknown;
+        bool negated = false;
+        int poly = basis_->Find(cond.constraint().expr, &negated);
+        if (poly == -1 || s.cell.size() <= poly) return Truth::kUnknown;
+        Sign sign = s.cell.sign(poly);
+        if (sign == kSignAny) return Truth::kUnknown;
+        value = negated ? -sign : sign;
+      }
       switch (cond.constraint().op) {
         case Relop::kLt:
           return value < 0 ? Truth::kTrue : Truth::kFalse;
@@ -269,7 +254,7 @@ PartialIsoType TaskContext::TsType(const PartialIsoType& iso, int rel) const {
   const std::set<int>& tuple = rel_vars_[static_cast<size_t>(rel)];
   std::set<int> keep = input_vars_;
   keep.insert(tuple.begin(), tuple.end());
-  PartialIsoType proj = iso.Project(keep, nav_depth_);
+  PartialIsoType proj = iso.Project(keep, nav_depth());
   proj.Normalize();
   return proj;
 }
@@ -278,7 +263,7 @@ bool TaskContext::TsInputBound(const PartialIsoType& iso, int rel) const {
   const std::set<int>& tuple = rel_vars_[static_cast<size_t>(rel)];
   std::set<int> keep = input_vars_;
   keep.insert(tuple.begin(), tuple.end());
-  PartialIsoType proj = iso.Project(keep, nav_depth_);
+  PartialIsoType proj = iso.Project(keep, nav_depth());
   for (int v : tuple) {
     // Locate the variable element in the projection.
     int elem = -1;

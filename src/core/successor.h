@@ -32,11 +32,9 @@ namespace has {
 class EnumMemo;
 
 struct VerifierOptions {
-  /// Navigation depth cap for partial isomorphism types. When
-  /// use_paper_depth is set, the paper's h(T) is computed per task and
-  /// clamped to this value; otherwise this value is used directly.
+  /// Navigation depth of partial isomorphism types, the same for every
+  /// task (the paper's per-task bound h(T) is core/nav.h).
   int max_nav_depth = 2;
-  bool use_paper_depth = false;
   /// Coverability graph node budget per (task, β, input) query.
   size_t max_cov_nodes = 1 << 17;
   /// Budget for successor enumeration branches per transition.
@@ -123,7 +121,7 @@ class TaskContext {
   const ArtifactSystem& system() const { return *system_; }
   const Task& task() const { return system_->task(task_); }
   TaskId task_id() const { return task_; }
-  int nav_depth() const { return nav_depth_; }
+  int nav_depth() const { return options_->max_nav_depth; }
   bool arithmetic() const { return basis_ != nullptr; }
   const PolyBasis* basis() const { return basis_; }
   size_t max_branches() const { return options_->max_branches; }
@@ -193,7 +191,6 @@ class TaskContext {
   TaskId task_;
   const VerifierOptions* options_;
   const PolyBasis* basis_;  // null in no-arithmetic mode
-  int nav_depth_ = 2;
   std::vector<CondPtr> eq_atoms_;
   std::set<int> input_vars_;
   std::set<int> set_vars_;

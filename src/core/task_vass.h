@@ -84,10 +84,8 @@ class RtOracle {
   /// One child's queries for EVERY assignment in [0, num_assignments),
   /// batched: result pointers and memo keys are parallel, indexed by β.
   /// Result references stay valid for the oracle's lifetime. The
-  /// batched form lets the engine intern the input once instead of
-  /// twice per β (Query + KeyOf), which is what the product's opening
-  /// loop previously paid. Engines override this with a sharper
-  /// implementation; the default delegates per β.
+  /// product's opening loop uses the batched form so the engine interns
+  /// the input once instead of twice per β (Query + KeyOf).
   struct BatchedChildResult {
     std::vector<const ChildResult*> results;  ///< indexed by β
     std::vector<RtQueryKey> keys;             ///< indexed by β
@@ -95,16 +93,7 @@ class RtOracle {
   virtual BatchedChildResult QueryAll(TaskId child,
                                       const PartialIsoType& input_iso,
                                       const Cell& input_cell,
-                                      Assignment num_assignments) {
-    BatchedChildResult batch;
-    batch.results.reserve(num_assignments);
-    batch.keys.reserve(num_assignments);
-    for (Assignment beta = 0; beta < num_assignments; ++beta) {
-      batch.results.push_back(&Query(child, input_iso, input_cell, beta));
-      batch.keys.push_back(KeyOf(child, input_iso, input_cell, beta));
-    }
-    return batch;
-  }
+                                      Assignment num_assignments) = 0;
 };
 
 /// Child stage within the current segment.

@@ -4,8 +4,9 @@
 // representation (Section 4.1).
 //
 // All counts saturate at kSaturated: for cyclic schemas h(T) is a tower
-// of exponentials, far beyond any value the verifier could instantiate;
-// callers clamp through VerifierOptions::max_nav_depth.
+// of exponentials, far beyond any value the verifier could instantiate.
+// The verifier runs at the fixed VerifierOptions::max_nav_depth;
+// core/nav.h reports the unclamped bound per task.
 #ifndef HAS_SCHEMA_FK_GRAPH_H_
 #define HAS_SCHEMA_FK_GRAPH_H_
 

@@ -463,6 +463,7 @@ class Parser {
     HAS_RETURN_IF_ERROR(ExpectIdent("property"));
     if (Peek().kind != TokKind::kIdent) return Error("property name");
     locs_->SetProperty(Peek().text, LocOf(Peek()));
+    const int line = Peek().line;
     std::string name = Next().text;
     HAS_RETURN_IF_ERROR(Expect(TokKind::kLBrace));
     HltlProperty property;
@@ -479,6 +480,13 @@ class Parser {
     property.mutable_node(0).skeleton = std::move(skeleton);
     property.mutable_node(0).props = std::move(current_props_);
     HAS_RETURN_IF_ERROR(Expect(TokKind::kRBrace));
+    // The grammar admits properties Verify must reject (say [φ]@T for a
+    // T that is not a child), so they are input errors here.
+    Status valid = property.Validate(spec->system);
+    if (!valid.ok()) {
+      return Status::InvalidArgument(
+          StrCat("line ", line, ": property ", name, ": ", valid.message()));
+    }
     spec->properties.emplace_back(std::move(name), std::move(property));
     return Status::Ok();
   }
