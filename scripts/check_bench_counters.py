@@ -25,7 +25,7 @@ import sys
 
 # Counters that measure work: growth is a regression. Counters absent
 # from a benchmark's baseline row are skipped, so per-family counters
-# (e.g. bench_marking's kernel-semantics counts) live here too.
+# live here too.
 GATED = [
     "cov_nodes",
     "cov_edges",
@@ -36,20 +36,13 @@ GATED = [
     # Marking payloads touched by domination probes (DominanceLeq
     # calls made by the bucketed dominance index): the dominance
     # kernel's work count. Deterministic, so the --exact gates double
-    # as the probe-determinism check. NOTE: until the bucketed index
-    # landed this counted entries EXAMINED (payload compares + summary
-    # skips); the semantics change shipped with a baseline re-record.
+    # as the probe-determinism check. Entries a summary test resolves
+    # are counted by antichain_skipped_by_summary instead.
     "antichain_probes",
     # Summary buckets examined by the bucketed dominance index — the
     # sublinear-probe work count. Deterministic like antichain_probes
     # (the bucket layout follows the insertion/removal history).
     "antichain_bucket_probes",
-    # bench_marking kernel-semantics counts: the number of ≤ pairs and
-    # of summary-filter survivors over a fixed-seed random corpus.
-    # Gated with --exact in CI, so the scalar and SIMD kernel builds
-    # must both reproduce them bit-for-bit.
-    "leq_true",
-    "summary_pass",
     # Successors the ample-prefix partial-order reduction never
     # generated. Deterministic (the ample choice is a pure function of
     # the product state), so any unexplained drift is a bug: growth

@@ -1,23 +1,21 @@
 // Summary-bucketed dominance index over one per-state antichain.
 //
-// PR 6's flat antichain already carried a 64-bit support summary per
-// entry so a probe could skip payload compares, but every probe still
-// walked the whole chain. This index groups entries into buckets keyed
-// by their EXTENDED summary (support word + magnitude-threshold word,
-// see MarkingSummary in vass/marking.h), so one summary test per
-// BUCKET replaces one per entry: DominatorOf enumerates only buckets
-// whose key a candidate could be ≤ of, AntichainAbsorb only buckets
-// whose key could be ≤ the new entry. Entries whose summary is
-// ω-saturated (every supported group holds an ω) go to a single "wild"
-// bucket with per-entry filtering instead — ω-heavy antichains would
-// otherwise shatter into near-singleton buckets and the bucket loop
-// would degenerate back into the per-entry scan.
+// Entries are grouped into buckets keyed by their summary (support
+// word + magnitude-threshold word, see MarkingSummary in
+// vass/marking.h), so one summary test per BUCKET stands in for one
+// per entry and a probe never walks the whole chain: DominatorOf
+// enumerates only buckets whose key a candidate could be ≤ of,
+// AntichainAbsorb only buckets whose key could be ≤ the new entry.
+// Entries whose summary is ω-saturated (every supported group holds
+// an ω) go to a single "wild" bucket with per-entry filtering instead —
+// ω-heavy antichains would otherwise shatter into near-singleton
+// buckets and the bucket loop would degenerate back into the
+// per-entry scan.
 //
 // Bucketing is a pure refinement of the SummaryMayDominate filter:
 // entries sharing a bucket share their exact summary, so skipping a
-// bucket is exactly skipping each member by the (strengthened) summary
-// test — no dominance decision can change, only how many payloads are
-// touched.
+// bucket is exactly skipping each member by the summary test — no
+// dominance decision can change, only how many payloads are touched.
 //
 // The summaries also resolve most SUCCESSFUL probes without a payload
 // compare (the ω-cover fast accept). For markings of width <= 32 the

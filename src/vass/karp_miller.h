@@ -157,13 +157,11 @@ class KarpMiller {
   /// successor plus one per retired node; included in TotalEdges).
   size_t cover_edges() const { return cover_edges_; }
   /// Marking payloads touched across all domination probes
-  /// (DominanceLeq calls made by the bucketed index).
-  /// NOTE: before the bucketed index this counted entries EXAMINED
-  /// (payload compares + summary skips); the narrowing to payload
-  /// touches was an explicit baseline re-record.
+  /// (DominanceLeq calls made by the bucketed index). Entries resolved
+  /// by a summary test alone are antichain_skipped_by_summary.
   size_t antichain_probes() const { return antichain_probes_; }
-  /// Summary buckets examined across all probes (one strengthened
-  /// summary test per bucket stands in for one per entry —
+  /// Summary buckets examined across all probes (one summary test
+  /// per bucket stands in for one per entry —
   /// vass/dominance_index.h).
   size_t antichain_bucket_probes() const { return antichain_bucket_probes_; }
   /// Antichain entries resolved by a summary test alone — bucket-key

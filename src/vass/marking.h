@@ -21,13 +21,8 @@
 // (pointer, width) span. Antichain probes therefore walk contiguous
 // memory instead of chasing per-node std::vector headers.
 //
-// The dominance kernel is selected at compile time behind the single
-// DominanceLeq entry point: an AVX2 (4-lane) or SSE4.2 (2-lane) path
-// when the target ISA provides 64-bit vector compares, otherwise a
-// portable 4-lane-unrolled scalar loop; both early-exit on the first
-// failing lane group. Defining HAS_FORCE_SCALAR_DOMINANCE (CMake
-// option of the same name) forces the portable path so CI can keep
-// both code paths green.
+// DominanceLeq is one portable kernel: a 4-lane-unrolled loop that
+// early-exits on the first failing lane group.
 #ifndef HAS_VASS_MARKING_H_
 #define HAS_VASS_MARKING_H_
 
@@ -39,11 +34,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#if !defined(HAS_FORCE_SCALAR_DOMINANCE) && \
-    (defined(__AVX2__) || defined(__SSE4_2__))
-#include <immintrin.h>
-#endif
 
 namespace has {
 
@@ -151,77 +141,38 @@ inline bool DominanceLeq(const MarkingView& a, const MarkingView& b) {
   const int64_t* pb = b.data();
   const size_t n = a.size();
   size_t i = 0;
-#if !defined(HAS_FORCE_SCALAR_DOMINANCE) && defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa + i));
-    __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + i));
-    __m256i gt = _mm256_cmpgt_epi64(va, vb);
-    if (!_mm256_testz_si256(gt, gt)) return false;
-  }
-#elif !defined(HAS_FORCE_SCALAR_DOMINANCE) && defined(__SSE4_2__)
-  for (; i + 2 <= n; i += 2) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + i));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + i));
-    if (_mm_movemask_epi8(_mm_cmpgt_epi64(va, vb)) != 0) return false;
-  }
-#else
-  // Portable path: 4-lane unrolled with a single branch per group.
+  // 4-lane unrolled with a single branch per group.
   for (; i + 4 <= n; i += 4) {
     bool fail = (pa[i] > pb[i]) | (pa[i + 1] > pb[i + 1]) |
                 (pa[i + 2] > pb[i + 2]) | (pa[i + 3] > pb[i + 3]);
     if (fail) return false;
   }
-#endif
   for (; i < n; ++i) {
     if (pa[i] > pb[i]) return false;
   }
   return true;
 }
 
-/// 64-bit per-dimension-group support summary: bit (d & 31) of the low
-/// word is set when dimension d is nonzero, bit (d & 31) of the high
-/// word when it is ω. Counter dimensions are grouped
-/// (relation, TS-type) upstream and allocated in discovery order, so
-/// for the typical narrow products (≤ 32 dims) the low word is the
-/// exact nonzero support.
+/// Two-word per-dimension-group summary of a marking, the key and
+/// per-entry filter of the bucketed dominance index
+/// (vass/dominance_index.h). Dimension d falls in group d & 31.
+/// Counter dimensions are grouped (relation, TS-type) upstream and
+/// allocated in discovery order, so for markings of width <= 32 every
+/// group is a single dimension and the words are exact bit sets.
+///   - `support`: bit g of the low word when some dimension of group g
+///     is nonzero, of the high word when one is ω.
+///   - `magnitude`: bit g of the low word when some dimension of group
+///     g holds a value >= 2, of the high word when >= 4 (ω = INT64_MAX
+///     sets both).
 ///
-/// Filter soundness (summary miss ⇒ dominance impossible): a ≤ b needs
-/// b[d] > 0 wherever a[d] > 0 and b[d] = ω wherever a[d] = ω. If
-/// `SupportSummary(a) & ~SupportSummary(b)` has a low-word bit, some
-/// group holds a nonzero a-dimension while ALL of b's dimensions in
-/// that group are 0 — so some a[d] > 0 = b[d]; a high-word bit means
-/// some group holds an ω of a but no ω of b — so some a[d] = ω > b[d].
-/// Either way a ≤ b is impossible; skipping the entry never changes
-/// the dominance decision, only avoids the vector compare.
-inline uint64_t SupportSummary(const MarkingView& m) {
-  uint64_t summary = 0;
-  for (size_t d = 0; d < m.size(); ++d) {
-    const int64_t v = m[d];
-    if (v == 0) continue;
-    summary |= uint64_t{1} << (d & 31);
-    if (v == kOmega) summary |= uint64_t{1} << (32 + (d & 31));
-  }
-  return summary;
-}
-
-/// Whether a summary-`a` marking can possibly be ≤ some summary-`b`
-/// marking (necessary condition; see SupportSummary).
-inline bool SummaryMayDominate(uint64_t a, uint64_t b) {
-  return (a & ~b) == 0;
-}
-
-/// Extended two-word summary used by the bucketed dominance index
-/// (vass/dominance_index.h). `support` is SupportSummary above;
-/// `magnitude` adds per-group value-threshold bits: bit (d & 31) of
-/// the low word when some dimension of the group holds a value >= 2,
-/// of the high word when >= 4 (ω = INT64_MAX sets both).
-///
-/// Soundness mirrors the support argument per threshold t ∈ {2, 4}:
-/// a ≤ b and a[d] >= t imply b[d] >= t, and that survives the group-OR
-/// collapse — so (a.magnitude & ~b.magnitude) != 0 exhibits a group
-/// where a holds a >=t value but b tops out below t, refuting a ≤ b.
+/// Filter soundness (summary miss ⇒ dominance impossible): a ≤ b needs,
+/// per dimension, b[d] > 0 wherever a[d] > 0, b[d] = ω wherever
+/// a[d] = ω, and b[d] >= t wherever a[d] >= t for t ∈ {2, 4}. A bit of
+/// `a & ~b` in any word exhibits a group where a has a dimension with
+/// the property but no dimension of b in that group has it — so some
+/// a[d] violates its requirement against b[d], and a ≤ b is impossible.
+/// Skipping a pair on a miss never changes a dominance decision; it
+/// only avoids the payload compare.
 struct MarkingSummary {
   uint64_t support = 0;
   uint64_t magnitude = 0;
@@ -248,8 +199,7 @@ inline MarkingSummary ExtendedSummary(const MarkingView& m) {
 }
 
 /// Necessary condition for "some marking with summary `a` is ≤ some
-/// marking with summary `b`" — the support filter strengthened by the
-/// magnitude thresholds.
+/// marking with summary `b`" (see MarkingSummary).
 inline bool SummaryMayDominate(const MarkingSummary& a,
                                const MarkingSummary& b) {
   return (a.support & ~b.support) == 0 &&

@@ -30,9 +30,12 @@
 // pin disappears when the engine bug is fixed and the .xfail removed).
 //
 // Exit codes: 0 clean, 1 disagreement / replay failure, 2 internal
-// error (generator bug, unreadable input).
+// error (generator bug, unreadable input) or a bad command line.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -84,6 +87,29 @@ int Usage() {
          "       has_fuzz --replay-dir DIR [--require-witness] "
          "[--strict-witness] [--max-nodes N]\n";
   return 2;
+}
+
+/// The whole of `text` as a decimal integer in [0, max]; nullopt on a
+/// sign, stray characters or overflow.
+std::optional<uint64_t> ParseUnsigned(const std::string& text,
+                                      uint64_t max) {
+  const char* end = text.data() + text.size();
+  uint64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
+/// The whole of `text` as a finite, non-negative number of seconds.
+std::optional<double> ParseSeconds(const std::string& text) {
+  const char* end = text.data() + text.size();
+  double value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 /// Parses + validates; nullopt (with a message) when the spec is not
@@ -466,18 +492,29 @@ int Run(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    auto invalid = [&arg](const std::string& value) {
+      std::cerr << "has_fuzz: invalid value for " << arg << ": " << value
+                << "\n";
+      return Usage();
+    };
     if (arg == "--seed") {
       auto v = next();
       if (!v) return Usage();
-      flags.seed = std::stoull(*v);
+      auto seed = ParseUnsigned(*v, UINT64_MAX);
+      if (!seed) return invalid(*v);
+      flags.seed = *seed;
     } else if (arg == "--count") {
       auto v = next();
       if (!v) return Usage();
-      flags.count = std::stoi(*v);
+      auto count = ParseUnsigned(*v, INT_MAX);
+      if (!count) return invalid(*v);
+      flags.count = static_cast<int>(*count);
     } else if (arg == "--time-budget-s") {
       auto v = next();
       if (!v) return Usage();
-      flags.time_budget_s = std::stod(*v);
+      auto seconds = ParseSeconds(*v);
+      if (!seconds) return invalid(*v);
+      flags.time_budget_s = *seconds;
     } else if (arg == "--corpus-dir") {
       auto v = next();
       if (!v) return Usage();
@@ -489,7 +526,9 @@ int Run(int argc, char** argv) {
     } else if (arg == "--max-nodes") {
       auto v = next();
       if (!v) return Usage();
-      flags.max_nodes = std::stoull(*v);
+      auto max_nodes = ParseUnsigned(*v, SIZE_MAX);
+      if (!max_nodes) return invalid(*v);
+      flags.max_nodes = static_cast<size_t>(*max_nodes);
     } else if (arg == "--strict-witness") {
       flags.strict_witness = true;
     } else if (arg == "--no-shrink") {
