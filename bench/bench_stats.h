@@ -41,6 +41,7 @@ inline void ExportStats(const RtStats& stats, benchmark::State* state) {
       {"diagnostics_emitted", stats.diagnostics_emitted},
       {"enum_memo_misses", stats.enum_memo_misses},
       {"enum_memo_hits", stats.enum_memo_hits},
+      {"enum_body_fills", stats.enum_body_fills},
   };
   for (const auto& [name, value] : fields) {
     state->counters[name] = static_cast<double>(value);

@@ -66,6 +66,11 @@ GATED = [
     # function of the explored graphs. Growth means the products
     # enumerate more distinct steps.
     "enum_memo_misses",
+    # Internal-service bodies the memo filled, one per distinct (input
+    # base, service): the number of EnumerateInternal runs, which
+    # configurations with one input projection share. Deterministic
+    # like enum_memo_misses; growth means less sharing.
+    "enum_body_fills",
 ]
 # Deterministic but directionless: a drift is worth a look, not a fail
 # (e.g. pruning MORE successors is usually good news).

@@ -156,9 +156,11 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   ++stats_.queries;
   stats_.enum_memo_misses = 0;
   stats_.enum_memo_hits = 0;
+  stats_.enum_body_fills = 0;
   for (const auto& context : contexts_) {
     stats_.enum_memo_misses += context.second->memo().misses();
     stats_.enum_memo_hits += context.second->memo().hits();
+    stats_.enum_body_fills += context.second->memo().body_fills();
   }
   stats_.cov_nodes += entry->graph->num_nodes();
   stats_.cov_edges += entry->graph->TotalEdges();

@@ -77,6 +77,10 @@ struct RtStats {
   /// often the explorer re-prepares a state).
   size_t enum_memo_misses = 0;
   size_t enum_memo_hits = 0;
+  /// Internal-service bodies the memo filled: one per distinct (input
+  /// base, service), so deterministic. Each is one EnumerateInternal
+  /// run, shared by every configuration with that input base.
+  size_t enum_body_fills = 0;
   /// Static analysis / slicing accounting (filled by Verify, not the
   /// engine; deterministic functions of the spec+property, invariant
   /// under POR and pruning): internal services dropped by

@@ -250,35 +250,36 @@ Truth TaskContext::EvalSym(const Condition& cond,
   return Truth::kUnknown;
 }
 
-PartialIsoType TaskContext::TsType(const PartialIsoType& iso, int rel) const {
+TsType TaskContext::TsTypeOf(const PartialIsoType& iso, int rel) const {
   const std::set<int>& tuple = rel_vars_[static_cast<size_t>(rel)];
   std::set<int> keep = input_vars_;
   keep.insert(tuple.begin(), tuple.end());
-  PartialIsoType proj = iso.Project(keep, nav_depth());
-  proj.Normalize();
-  return proj;
-}
-
-bool TaskContext::TsInputBound(const PartialIsoType& iso, int rel) const {
-  const std::set<int>& tuple = rel_vars_[static_cast<size_t>(rel)];
-  std::set<int> keep = input_vars_;
-  keep.insert(tuple.begin(), tuple.end());
-  PartialIsoType proj = iso.Project(keep, nav_depth());
+  // Project returns a normalized type, which is the canonical TS-type.
+  TsType out{iso.Project(keep, nav_depth()), true};
   for (int v : tuple) {
     // Locate the variable element in the projection.
     int elem = -1;
-    for (int e = 0; e < proj.num_elements(); ++e) {
-      const IsoElement& el = proj.element(e);
+    for (int e = 0; e < out.type.num_elements(); ++e) {
+      const IsoElement& el = out.type.element(e);
       if (el.kind == IsoElement::Kind::kVar && el.var == v) {
         elem = e;
         break;
       }
     }
-    if (elem == -1) return false;  // unconstrained: not bound
-    if (proj.IsNullTagged(elem)) continue;
-    if (!proj.ClassTouchesVars(elem, input_vars_)) return false;
+    if (elem == -1 || (!out.type.IsNullTagged(elem) &&
+                       !out.type.ClassTouchesVars(elem, input_vars_))) {
+      out.input_bound = false;  // unconstrained, or not input-anchored
+      break;
+    }
   }
-  return true;
+  return out;
+}
+
+SymbolicConfig TaskContext::InputBase(const SymbolicConfig& cur) const {
+  SymbolicConfig base{cur.iso.Project(input_vars_, nav_depth()),
+                      Cell(basis_ != nullptr ? basis_->size() : 0)};
+  for (int p : preserved_polys_) base.cell.set_sign(p, cur.cell.sign(p));
+  return base;
 }
 
 PartialIsoType TaskContext::OpeningIso(const PartialIsoType& input) const {
@@ -373,22 +374,12 @@ void CompleteDecisions(const TaskContext& ctx, const SymbolicConfig& seed,
 }  // namespace
 
 std::vector<InternalSuccessor> EnumerateInternal(const TaskContext& ctx,
-                                                 const SymbolicConfig& cur,
+                                                 const SymbolicConfig& base,
                                                  const InternalService& svc,
                                                  bool* truncated) {
   std::vector<InternalSuccessor> out;
-  // Base: input projection preserved exactly, everything else fresh.
-  SymbolicConfig base{
-      cur.iso.Project(ctx.input_vars(), ctx.nav_depth()),
-      Cell(ctx.basis() != nullptr ? ctx.basis()->size() : 0)};
-  if (ctx.basis() != nullptr) {
-    for (int p : ctx.preserved_polys()) {
-      base.cell.set_sign(p, cur.cell.sign(p));
-    }
-  }
-  // Per-relation op skeleton (ascending relation index): the insert's
-  // input-bound bit depends only on the shared PRE-state, so it is
-  // computed once here; the retrieve's TS-type varies per successor.
+  // Per-relation op skeleton (ascending relation index); the retrieve's
+  // TS-type varies per successor.
   std::vector<SetOpEffect> skeleton;
   for (int rel = 0; rel < ctx.num_set_relations(); ++rel) {
     const bool ins = svc.InsertsInto(rel);
@@ -397,10 +388,10 @@ std::vector<InternalSuccessor> EnumerateInternal(const TaskContext& ctx,
     SetOpEffect op;
     op.relation = rel;
     op.inserts = ins;
-    op.insert_input_bound = ins && ctx.TsInputBound(cur.iso, rel);
     op.retrieves = ret;
     skeleton.push_back(std::move(op));
   }
+  // The input projection is preserved exactly, everything else is fresh.
   CompleteDecisions(
       ctx, base, svc.post, ctx.max_branches(), truncated,
       [&](SymbolicConfig&& next) {
@@ -408,8 +399,7 @@ std::vector<InternalSuccessor> EnumerateInternal(const TaskContext& ctx,
         s.set_ops = skeleton;
         for (SetOpEffect& op : s.set_ops) {
           if (!op.retrieves) continue;
-          op.retrieve_ts = ctx.TsType(next.iso, op.relation);
-          op.retrieve_input_bound = ctx.TsInputBound(next.iso, op.relation);
+          op.retrieve_ts = ctx.TsTypeOf(next.iso, op.relation);
         }
         s.next = std::move(next);
         out.push_back(std::move(s));
@@ -570,6 +560,13 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 void EnumMemo::Bind(const TypePool* pool) {
   if (pool_ == nullptr) pool_ = pool;
   HAS_CHECK_MSG(pool_ == pool, "an enumeration memo serves a single TypePool");
+}
+
+EnumMemo::Bodies& EnumMemo::BodiesOf(const SymbolicConfig& base) {
+  BaseKey key;
+  base.iso.CanonicalEncode(&key.tokens, &key.consts);
+  key.cell = base.cell;
+  return bodies_[std::move(key)];
 }
 
 }  // namespace has

@@ -105,6 +105,13 @@ struct SymbolicConfig {
   Cell cell;
 };
 
+/// Canonical TS-type of one artifact relation at a configuration, with
+/// its input-bound bit (TaskContext::TsTypeOf).
+struct TsType {
+  PartialIsoType type;
+  bool input_bound = false;
+};
+
 /// Per-task precomputation shared by the verifier.
 class TaskContext {
  public:
@@ -152,12 +159,17 @@ class TaskContext {
   /// Canonical TS-type of relation `rel`: projection of the iso type
   /// onto x̄_in ∪ s̄_T,rel (Section 4.1), normalized. The product
   /// interns it into a counter dimension id in relation `rel`'s
-  /// dimension group.
-  PartialIsoType TsType(const PartialIsoType& iso, int rel = 0) const;
+  /// dimension group, or into an ib-bit id when it is input-bound:
+  /// every non-null variable of s̄_T,rel is forced equal to an
+  /// input-anchored element.
+  TsType TsTypeOf(const PartialIsoType& iso, int rel = 0) const;
 
-  /// Input-bound test for relation `rel` (Section 4.1): every non-null
-  /// variable of s̄_T,rel is forced equal to an input-anchored element.
-  bool TsInputBound(const PartialIsoType& iso, int rel = 0) const;
+  /// What an internal service reads of configuration `cur`: the
+  /// projection onto x̄_in and, in arithmetic mode, a cell carrying only
+  /// the signs of the preserved polynomials. Restriction 1 (only input
+  /// variables propagate across internal transitions) makes every
+  /// internal successor a function of this base alone.
+  SymbolicConfig InputBase(const SymbolicConfig& cur) const;
 
   /// Fresh task configuration at opening time: inputs constrained by
   /// `input` (already over this task's scope), all other ID variables
@@ -202,17 +214,16 @@ class TaskContext {
 
 /// Set-update bookkeeping of one successor on ONE artifact relation.
 /// The retrieved tuple's canonical TS-type (meaningful iff `retrieves`)
-/// varies per successor; the inserted tuple's TS-type is the per-
-/// relation projection of the shared PRE-state, so the product
-/// recomputes and interns it once per (service, relation) application
-/// (TaskContext::TsType) instead of carrying a copy here.
+/// varies per successor; the inserted tuple's TS-type and input-bound
+/// bit are the per-relation projection of the PRE-state, which the
+/// input base does not determine, so the product computes them once per
+/// (configuration, service, relation) (TaskContext::TsTypeOf) instead
+/// of carrying a copy here.
 struct SetOpEffect {
   int relation = 0;
   bool inserts = false;
-  bool insert_input_bound = false;
   bool retrieves = false;
-  PartialIsoType retrieve_ts;
-  bool retrieve_input_bound = false;
+  TsType retrieve_ts;  ///< set iff `retrieves`
 };
 
 /// One successor of an internal service application.
@@ -223,12 +234,13 @@ struct InternalSuccessor {
   std::vector<SetOpEffect> set_ops;
 };
 
-/// Enumerates the symbolic successors of `cur` under internal service
-/// `svc` (whose pre-condition must already hold in `cur`). All atoms of
-/// A_T are decided in each result; `truncated` is set if the branch
-/// budget was exhausted.
+/// Enumerates the symbolic successors under internal service `svc` of
+/// every configuration whose input base (TaskContext::InputBase) is
+/// `base` and where `svc`'s pre-condition holds. All atoms of A_T are
+/// decided in each result; `truncated` is set if the branch budget was
+/// exhausted.
 std::vector<InternalSuccessor> EnumerateInternal(const TaskContext& ctx,
-                                                 const SymbolicConfig& cur,
+                                                 const SymbolicConfig& base,
                                                  const InternalService& svc,
                                                  bool* truncated);
 
@@ -274,6 +286,17 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 // bits and β, so one step recurs across product states and across R_T
 // queries. The memo computes each step once per key and keeps it for the
 // engine's lifetime (docs/ARCHITECTURE.md, "Enumeration memo").
+//
+// An internal service's step is split in two. Its HEAD is keyed by the
+// configuration like every other step and holds what reads the whole
+// configuration: pre/post truth, the inserted TS-types with their
+// input-bound bits, and the POR stutter letter. Its BODY holds the
+// successor list. By restriction 1 that list is a function of the
+// configuration's input base (TaskContext::InputBase) alone, so bodies
+// are keyed by (input base, service) and shared by every configuration
+// with that base. The input base is keyed by its canonical encoding and
+// cell, not by a pool id: interning it would add types to the engine's
+// pool that no unmemoized enumeration interns.
 
 /// A value the memo keeps until it is interned, then only its pool id.
 /// The id is interned on first use, never when the entry is filled, so
@@ -306,10 +329,10 @@ class Pooled {
   mutable int32_t id_ = -1;
 };
 
-/// The successor-enumeration memo of one task. Keys hold pool-interned
-/// ids, so the memo is bound to one TypePool. Entries are filled by the
-/// caller's callback (the product computes letters, which need its
-/// automata) and never change afterwards.
+/// The successor-enumeration memo of one task. Keys other than the body
+/// table's hold pool-interned ids, so the memo is bound to one TypePool.
+/// Entries are filled by the caller's callback (the product computes
+/// letters, which need its automata) and never change afterwards.
 class EnumMemo {
  public:
   /// The configuration's pool ids, the service or child index, and for
@@ -335,21 +358,14 @@ class EnumMemo {
     std::vector<bool> letter;
   };
 
-  /// (A) An internal service fired at a configuration.
-  struct Internal {
-    bool pre = false;        ///< pre-condition holds (else nothing below)
-    bool post = false;       ///< post-condition holds (the POR stutter test)
+  /// (A) body: the successors of an internal service at every
+  /// configuration with one input base.
+  struct InternalBody {
     bool truncated = false;  ///< the branch budget cut the enumeration
-    /// Indexed by relation, set for the relations the service inserts
-    /// into: the pre-state's TS-type and input-bound bit, shared by every
-    /// successor's insert and by the POR stutter.
-    std::vector<Pooled<PartialIsoType>> insert_ts;
-    std::vector<char> insert_input_bound;
     /// EnumerateInternal's SetOpEffect with the retrieved TS-type pooled.
     struct SetOp {
       int relation = 0;
       bool inserts = false;
-      bool insert_input_bound = false;
       bool retrieves = false;
       bool retrieve_input_bound = false;
       Pooled<PartialIsoType> retrieve_ts;  ///< set iff `retrieves`
@@ -359,10 +375,28 @@ class EnumMemo {
       std::vector<SetOp> set_ops;
     };
     std::vector<Successor> successors;
+  };
+
+  /// (A) head: an internal service fired at a configuration.
+  struct Internal {
+    bool pre = false;   ///< pre-condition holds (else nothing below)
+    bool post = false;  ///< post-condition holds (the POR stutter test)
+    /// Indexed by relation, set for the relations the service inserts
+    /// into: the pre-state's TS-type and input-bound bit, shared by every
+    /// successor's insert and by the POR stutter.
+    std::vector<Pooled<PartialIsoType>> insert_ts;
+    std::vector<char> insert_input_bound;
     /// Letter of the identity stutter; set only for POR-eligible
     /// services whose post-condition holds.
     std::vector<bool> stutter_letter;
+    /// The successors, shared with every configuration of the same
+    /// input base; set iff `pre`.
+    const InternalBody* body = nullptr;
   };
+
+  /// The bodies of one input base, indexed by service (null until
+  /// filled).
+  using Bodies = std::vector<std::unique_ptr<InternalBody>>;
 
   /// (B) A child opened at a configuration.
   struct Opening {
@@ -401,10 +435,33 @@ class EnumMemo {
     return return_.Get(key, fill, &counts_);
   }
 
-  /// Entries filled: one per distinct key, so deterministic.
+  /// The body table of input base `base` (TaskContext::InputBase),
+  /// created empty on first demand. The reference stays valid for the
+  /// memo's lifetime.
+  Bodies& BodiesOf(const SymbolicConfig& base);
+  /// The body of `service` in `bodies`, filled by `fill(InternalBody*)`
+  /// on first demand.
+  template <typename Fill>
+  const InternalBody& GetBody(Bodies* bodies, int service, const Fill& fill) {
+    const size_t slot = static_cast<size_t>(service);
+    if (bodies->size() <= slot) bodies->resize(slot + 1);
+    if ((*bodies)[slot] == nullptr) {
+      auto body = std::make_unique<InternalBody>();
+      fill(body.get());
+      ++body_fills_;
+      (*bodies)[slot] = std::move(body);
+    }
+    return *(*bodies)[slot];
+  }
+
+  /// Head and opening/return entries filled: one per distinct key, so
+  /// deterministic.
   size_t misses() const { return counts_.misses; }
   /// Lookups answered by an entry that was already filled.
   size_t hits() const { return counts_.hits; }
+  /// Internal bodies filled: one per distinct (input base, service), so
+  /// deterministic.
+  size_t body_fills() const { return body_fills_; }
 
  private:
   struct KeyHash {
@@ -420,6 +477,24 @@ class EnumMemo {
   struct Counts {
     size_t hits = 0;
     size_t misses = 0;
+  };
+
+  /// An input base's canonical encoding and cell.
+  struct BaseKey {
+    std::vector<int64_t> tokens;
+    std::vector<Rational> consts;
+    Cell cell;
+
+    bool operator==(const BaseKey& o) const {
+      return tokens == o.tokens && consts == o.consts && cell == o.cell;
+    }
+  };
+  struct BaseKeyHash {
+    size_t operator()(const BaseKey& k) const {
+      size_t seed = HashCanonicalEncoding(k.tokens, k.consts);
+      HashCombine(&seed, k.cell.Hash());
+      return seed;
+    }
   };
 
   /// Entries are heap-owned, so a returned reference survives later
@@ -449,6 +524,8 @@ class EnumMemo {
   Table<Internal> internal_;
   Table<Opening> opening_;
   Table<Return> return_;
+  std::unordered_map<BaseKey, Bodies, BaseKeyHash> bodies_;
+  size_t body_fills_ = 0;
 };
 
 }  // namespace has

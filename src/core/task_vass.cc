@@ -1,6 +1,7 @@
 #include "core/task_vass.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/status.h"
 #include "common/strings.h"
@@ -139,45 +140,61 @@ std::vector<bool> TaskVass::MakeLetter(const SymbolicConfig& config,
 }
 
 void TaskVass::FillInternal(const SymbolicConfig& cur, int service,
-                            EnumMemo::Internal* entry) const {
+                            std::optional<InputBodies>* input,
+                            EnumMemo::Internal* head) const {
   const InternalService& svc = ctx_->task().service(service);
-  entry->pre = ctx_->EvalSym(*svc.pre, cur) == Truth::kTrue;
-  if (!entry->pre) return;
-  entry->post = ctx_->EvalSym(*svc.post, cur) == Truth::kTrue;
-  const ServiceRef ref = ServiceRef::Internal(ctx_->task_id(), service);
+  head->pre = ctx_->EvalSym(*svc.pre, cur) == Truth::kTrue;
+  if (!head->pre) return;
+  head->post = ctx_->EvalSym(*svc.post, cur) == Truth::kTrue;
   const size_t num_rels = static_cast<size_t>(ctx_->num_set_relations());
-  entry->insert_ts.resize(num_rels);
-  entry->insert_input_bound.assign(num_rels, 0);
+  head->insert_ts.resize(num_rels);
+  head->insert_input_bound.assign(num_rels, 0);
   for (int rel : svc.insert_rels) {
-    entry->insert_ts[rel] = Pooled<PartialIsoType>(ctx_->TsType(cur.iso, rel));
-    entry->insert_input_bound[rel] = ctx_->TsInputBound(cur.iso, rel);
+    TsType ts = ctx_->TsTypeOf(cur.iso, rel);
+    head->insert_ts[rel] = Pooled<PartialIsoType>(std::move(ts.type));
+    head->insert_input_bound[rel] = ts.input_bound;
   }
-  std::vector<InternalSuccessor> succs =
-      EnumerateInternal(*ctx_, cur, svc, &entry->truncated);
-  entry->successors.reserve(succs.size());
+  if (!input->has_value()) {
+    SymbolicConfig base = ctx_->InputBase(cur);
+    EnumMemo::Bodies* bodies = &ctx_->memo().BodiesOf(base);
+    input->emplace(InputBodies{std::move(base), bodies});
+  }
+  const InputBodies& in = **input;
+  head->body = &ctx_->memo().GetBody(
+      in.bodies, service,
+      [&](EnumMemo::InternalBody* body) { FillBody(in.base, service, body); });
+  if (ctx_->options().por && ctx_->PorServiceEligible(service) &&
+      head->post) {
+    head->stutter_letter = MakeLetter(
+        cur, ServiceRef::Internal(ctx_->task_id(), service), kNoTask, 0);
+  }
+}
+
+void TaskVass::FillBody(const SymbolicConfig& base, int service,
+                        EnumMemo::InternalBody* body) const {
+  const ServiceRef ref = ServiceRef::Internal(ctx_->task_id(), service);
+  std::vector<InternalSuccessor> succs = EnumerateInternal(
+      *ctx_, base, ctx_->task().service(service), &body->truncated);
+  body->successors.reserve(succs.size());
   for (InternalSuccessor& s : succs) {
-    EnumMemo::Internal::Successor out;
+    EnumMemo::InternalBody::Successor out;
     out.step.letter = MakeLetter(s.next, ref, kNoTask, 0);
     out.step.iso = Pooled<PartialIsoType>(std::move(s.next.iso));
     out.step.cell = Pooled<Cell>(std::move(s.next.cell));
     out.set_ops.reserve(s.set_ops.size());
     for (SetOpEffect& eff : s.set_ops) {
-      EnumMemo::Internal::SetOp op;
+      EnumMemo::InternalBody::SetOp op;
       op.relation = eff.relation;
       op.inserts = eff.inserts;
-      op.insert_input_bound = eff.insert_input_bound;
       op.retrieves = eff.retrieves;
-      op.retrieve_input_bound = eff.retrieve_input_bound;
       if (eff.retrieves) {
-        op.retrieve_ts = Pooled<PartialIsoType>(std::move(eff.retrieve_ts));
+        op.retrieve_input_bound = eff.retrieve_ts.input_bound;
+        op.retrieve_ts =
+            Pooled<PartialIsoType>(std::move(eff.retrieve_ts.type));
       }
       out.set_ops.push_back(std::move(op));
     }
-    entry->successors.push_back(std::move(out));
-  }
-  if (ctx_->options().por && ctx_->PorServiceEligible(service) &&
-      entry->post) {
-    entry->stutter_letter = MakeLetter(cur, ref, kNoTask, 0);
+    body->successors.push_back(std::move(out));
   }
 }
 
@@ -276,9 +293,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     return pending;
   }
   // Steps (A)–(C) are read from the task's enumeration memo, keyed by
-  // the state's configuration; `cur` is read only to fill entries and
-  // for (D). What varies per product state — Büchi compatibility from
-  // `q`, the ib-bit precheck, the child stages — is recomputed here.
+  // the state's configuration (an internal step's successors by its
+  // input base); `cur` is read only to fill entries and for (D). What
+  // varies per product state — Büchi compatibility from `q`, the ib-bit
+  // precheck, the child stages — is recomputed here.
   const SymbolicConfig cur{pool_->type(snapshot.iso),
                            pool_->cell(snapshot.cell)};
   EnumMemo& memo = ctx_->memo();
@@ -322,10 +340,11 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // configuration, so the choice is a pure function of the state.
     const int num_services = static_cast<int>(task.services().size());
     std::vector<const EnumMemo::Internal*> entries(num_services);
+    std::optional<InputBodies> input;  // set by the first body lookup
     for (int i = 0; i < num_services; ++i) {
       entries[i] = &memo.GetInternal(
           {snapshot.iso, snapshot.cell, i},
-          [&](EnumMemo::Internal* e) { FillInternal(cur, i, e); });
+          [&](EnumMemo::Internal* e) { FillInternal(cur, i, &input, e); });
     }
     std::vector<int> ample;
     if (ctx_->options().por && !ctx_->PorServiceIsProp(snapshot.service)) {
@@ -345,26 +364,29 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
       const EnumMemo::Internal& e = *entries[i];
       if (!e.pre) return;
       const InternalService& svc = task.service(i);
-      pending->truncated = pending->truncated || e.truncated;
+      const EnumMemo::InternalBody& body = *e.body;
+      pending->truncated = pending->truncated || body.truncated;
       // Each inserted TS-type is the per-relation projection of the
       // CURRENT state, so it is identical across every successor of
       // this service (the retrieved types vary per successor).
       std::vector<TypeId> insert_ts(e.insert_ts.size(), kNoTypeId);
-      if (!e.successors.empty()) {
+      if (!body.successors.empty()) {
         for (int rel : svc.insert_rels) {
           insert_ts[rel] = e.insert_ts[rel].Id(pool_);
         }
       }
-      for (const EnumMemo::Internal::Successor& s : e.successors) {
+      for (const EnumMemo::InternalBody::Successor& s : body.successors) {
         std::vector<PendingEdge::PendingSetOp> ops;
         ops.reserve(s.set_ops.size());
         bool feasible = true;
-        for (const EnumMemo::Internal::SetOp& eff : s.set_ops) {
+        for (const EnumMemo::InternalBody::SetOp& eff : s.set_ops) {
           PendingEdge::PendingSetOp op;
           op.relation = eff.relation;
           op.inserts = eff.inserts;
-          op.insert_input_bound = eff.insert_input_bound;
-          if (eff.inserts) op.insert_ts = insert_ts[eff.relation];
+          if (eff.inserts) {
+            op.insert_input_bound = e.insert_input_bound[eff.relation] != 0;
+            op.insert_ts = insert_ts[eff.relation];
+          }
           if (eff.retrieves) {
             op.retrieves = true;
             op.retrieve_input_bound = eff.retrieve_input_bound;
@@ -385,7 +407,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
                   std::find(snapshot.ib_bits.begin(),
                             snapshot.ib_bits.end(),
                             it->second) != snapshot.ib_bits.end();
-              bool inserted_same = eff.inserts && eff.insert_input_bound &&
+              bool inserted_same = op.insert_input_bound &&
                                    op.insert_ts == op.retrieve_ts;
               if (!in_set && !inserted_same) {
                 feasible = false;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -300,12 +301,25 @@ class TaskVass : public VassSystem {
                                const ServiceRef& service, TaskId opened_child,
                                Assignment child_beta) const;
 
+  /// A configuration's input base (TaskContext::InputBase) and its
+  /// body table, computed on the first internal head miss of a prepare
+  /// and shared by all of the configuration's services.
+  struct InputBodies {
+    SymbolicConfig base;
+    EnumMemo::Bodies* bodies = nullptr;
+  };
+
   /// Fill the enumeration-memo entries of configuration `cur` (see
-  /// EnumMemo): internal service `service`, opening child `child` (an
-  /// index into the task's children), and that child's return with
-  /// `outcome`. Fills intern nothing into the pool.
+  /// EnumMemo): internal service `service` (its head, and its body
+  /// through `input`, which the call sets when still empty), opening
+  /// child `child` (an index into the task's children), and that
+  /// child's return with `outcome`. Fills intern nothing into the pool.
   void FillInternal(const SymbolicConfig& cur, int service,
-                    EnumMemo::Internal* entry) const;
+                    std::optional<InputBodies>* input,
+                    EnumMemo::Internal* head) const;
+  /// Fills the body of internal service `service` at input base `base`.
+  void FillBody(const SymbolicConfig& base, int service,
+                EnumMemo::InternalBody* body) const;
   void FillOpening(const SymbolicConfig& cur, int child,
                    EnumMemo::Opening* entry) const;
   void FillReturn(const SymbolicConfig& cur, int child,

@@ -1,8 +1,11 @@
 // The successor-enumeration memo (EnumMemo in core/successor.h): a
 // product state must prepare exactly the same pending edges from a warm
-// memo as from a fresh, cold one; a second β product of a task must add
-// no memo entries for the configurations it shares with the first; and
-// the count of filled entries must be the same on every run.
+// memo as from a fresh, cold one; the internal-service body a state
+// reads must equal EnumerateInternal run fresh at that state's own
+// configuration; bodies are shared by exactly the configurations with
+// one input base; a second β product of a task must add no memo entries
+// for the configurations it shares with the first; and the count of
+// filled entries must be the same on every run.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,12 +13,14 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/rt_relation.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
+#include "test_paths.h"
 #include "vass/karp_miller.h"
 #include "workloads.h"
 
@@ -57,6 +62,37 @@ class TaskVassTestPeer {
           << e.child_result_index << " [" << e.note << "]\n";
     }
     return out.str();
+  }
+
+  /// The configuration of `state`.
+  static SymbolicConfig Config(const TaskVass& vass, int state) {
+    const TaskVass::State& s = vass.states_[static_cast<size_t>(state)];
+    return SymbolicConfig{vass.pool_->type(s.iso), vass.pool_->cell(s.cell)};
+  }
+
+  /// The memo head of internal service `service` at `state`'s
+  /// configuration, filled as PrepareSuccessors fills it on a miss.
+  static const EnumMemo::Internal& Head(const TaskVass& vass, int state,
+                                        int service) {
+    const TaskVass::State& s = vass.states_[static_cast<size_t>(state)];
+    const SymbolicConfig cur = Config(vass, state);
+    std::optional<TaskVass::InputBodies> input;
+    return vass.ctx_->memo().GetInternal(
+        {s.iso, s.cell, service}, [&](EnumMemo::Internal* e) {
+          vass.FillInternal(cur, service, &input, e);
+        });
+  }
+
+  /// The letter the product reads on a step of internal service
+  /// `service` into `next`.
+  static std::vector<bool> Letter(const TaskVass& vass,
+                                  const SymbolicConfig& next, int service) {
+    return vass.MakeLetter(
+        next, ServiceRef::Internal(vass.ctx_->task_id(), service), kNoTask, 0);
+  }
+
+  static TypeId Iso(const TaskVass& vass, int state) {
+    return vass.states_[static_cast<size_t>(state)].iso;
   }
 
   /// What a state's memo keys are made of: its configuration's pool ids
@@ -165,6 +201,7 @@ class Harness {
   }
   TaskContext* context(TaskId task) { return contexts_.at(task).get(); }
   const RecordingOracle& oracle() const { return *oracle_; }
+  TypePool* pool() { return &pool_; }
 
   std::unique_ptr<TaskVass> Product(const QueryRec& q,
                                     const TaskContext* ctx) {
@@ -223,6 +260,78 @@ size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
       EXPECT_EQ(got, want) << what << ": query " << i << " (task " << q.task
                            << ", beta " << q.beta << "), state " << s;
       ++compared;
+    }
+  }
+  return compared;
+}
+
+/// Explores every product the verification builds over shared warm
+/// contexts, then checks at every product state and internal service
+/// whose pre-condition holds that the memoized body equals
+/// EnumerateInternal run fresh at the state's own input base: the same
+/// successors in the same order, with the same target type, cell,
+/// letter and set ops. Returns the number of (state, service) pairs
+/// compared.
+size_t ExpectBodiesMatchFreshEnumeration(const ArtifactSystem& system,
+                                         const HltlProperty& property,
+                                         const std::string& what) {
+  Harness h(system, property);
+  TypePool* pool = h.pool();
+  size_t compared = 0;
+  for (size_t i = 0; i < h.oracle().queries().size(); ++i) {
+    const QueryRec q = h.oracle().queries()[i];
+    const TaskContext& ctx = *h.context(q.task);
+    std::unique_ptr<TaskVass> vass = h.Product(q, &ctx);
+    h.Explore(vass.get());
+    for (int s = 0; s < vass->num_states(); ++s) {
+      const SymbolicConfig cur = TaskVassTestPeer::Config(*vass, s);
+      for (int svc = 0; svc < static_cast<int>(ctx.task().services().size());
+           ++svc) {
+        const EnumMemo::Internal& head = TaskVassTestPeer::Head(*vass, s, svc);
+        if (!head.pre) continue;
+        const std::string where = what + ": query " + std::to_string(i) +
+                                  ", state " + std::to_string(s) +
+                                  ", service " + std::to_string(svc);
+        if (head.body == nullptr) {
+          ADD_FAILURE() << where << ": no body";
+          continue;
+        }
+        const EnumMemo::InternalBody& body = *head.body;
+        bool truncated = false;
+        std::vector<InternalSuccessor> fresh = EnumerateInternal(
+            ctx, ctx.InputBase(cur), ctx.task().service(svc), &truncated);
+        EXPECT_EQ(body.truncated, truncated) << where;
+        EXPECT_EQ(body.successors.size(), fresh.size()) << where;
+        if (body.successors.size() != fresh.size()) continue;
+        for (size_t k = 0; k < fresh.size(); ++k) {
+          const EnumMemo::InternalBody::Successor& got = body.successors[k];
+          const InternalSuccessor& want = fresh[k];
+          EXPECT_EQ(got.step.iso.Id(pool),
+                    pool->InternNormalized(want.next.iso))
+              << where << ", successor " << k;
+          EXPECT_EQ(got.step.cell.Id(pool), pool->InternCell(want.next.cell))
+              << where << ", successor " << k;
+          EXPECT_EQ(got.step.letter,
+                    TaskVassTestPeer::Letter(*vass, want.next, svc))
+              << where << ", successor " << k;
+          EXPECT_EQ(got.set_ops.size(), want.set_ops.size()) << where;
+          if (got.set_ops.size() != want.set_ops.size()) continue;
+          for (size_t o = 0; o < want.set_ops.size(); ++o) {
+            const EnumMemo::InternalBody::SetOp& a = got.set_ops[o];
+            const SetOpEffect& b = want.set_ops[o];
+            EXPECT_EQ(a.relation, b.relation) << where;
+            EXPECT_EQ(a.inserts, b.inserts) << where;
+            EXPECT_EQ(a.retrieves, b.retrieves) << where;
+            if (!b.retrieves) continue;
+            EXPECT_EQ(a.retrieve_input_bound, b.retrieve_ts.input_bound)
+                << where;
+            EXPECT_EQ(a.retrieve_ts.Id(pool),
+                      pool->InternNormalized(b.retrieve_ts.type))
+                << where;
+          }
+        }
+        ++compared;
+      }
     }
   }
   return compared;
@@ -292,6 +401,107 @@ TEST(EnumMemoTest, WarmMemoPreparesWhatAColdOneDoes) {
             0u);
 }
 
+TEST(EnumMemoTest, SharedBodiesMatchFreshEnumeration) {
+  const bench::Workload deep = bench::MakeDeepHierarchy(/*depth=*/4,
+                                                        /*size=*/3);
+  EXPECT_GT(
+      ExpectBodiesMatchFreshEnumeration(deep.system, deep.property, "Deep"),
+      0u);
+  const bench::Workload multirel =
+      bench::MakeMultiRelation(/*size=*/3, /*depth=*/2, /*num_rels=*/2);
+  EXPECT_GT(ExpectBodiesMatchFreshEnumeration(multirel.system,
+                                              multirel.property, "MultiRel"),
+            0u);
+
+  StatusOr<ParsedSpec> travel = ParseSpec(LoadSpec("travel_mini.has"));
+  ASSERT_TRUE(travel.ok()) << travel.status().ToString();
+  for (const auto& [name, property] : travel->properties) {
+    EXPECT_GT(ExpectBodiesMatchFreshEnumeration(travel->system, property,
+                                                "travel_mini " + name),
+              0u);
+  }
+
+  // Numeric input n0 of T0: its polynomials are preserved, so the body
+  // key carries their signs.
+  StatusOr<ParsedSpec> spec = ParseSpec(kArithmeticSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_GT(ExpectBodiesMatchFreshEnumeration(
+                spec->system, spec->properties[0].second, "arithmetic"),
+            0u);
+}
+
+TEST(EnumMemoTest, BodiesAreSharedByInputBaseOnly) {
+  // Deep: configurations whose types differ only outside x̄_in (the
+  // same input projection, no arithmetic) share their bodies.
+  const bench::Workload deep = bench::MakeDeepHierarchy(/*depth=*/4,
+                                                        /*size=*/3);
+  Harness h(deep.system, deep.property);
+  size_t shared_pairs = 0;
+  for (size_t i = 0; i < h.oracle().queries().size(); ++i) {
+    const QueryRec q = h.oracle().queries()[i];
+    const TaskContext& ctx = *h.context(q.task);
+    std::unique_ptr<TaskVass> vass = h.Product(q, &ctx);
+    h.Explore(vass.get());
+    std::vector<std::string> projections;
+    for (int s = 0; s < vass->num_states(); ++s) {
+      projections.push_back(
+          ctx.InputBase(TaskVassTestPeer::Config(*vass, s)).iso.Signature());
+    }
+    for (int a = 0; a < vass->num_states(); ++a) {
+      for (int b = a + 1; b < vass->num_states(); ++b) {
+        if (TaskVassTestPeer::Iso(*vass, a) ==
+                TaskVassTestPeer::Iso(*vass, b) ||
+            projections[a] != projections[b]) {
+          continue;
+        }
+        for (int svc = 0; svc < static_cast<int>(ctx.task().services().size());
+             ++svc) {
+          const EnumMemo::Internal& ha = TaskVassTestPeer::Head(*vass, a, svc);
+          const EnumMemo::Internal& hb = TaskVassTestPeer::Head(*vass, b, svc);
+          if (!ha.pre || !hb.pre) continue;
+          EXPECT_EQ(ha.body, hb.body) << "query " << i << ", states " << a
+                                      << "/" << b << ", service " << svc;
+          ++shared_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(shared_pairs, 0u) << "no two configurations share an input base";
+
+  // Arithmetic: in T0 every basis polynomial is over the numeric input
+  // n0, so two root states with one type and different cells differ
+  // only in a preserved polynomial's sign, and must not share a body.
+  StatusOr<ParsedSpec> spec = ParseSpec(kArithmeticSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  Harness arith(spec->system, spec->properties[0].second);
+  const TaskContext& ctx = *arith.context(spec->system.root());
+  ASSERT_EQ(ctx.preserved_polys().size(),
+            static_cast<size_t>(ctx.basis()->size()));
+  const std::vector<QueryRec> roots = arith.oracle().queries();
+  size_t split_pairs = 0;
+  for (const QueryRec& q : roots) {
+    std::unique_ptr<TaskVass> vass = arith.Product(q, &ctx);
+    arith.Explore(vass.get());
+    for (int a = 0; a < vass->num_states(); ++a) {
+      for (int b = a + 1; b < vass->num_states(); ++b) {
+        if (TaskVassTestPeer::Iso(*vass, a) !=
+                TaskVassTestPeer::Iso(*vass, b) ||
+            TaskVassTestPeer::Config(*vass, a).cell ==
+                TaskVassTestPeer::Config(*vass, b).cell) {
+          continue;
+        }
+        // Service s0 (pre: true) fires everywhere.
+        const EnumMemo::Internal& head_a = TaskVassTestPeer::Head(*vass, a, 0);
+        const EnumMemo::Internal& head_b = TaskVassTestPeer::Head(*vass, b, 0);
+        ASSERT_TRUE(head_a.pre && head_b.pre);
+        EXPECT_NE(head_a.body, head_b.body) << "states " << a << "/" << b;
+        ++split_pairs;
+      }
+    }
+  }
+  EXPECT_GT(split_pairs, 0u) << "no two root states differ only in the cell";
+}
+
 TEST(EnumMemoTest, SecondBetaProductAddsNoMissesForSharedStates) {
   const bench::Workload w = bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
   Harness h(w.system, w.property);
@@ -357,6 +567,9 @@ TEST(EnumMemoTest, MissesAreDeterministic) {
     EXPECT_GT(first.stats.enum_memo_misses, 0u) << w.name;
     const VerifyResult again = Verify(w.system, w.property);
     EXPECT_EQ(again.stats.enum_memo_misses, first.stats.enum_memo_misses)
+        << w.name;
+    EXPECT_GT(first.stats.enum_body_fills, 0u) << w.name;
+    EXPECT_EQ(again.stats.enum_body_fills, first.stats.enum_body_fills)
         << w.name;
     EXPECT_EQ(again.stats.pooled_types, first.stats.pooled_types) << w.name;
   }

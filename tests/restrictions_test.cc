@@ -27,8 +27,8 @@ TEST(Restrictions, R1_OnlyInputsPropagate) {
   ASSERT_TRUE(start.DecideAtom(*Condition::IsNull(1), false));
   SymbolicConfig cur{start, Cell()};
   bool truncated = false;
-  std::vector<InternalSuccessor> succs =
-      EnumerateInternal(ctx, cur, system.task(0).service(1), &truncated);
+  std::vector<InternalSuccessor> succs = EnumerateInternal(
+      ctx, ctx.InputBase(cur), system.task(0).service(1), &truncated);
   ASSERT_FALSE(succs.empty());
   for (const InternalSuccessor& s : succs) {
     EXPECT_TRUE(s.next.iso.VarIsNull(0));

@@ -49,8 +49,8 @@ TEST(EnumerateInternalTest, PostConditionEnforced) {
   SymbolicConfig cur{start, Cell()};
   bool truncated = false;
   // pick: post R(x, y): every successor anchors x at R and relates y.
-  std::vector<InternalSuccessor> succs =
-      EnumerateInternal(ctx, cur, system.task(0).service(0), &truncated);
+  std::vector<InternalSuccessor> succs = EnumerateInternal(
+      ctx, ctx.InputBase(cur), system.task(0).service(0), &truncated);
   ASSERT_FALSE(succs.empty());
   CondPtr atom = Condition::Rel(1, {0, 1});
   for (const InternalSuccessor& s : succs) {
@@ -69,8 +69,8 @@ TEST(EnumerateInternalTest, SetUpdatesProduceSignatures) {
   ASSERT_TRUE(start.DecideAtom(*Condition::IsNull(1), true));
   SymbolicConfig cur{start, Cell()};
   bool truncated = false;
-  std::vector<InternalSuccessor> succs =
-      EnumerateInternal(ctx, cur, system.task(0).service(0), &truncated);
+  std::vector<InternalSuccessor> succs = EnumerateInternal(
+      ctx, ctx.InputBase(cur), system.task(0).service(0), &truncated);
   ASSERT_FALSE(succs.empty());
   for (const InternalSuccessor& s : succs) {
     ASSERT_EQ(s.set_ops.size(), 1u);
@@ -79,8 +79,11 @@ TEST(EnumerateInternalTest, SetUpdatesProduceSignatures) {
     EXPECT_FALSE(s.set_ops[0].retrieves);
   }
   // The inserted tuple's TS-type is the canonical projection of the
-  // shared pre-state (Signature retained as the debug/printing path).
-  EXPECT_FALSE(ctx.TsType(cur.iso).Signature().empty());
+  // shared pre-state (Signature retained as the debug/printing path);
+  // both tuple variables are null there, so it is input-bound.
+  const TsType ts = ctx.TsTypeOf(cur.iso);
+  EXPECT_FALSE(ts.type.Signature().empty());
+  EXPECT_TRUE(ts.input_bound);
 }
 
 TEST(ChildInterfaceTest, InputProjectionAndRename) {

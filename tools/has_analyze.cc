@@ -7,7 +7,8 @@
 // spec's system and ALL its properties, printing one diagnostic per
 // line (file:line-anchored). Exit codes: 0 clean / expectations met,
 // 1 diagnostics under --strict or an --expect mismatch, 2 parse or
-// validation failure.
+// validation failure or a usage error (an unknown flag, a flag missing
+// its value, or more than one spec file).
 //
 //   --strict       fail (exit 1) on any diagnostic — the CLI face of
 //                  VerifierOptions::strict_analysis.
@@ -36,6 +37,8 @@ int Run(int argc, char** argv) {
   bool verify = false;
   std::string expect_file;
   std::string spec_file;
+  const char* const kUsage =
+      "usage: has_analyze [--strict] [--verify] [--expect FILE] spec.has\n";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--strict") {
@@ -44,20 +47,25 @@ int Run(int argc, char** argv) {
       verify = true;
     } else if (arg == "--analyze-only") {
       // Default behavior; accepted for explicitness.
-    } else if (arg == "--expect" && i + 1 < argc) {
+    } else if (arg == "--expect") {
+      if (i + 1 == argc) {
+        std::cerr << "missing value for --expect\n" << kUsage;
+        return 2;
+      }
       expect_file = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag " << arg << "\n"
-                << "usage: has_analyze [--strict] [--verify] "
-                   "[--expect FILE] spec.has\n";
+      std::cerr << "unknown flag " << arg << "\n" << kUsage;
+      return 2;
+    } else if (!spec_file.empty()) {
+      std::cerr << "more than one spec file: " << spec_file << ", " << arg
+                << "\n" << kUsage;
       return 2;
     } else {
       spec_file = arg;
     }
   }
   if (spec_file.empty()) {
-    std::cerr << "usage: has_analyze [--strict] [--verify] "
-                 "[--expect FILE] spec.has\n";
+    std::cerr << kUsage;
     return 2;
   }
 
