@@ -90,16 +90,24 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   km_options.por = options_.por;
   entry->graph = std::make_unique<KarpMiller>(entry->vass.get(), km_options);
   entry->graph->Build(entry->vass->InitialStates());
+  // The exploration is done: free the product's successor scratch so it
+  // does not live as long as the engine.
+  entry->vass->ReleaseScratch();
 
   // Returning outputs: deduplicate by interned (type, cell) outcome id.
   // Sound on the pruned graph: antichain pruning preserves exactly the
   // reachable VASS states (every dropped marking is covered by an
   // expanded node of the same state), and returning/blocking/accepting
-  // are per-state predicates.
+  // are per-state predicates. A state's output is computed once, at its
+  // first node: its later nodes would repeat the same outcome.
   std::unordered_set<std::pair<TypeId, CellId>, PairHash<TypeId, CellId>>
       seen_outputs;
+  std::vector<char> seen_states(
+      static_cast<size_t>(entry->vass->num_states()), 0);
   for (int n = 0; n < entry->graph->num_nodes(); ++n) {
     int state = entry->graph->node_state(n);
+    if (seen_states[static_cast<size_t>(state)] != 0) continue;
+    seen_states[static_cast<size_t>(state)] = 1;
     if (!entry->vass->IsReturning(state)) continue;
     ChildOutcome out = entry->vass->OutputOf(state);
     std::pair<TypeId, CellId> out_key{pool_.Intern(out.iso),

@@ -55,6 +55,17 @@ TaskContext::TaskContext(const ArtifactSystem* system,
     }
     preserved_polys_ = basis_->PolysOverVars(numeric_inputs);
   }
+  output_vars_ = input_vars_;
+  for (int v : t.ReturnVars()) output_vars_.insert(v);
+  if (basis_ != nullptr) {
+    std::vector<ArithVar> numeric_outputs;
+    for (int v : output_vars_) {
+      if (t.vars().var(v).sort == VarSort::kNumeric) {
+        numeric_outputs.push_back(v);
+      }
+    }
+    output_polys_ = basis_->PolysOverVars(numeric_outputs);
+  }
 }
 
 TaskContext::~TaskContext() = default;

@@ -147,6 +147,11 @@ class TaskContext {
   /// Basis polynomials over numeric input variables (preserved across
   /// internal transitions).
   const std::vector<int>& preserved_polys() const { return preserved_polys_; }
+  /// What a returning state's output keeps (TaskVass::OutputOf): the
+  /// variables x̄_in ∪ x̄_ret and, in arithmetic mode, the basis
+  /// polynomials over the numeric ones.
+  const std::set<int>& output_vars() const { return output_vars_; }
+  const std::vector<int>& output_polys() const { return output_polys_; }
 
   /// Linear equalities implied by the equality component: numeric
   /// variables in one class are equal; const tags fix values. Used to
@@ -207,6 +212,8 @@ class TaskContext {
   std::set<int> set_vars_;
   std::vector<std::set<int>> rel_vars_;
   std::vector<int> preserved_polys_;
+  std::set<int> output_vars_;
+  std::vector<int> output_polys_;
   std::vector<char> por_service_ok_;
   std::vector<ServiceRef> por_service_props_;
   std::unique_ptr<EnumMemo> memo_;
@@ -412,6 +419,12 @@ class EnumMemo {
     std::vector<Step> steps;
   };
 
+  /// (D) The task closing itself at a configuration.
+  struct CloseSelf {
+    bool enabled = false;  ///< the task's closing pre-condition holds
+    std::vector<bool> letter;  ///< set iff `enabled`
+  };
+
   EnumMemo() = default;
   EnumMemo(const EnumMemo&) = delete;
   EnumMemo& operator=(const EnumMemo&) = delete;
@@ -433,6 +446,13 @@ class EnumMemo {
   template <typename Fill>
   const Return& GetReturn(const Key& key, const Fill& fill) {
     return return_.Get(key, fill, &counts_);
+  }
+  /// Close-self entries are not counted in misses() or hits(): they
+  /// cache a condition and a letter, no enumeration.
+  template <typename Fill>
+  const CloseSelf& GetCloseSelf(const Key& key, const Fill& fill) {
+    Counts uncounted;
+    return close_self_.Get(key, fill, &uncounted);
   }
 
   /// The body table of input base `base` (TaskContext::InputBase),
@@ -524,6 +544,7 @@ class EnumMemo {
   Table<Internal> internal_;
   Table<Opening> opening_;
   Table<Return> return_;
+  Table<CloseSelf> close_self_;
   std::unordered_map<BaseKey, Bodies, BaseKeyHash> bodies_;
   size_t body_fills_ = 0;
 };

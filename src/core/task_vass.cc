@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/status.h"
-#include "common/strings.h"
 
 namespace has {
 
@@ -23,9 +22,16 @@ TaskVass::TaskVass(const TaskContext* ctx,
       input_cell_(input_cell),
       oracle_(oracle),
       opening_filter_(opening_filter),
-      state_index_(0, StateIndexHash{&states_}, StateIndexEq{&states_}) {
+      state_index_(0, StateIndexHash{&states_, &probe_},
+                   StateIndexEq{&states_, &probe_}) {
   buchi_ = &automata_->automaton(beta);
   ctx_->memo().Bind(pool_);
+  for (TaskId child : ctx_->task().children()) {
+    const std::string& name = ctx_->system().task(child).name();
+    open_notes_.push_back("open " + name);
+    open_bottom_notes_.push_back("open " + name + " (non-returning)");
+    close_notes_.push_back("close " + name);
+  }
 }
 
 TypeId TaskVass::InternIso(const PartialIsoType& iso) {
@@ -36,29 +42,26 @@ CellId TaskVass::InternCell(const Cell& cell) {
   return pool_->InternCell(cell);
 }
 
-int TaskVass::InternState(State s) {
-  // Push the candidate first so the by-id index can hash/compare it;
-  // on a hit the candidate is popped again.
-  int candidate = static_cast<int>(states_.size());
-  states_.push_back(std::move(s));
-  auto [it, inserted] = state_index_.insert(candidate);
-  if (!inserted) {
-    states_.pop_back();
-    return *it;
-  }
-  return candidate;
+int TaskVass::InternProbe() {
+  auto it = state_index_.find(kProbe);
+  if (it != state_index_.end()) return *it;
+  int id = static_cast<int>(states_.size());
+  states_.push_back(probe_);
+  state_index_.insert(id);
+  return id;
 }
 
-int64_t TaskVass::InternRecord(TransitionRecord rec) {
-  RecordKey key;
-  key.service = rec.service;
-  key.target = rec.target_state;
-  key.child_beta = rec.child_beta;
-  key.child_key = rec.child_key;
-  key.child_result_index = rec.child_result_index;
+int64_t TaskVass::InternRecord(const RecordKey& key, const std::string& note) {
   auto it = record_index_.find(key);
   if (it != record_index_.end()) return it->second;
   int64_t label = static_cast<int64_t>(records_.size());
+  TransitionRecord rec;
+  rec.service = key.service;
+  rec.target_state = key.target;
+  rec.child_beta = key.child_beta;
+  rec.child_key = key.child_key;
+  rec.child_result_index = key.child_result_index;
+  rec.note = note;
   records_.push_back(std::move(rec));
   record_index_.emplace(key, label);
   return label;
@@ -84,23 +87,28 @@ int TaskVass::IbIdOf(int relation, TypeId ts) {
   return id;
 }
 
-int TaskVass::InternOutcome(ChildOutcome outcome) {
+int TaskVass::InternOutcome(const ChildOutcome* src) {
+  auto [by_src, fresh] = outcome_by_src_.try_emplace(src, -1);
+  if (!fresh) return by_src->second;
   OutcomeKey key;
-  key.bottom = outcome.bottom;
+  key.bottom = src->bottom;
   // Child outcomes arrive as canonical pool representatives (the
   // engine normalizes them when deduplicating returning outputs).
-  key.iso = pool_->InternNormalized(outcome.iso);
-  key.cell = pool_->InternCell(outcome.cell);
+  key.iso = pool_->InternNormalized(src->iso);
+  key.cell = pool_->InternCell(src->cell);
   auto it = outcome_index_.find(key);
-  if (it != outcome_index_.end()) return it->second;
+  if (it != outcome_index_.end()) return by_src->second = it->second;
   int id = static_cast<int>(outcomes_.size());
   // Store the canonical (normalized) instance from the pool so every
   // consumer sees the interned representative.
+  ChildOutcome outcome;
+  outcome.bottom = src->bottom;
   outcome.iso = pool_->type(key.iso);
+  outcome.cell = src->cell;
   outcomes_.push_back(std::move(outcome));
   outcome_keys_.push_back(key);
   outcome_index_.emplace(key, id);
-  return id;
+  return by_src->second = id;
 }
 
 std::vector<bool> TaskVass::MakeLetter(const SymbolicConfig& config,
@@ -249,13 +257,13 @@ std::vector<int> TaskVass::InitialStates() {
     std::vector<bool> letter = MakeLetter(config, open_self, kNoTask, 0);
     for (int q : buchi_->initial()) {
       if (!buchi_->CompatibleWith(q, letter)) continue;
-      State s;
-      s.iso = InternIso(config.iso);
-      s.cell = InternCell(config.cell);
-      s.service = open_self;
-      s.q = q;
-      s.stages.assign(ctx_->task().children().size(), ChildStage{});
-      int id = InternState(std::move(s));
+      probe_.iso = InternIso(config.iso);
+      probe_.cell = InternCell(config.cell);
+      probe_.service = open_self;
+      probe_.q = q;
+      probe_.stages.assign(ctx_->task().children().size(), ChildStage{});
+      probe_.ib_bits.clear();
+      int id = InternProbe();
       if (std::find(out.begin(), out.end(), id) == out.end()) {
         out.push_back(id);
       }
@@ -264,45 +272,71 @@ std::vector<int> TaskVass::InitialStates() {
   return out;
 }
 
+const std::vector<int>& TaskVass::BuchiSuccessors(
+    int q, const std::vector<bool>& letter) {
+  auto [it, fresh] = buchi_successors_.try_emplace(LetterKey{&letter, q});
+  if (fresh) {
+    for (int q2 : buchi_->successors(q)) {
+      if (buchi_->CompatibleWith(q2, letter)) it->second.push_back(q2);
+    }
+  }
+  return it->second;
+}
+
 TaskVass::PendingEdge* TaskVass::EmitPending(
-    const State& from, TypeId next_iso, CellId next_cell,
-    const std::vector<bool>& letter, const ServiceRef& service,
-    Assignment child_beta, const std::string& note,
+    int q, TypeId next_iso, CellId next_cell, const std::vector<bool>& letter,
+    const ServiceRef& service, Assignment child_beta, const std::string* note,
     PendingSuccessors* pending) {
-  PendingEdge pe;
+  PendingEdge& pe = pending->edges.emplace_back();
   pe.next_iso = next_iso;
   pe.next_cell = next_cell;
   pe.service = service;
   pe.child_beta = child_beta;
   pe.note = note;
-  for (int q2 : buchi_->successors(from.q)) {
-    if (buchi_->CompatibleWith(q2, letter)) pe.q2s.push_back(q2);
-  }
-  pending->edges.push_back(std::move(pe));
-  return &pending->edges.back();
+  pe.q2s = &BuchiSuccessors(q, letter);
+  const auto ops = static_cast<uint32_t>(pending->set_ops.size());
+  pe.set_ops_begin = ops;
+  pe.set_ops_end = ops;
+  return &pe;
 }
 
 std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     int state) {
-  auto pending = std::make_unique<PendingSuccessors>();
-  const State snapshot = states_[state];
+  std::unique_ptr<PendingSuccessors> pending = std::move(spare_);
+  if (pending == nullptr) {
+    pending = std::make_unique<PendingSuccessors>();
+  } else {
+    pending->edges.clear();
+    pending->set_ops.clear();
+    pending->truncated = false;
+    pending->ample_pending = 0;
+  }
+  // Prepares only read `states_` (child queries build other products),
+  // so the reference stays valid.
+  const State& from = states_[state];
   const Task& task = ctx_->task();
   // Returned states are absorbing.
-  if (snapshot.service.kind == ServiceRef::Kind::kClosing &&
-      snapshot.service.task == ctx_->task_id()) {
+  if (from.service.kind == ServiceRef::Kind::kClosing &&
+      from.service.task == ctx_->task_id()) {
     return pending;
   }
-  // Steps (A)–(C) are read from the task's enumeration memo, keyed by
+  // Steps (A)–(D) are read from the task's enumeration memo, keyed by
   // the state's configuration (an internal step's successors by its
-  // input base); `cur` is read only to fill entries and for (D). What
-  // varies per product state — Büchi compatibility from `q`, the ib-bit
-  // precheck, the child stages — is recomputed here.
-  const SymbolicConfig cur{pool_->type(snapshot.iso),
-                           pool_->cell(snapshot.cell)};
+  // input base); the configuration itself is materialized only to fill
+  // entries. What varies per product state — Büchi compatibility from
+  // `q`, the ib-bit precheck, the child stages — is recomputed here.
+  std::optional<SymbolicConfig> cur_storage;
+  const auto cur = [&]() -> const SymbolicConfig& {
+    if (!cur_storage.has_value()) {
+      cur_storage.emplace(
+          SymbolicConfig{pool_->type(from.iso), pool_->cell(from.cell)});
+    }
+    return *cur_storage;
+  };
   EnumMemo& memo = ctx_->memo();
 
   bool any_active = false;
-  for (const ChildStage& st : snapshot.stages) {
+  for (const ChildStage& st : from.stages) {
     if (st.kind == ChildStage::Kind::kActive ||
         st.kind == ChildStage::Kind::kActiveBottom) {
       any_active = true;
@@ -339,19 +373,19 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // can see. Everything read here is part of the state's
     // configuration, so the choice is a pure function of the state.
     const int num_services = static_cast<int>(task.services().size());
-    std::vector<const EnumMemo::Internal*> entries(num_services);
+    heads_.resize(static_cast<size_t>(num_services));
     std::optional<InputBodies> input;  // set by the first body lookup
     for (int i = 0; i < num_services; ++i) {
-      entries[i] = &memo.GetInternal(
-          {snapshot.iso, snapshot.cell, i},
-          [&](EnumMemo::Internal* e) { FillInternal(cur, i, &input, e); });
+      heads_[i] = &memo.GetInternal(
+          {from.iso, from.cell, i},
+          [&](EnumMemo::Internal* e) { FillInternal(cur(), i, &input, e); });
     }
-    std::vector<int> ample;
-    if (ctx_->options().por && !ctx_->PorServiceIsProp(snapshot.service)) {
+    ample_.clear();
+    if (ctx_->options().por && !ctx_->PorServiceIsProp(from.service)) {
       for (int i = 0; i < num_services; ++i) {
-        if (ctx_->PorServiceEligible(i) && entries[i]->pre &&
-            entries[i]->post) {
-          ample.push_back(i);
+        if (ctx_->PorServiceEligible(i) && heads_[i]->pre &&
+            heads_[i]->post) {
+          ample_.push_back(i);
         }
       }
     }
@@ -361,7 +395,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // successor, each retrieved TS-type up to the first infeasible
     // retrieve, and the target of each feasible successor.
     auto emit_service = [&](int i) {
-      const EnumMemo::Internal& e = *entries[i];
+      const EnumMemo::Internal& e = *heads_[i];
       if (!e.pre) return;
       const InternalService& svc = task.service(i);
       const EnumMemo::InternalBody& body = *e.body;
@@ -369,23 +403,23 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
       // Each inserted TS-type is the per-relation projection of the
       // CURRENT state, so it is identical across every successor of
       // this service (the retrieved types vary per successor).
-      std::vector<TypeId> insert_ts(e.insert_ts.size(), kNoTypeId);
+      insert_ts_.assign(e.insert_ts.size(), kNoTypeId);
       if (!body.successors.empty()) {
         for (int rel : svc.insert_rels) {
-          insert_ts[rel] = e.insert_ts[rel].Id(pool_);
+          insert_ts_[rel] = e.insert_ts[rel].Id(pool_);
         }
       }
+      std::vector<PendingEdge::PendingSetOp>& ops = pending->set_ops;
       for (const EnumMemo::InternalBody::Successor& s : body.successors) {
-        std::vector<PendingEdge::PendingSetOp> ops;
-        ops.reserve(s.set_ops.size());
+        const size_t ops_begin = ops.size();
         bool feasible = true;
         for (const EnumMemo::InternalBody::SetOp& eff : s.set_ops) {
-          PendingEdge::PendingSetOp op;
+          PendingEdge::PendingSetOp& op = ops.emplace_back();
           op.relation = eff.relation;
           op.inserts = eff.inserts;
           if (eff.inserts) {
             op.insert_input_bound = e.insert_input_bound[eff.relation] != 0;
-            op.insert_ts = insert_ts[eff.relation];
+            op.insert_ts = insert_ts_[eff.relation];
           }
           if (eff.retrieves) {
             op.retrieves = true;
@@ -402,11 +436,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
               // commits, which never overlap prepares.
               auto it =
                   ib_index_.find(RelTypeKey(eff.relation, op.retrieve_ts));
-              bool in_set =
-                  it != ib_index_.end() &&
-                  std::find(snapshot.ib_bits.begin(),
-                            snapshot.ib_bits.end(),
-                            it->second) != snapshot.ib_bits.end();
+              bool in_set = it != ib_index_.end() &&
+                            std::find(from.ib_bits.begin(),
+                                      from.ib_bits.end(),
+                                      it->second) != from.ib_bits.end();
               bool inserted_same = op.insert_input_bound &&
                                    op.insert_ts == op.retrieve_ts;
               if (!in_set && !inserted_same) {
@@ -415,38 +448,40 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
               }
             }
           }
-          ops.push_back(std::move(op));
         }
-        if (!feasible) continue;
+        if (!feasible) {
+          ops.resize(ops_begin);
+          continue;
+        }
+        const auto ops_end = static_cast<uint32_t>(ops.size());
         const TypeId next_iso = s.step.iso.Id(pool_);
         const CellId next_cell = s.step.cell.Id(pool_);
         PendingEdge* pe = EmitPending(
-            snapshot, next_iso, next_cell, s.step.letter,
-            ServiceRef::Internal(ctx_->task_id(), i), 0, svc.name,
+            from.q, next_iso, next_cell, s.step.letter,
+            ServiceRef::Internal(ctx_->task_id(), i), 0, &svc.name,
             pending.get());
         pe->fresh_stages = true;
-        pe->set_ops = std::move(ops);
+        pe->set_ops_begin = static_cast<uint32_t>(ops_begin);
+        pe->set_ops_end = ops_end;
       }
     };
-    for (int a : ample) {
-      const EnumMemo::Internal& e = *entries[a];
+    for (int a : ample_) {
+      const EnumMemo::Internal& e = *heads_[a];
       const InternalService& svc = task.service(a);
-      std::vector<PendingEdge::PendingSetOp> ops;
+      PendingEdge* pe = EmitPending(
+          from.q, from.iso, from.cell, e.stutter_letter,
+          ServiceRef::Internal(ctx_->task_id(), a), 0, &svc.name,
+          pending.get());
+      pe->fresh_stages = true;
       for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
         if (!svc.InsertsInto(rel)) continue;
-        PendingEdge::PendingSetOp op;
+        PendingEdge::PendingSetOp& op = pending->set_ops.emplace_back();
         op.relation = rel;
         op.inserts = true;
         op.insert_input_bound = e.insert_input_bound[rel] != 0;
         op.insert_ts = e.insert_ts[rel].Id(pool_);
-        ops.push_back(std::move(op));
       }
-      PendingEdge* pe = EmitPending(
-          snapshot, snapshot.iso, snapshot.cell, e.stutter_letter,
-          ServiceRef::Internal(ctx_->task_id(), a), 0, svc.name,
-          pending.get());
-      pe->fresh_stages = true;
-      pe->set_ops = std::move(ops);
+      pe->set_ops_end = static_cast<uint32_t>(pending->set_ops.size());
     }
     // If no Büchi successor is compatible with the stutter letter the
     // prefix commits zero edges and AmplePrefix stays 0 — the state
@@ -456,42 +491,43 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   }
 
   // (B) Open a child (at most once per segment). The oracle round-trip
-  // is batched per child: one input interning covers every β_c.
+  // is batched per child: one input interning covers every β_c, and
+  // the product keeps the batch for the opening's later prepares.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (snapshot.stages[c].kind != ChildStage::Kind::kInit) continue;
+    if (from.stages[c].kind != ChildStage::Kind::kInit) continue;
     const int ci = static_cast<int>(c);
     const EnumMemo::Opening& e = memo.GetOpening(
-        {snapshot.iso, snapshot.cell, ci},
-        [&](EnumMemo::Opening* out) { FillOpening(cur, ci, out); });
+        {from.iso, from.cell, ci},
+        [&](EnumMemo::Opening* out) { FillOpening(cur(), ci, out); });
     if (!e.enabled) continue;
     TaskId child_id = task.children()[c];
-    const Task& child = ctx_->system().task(child_id);
-    RtOracle::BatchedChildResult batch =
-        oracle_->QueryAll(child_id, e.child_iso, e.child_cell,
-                          static_cast<Assignment>(e.letters.size()));
-    const std::string note = StrCat("open ", child.name());
-    const std::string bottom_note =
-        StrCat("open ", child.name(), " (non-returning)");
+    auto [slot, fresh] = child_batches_.try_emplace(&e);
+    if (fresh) {
+      slot->second =
+          oracle_->QueryAll(child_id, e.child_iso, e.child_cell,
+                            static_cast<Assignment>(e.letters.size()));
+    }
+    const RtOracle::BatchedChildResult& batch = slot->second;
     for (Assignment bc = 0; bc < static_cast<Assignment>(e.letters.size());
          ++bc) {
       const ChildResult& result = *batch.results[bc];
       for (size_t oi = 0; oi < result.returning.size(); ++oi) {
         PendingEdge* pe =
-            EmitPending(snapshot, snapshot.iso, snapshot.cell, e.letters[bc],
-                        ServiceRef::Opening(child_id), bc, note,
+            EmitPending(from.q, from.iso, from.cell, e.letters[bc],
+                        ServiceRef::Opening(child_id), bc, &open_notes_[c],
                         pending.get());
-        pe->stage_child = static_cast<int>(c);
+        pe->stage_child = ci;
         pe->stage_kind = ChildStage::Kind::kActive;
         pe->outcome_src = &result.returning[oi];
         pe->child_key = batch.keys[bc];
         pe->child_result_index = static_cast<int>(oi);
       }
       if (result.has_bottom) {
-        PendingEdge* pe =
-            EmitPending(snapshot, snapshot.iso, snapshot.cell, e.letters[bc],
-                        ServiceRef::Opening(child_id), bc, bottom_note,
-                        pending.get());
-        pe->stage_child = static_cast<int>(c);
+        PendingEdge* pe = EmitPending(
+            from.q, from.iso, from.cell, e.letters[bc],
+            ServiceRef::Opening(child_id), bc, &open_bottom_notes_[c],
+            pending.get());
+        pe->stage_child = ci;
         pe->stage_kind = ChildStage::Kind::kActiveBottom;
         pe->child_key = batch.keys[bc];
         pe->child_result_index = -1;
@@ -501,25 +537,23 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
 
   // (C) Close an active (returning) child.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (snapshot.stages[c].kind != ChildStage::Kind::kActive) continue;
+    if (from.stages[c].kind != ChildStage::Kind::kActive) continue;
     const int ci = static_cast<int>(c);
-    const int outcome = snapshot.stages[c].outcome;
+    const int outcome = from.stages[c].outcome;
     const OutcomeKey& o = outcome_keys_[outcome];
     const EnumMemo::Return& e = memo.GetReturn(
-        {snapshot.iso, snapshot.cell, ci, o.iso, o.cell},
+        {from.iso, from.cell, ci, o.iso, o.cell},
         [&](EnumMemo::Return* out) {
-          FillReturn(cur, ci, outcomes_[outcome], out);
+          FillReturn(cur(), ci, outcomes_[outcome], out);
         });
     pending->truncated = pending->truncated || e.truncated;
     TaskId child_id = task.children()[c];
-    const std::string note =
-        StrCat("close ", ctx_->system().task(child_id).name());
     for (const EnumMemo::Step& s : e.steps) {
       const TypeId next_iso = s.iso.Id(pool_);
       const CellId next_cell = s.cell.Id(pool_);
-      PendingEdge* pe =
-          EmitPending(snapshot, next_iso, next_cell, s.letter,
-                      ServiceRef::Closing(child_id), 0, note, pending.get());
+      PendingEdge* pe = EmitPending(from.q, next_iso, next_cell, s.letter,
+                                    ServiceRef::Closing(child_id), 0,
+                                    &close_notes_[c], pending.get());
       pe->stage_child = ci;
       pe->stage_kind = ChildStage::Kind::kClosed;
     }
@@ -527,12 +561,20 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
 
   // (D) Close this task (terminal returning segment: every opened child
   // has returned).
-  if (!any_active && !ctx_->task().is_root() &&
-      ctx_->EvalSym(*task.closing_pre(), cur) == Truth::kTrue) {
+  if (!any_active && !ctx_->task().is_root()) {
     const ServiceRef close_self = ServiceRef::Closing(ctx_->task_id());
-    EmitPending(snapshot, snapshot.iso, snapshot.cell,
-                MakeLetter(cur, close_self, kNoTask, 0), close_self, 0,
-                "close self", pending.get());
+    const EnumMemo::CloseSelf& e = memo.GetCloseSelf(
+        {from.iso, from.cell}, [&](EnumMemo::CloseSelf* out) {
+          out->enabled =
+              ctx_->EvalSym(*task.closing_pre(), cur()) == Truth::kTrue;
+          if (out->enabled) {
+            out->letter = MakeLetter(cur(), close_self, kNoTask, 0);
+          }
+        });
+    if (e.enabled) {
+      EmitPending(from.q, from.iso, from.cell, e.letter, close_self, 0,
+                  &close_self_note_, pending.get());
+    }
   }
   return pending;
 }
@@ -542,20 +584,28 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
   auto* pending = static_cast<PendingSuccessors*>(prepared.get());
   if (pending == nullptr) return;
   truncated_ = truncated_ || pending->truncated;
-  const State snapshot = states_[state];
-  const Task& task = ctx_->task();
+  // Interning may grow `states_`, so the source state is read through
+  // copies.
+  from_stages_ = states_[state].stages;
+  from_ib_ = states_[state].ib_bits;
+  size_t max_edges = 0;
+  for (const PendingEdge& pe : pending->edges) max_edges += pe.q2s->size();
+  out->reserve(out->size() + max_edges);
+  const size_t num_children = ctx_->task().children().size();
   int ample_committed = 0;
   for (size_t pi = 0; pi < pending->edges.size(); ++pi) {
-    PendingEdge& pe = pending->edges[pi];
+    const PendingEdge& pe = pending->edges[pi];
     // Resolve artifact-relation bookkeeping to counter dimensions / ib
     // bits. Allocation order (ascending relation index per edge,
     // inserts before retrieves within a relation, pending-edge order
     // across successors) matches the sequential enumeration, so
     // dimension numbering is reproducible.
-    Delta delta;
-    std::vector<int> ib = snapshot.ib_bits;
+    delta_.clear();
+    std::vector<int>& ib = probe_.ib_bits;
+    ib = from_ib_;
     bool feasible = true;
-    for (const PendingEdge::PendingSetOp& op : pe.set_ops) {
+    for (uint32_t k = pe.set_ops_begin; k < pe.set_ops_end; ++k) {
+      const PendingEdge::PendingSetOp& op = pending->set_ops[k];
       if (op.inserts) {
         if (op.insert_input_bound) {
           int id = IbIdOf(op.relation, op.insert_ts);
@@ -563,7 +613,7 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
             ib.push_back(id);
           }
         } else {
-          delta.emplace_back(DimOf(op.relation, op.insert_ts), 1);
+          delta_.emplace_back(DimOf(op.relation, op.insert_ts), 1);
         }
       }
       if (op.retrieves) {
@@ -576,42 +626,41 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
           }
           ib.erase(it);
         } else {
-          delta.emplace_back(DimOf(op.relation, op.retrieve_ts), -1);
+          delta_.emplace_back(DimOf(op.relation, op.retrieve_ts), -1);
         }
       }
     }
     if (!feasible) continue;
-    std::vector<ChildStage> stages =
-        pe.fresh_stages ? std::vector<ChildStage>(task.children().size())
-                        : snapshot.stages;
+    std::sort(ib.begin(), ib.end());
+    std::vector<ChildStage>& stages = probe_.stages;
+    if (pe.fresh_stages) {
+      stages.assign(num_children, ChildStage{});
+    } else {
+      stages = from_stages_;
+    }
     if (!pe.fresh_stages && pe.stage_child >= 0) {
       int outcome = -1;
       Assignment beta = pe.child_beta;
       if (pe.stage_kind == ChildStage::Kind::kActive) {
-        outcome = InternOutcome(*pe.outcome_src);
+        outcome = InternOutcome(pe.outcome_src);
       } else if (pe.stage_kind == ChildStage::Kind::kClosed) {
-        beta = snapshot.stages[pe.stage_child].beta;
+        beta = from_stages_[pe.stage_child].beta;
       }
       stages[pe.stage_child] = ChildStage{pe.stage_kind, outcome, beta};
     }
-    std::sort(ib.begin(), ib.end());
-    for (int q2 : pe.q2s) {
-      State s;
-      s.iso = pe.next_iso;
-      s.cell = pe.next_cell;
-      s.service = pe.service;
-      s.q = q2;
-      s.stages = stages;
-      s.ib_bits = ib;
-      int target = InternState(std::move(s));
-      TransitionRecord rec;
-      rec.service = pe.service;
-      rec.target_state = target;
-      rec.child_beta = pe.child_beta;
-      rec.child_key = pe.child_key;
-      rec.child_result_index = pe.child_result_index;
-      rec.note = pe.note;
-      out->push_back(VassEdge{target, delta, InternRecord(std::move(rec))});
+    probe_.iso = pe.next_iso;
+    probe_.cell = pe.next_cell;
+    probe_.service = pe.service;
+    RecordKey key;
+    key.service = pe.service;
+    key.child_beta = pe.child_beta;
+    key.child_key = pe.child_key;
+    key.child_result_index = pe.child_result_index;
+    for (int q2 : *pe.q2s) {
+      probe_.q = q2;
+      key.target = InternProbe();
+      out->push_back(
+          VassEdge{key.target, delta_, InternRecord(key, *pe.note)});
       if (pi < static_cast<size_t>(pending->ample_pending)) {
         ++ample_committed;
       }
@@ -624,6 +673,22 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     ample_prefix_.resize(states_.size(), 0);
   }
   ample_prefix_[static_cast<size_t>(state)] = ample_committed;
+  prepared.release();
+  spare_.reset(pending);
+}
+
+void TaskVass::ReleaseScratch() {
+  // Swapping with empty containers frees their storage (clear() keeps
+  // capacity and bucket arrays).
+  decltype(buchi_successors_)().swap(buchi_successors_);
+  decltype(child_batches_)().swap(child_batches_);
+  spare_.reset();
+  decltype(heads_)().swap(heads_);
+  decltype(ample_)().swap(ample_);
+  decltype(insert_ts_)().swap(insert_ts_);
+  decltype(from_stages_)().swap(from_stages_);
+  decltype(from_ib_)().swap(from_ib_);
+  decltype(delta_)().swap(delta_);
 }
 
 void TaskVass::Successors(int state, std::vector<VassEdge>* out) {
@@ -657,21 +722,11 @@ bool TaskVass::IsBuchiAccepting(int state) const {
 
 ChildOutcome TaskVass::OutputOf(int state) const {
   const State& s = states_[state];
-  const Task& task = ctx_->task();
-  std::set<int> keep(ctx_->input_vars().begin(), ctx_->input_vars().end());
-  std::vector<ArithVar> numeric_keep;
-  for (int v : task.ReturnVars()) keep.insert(v);
-  for (int v : keep) {
-    if (task.vars().var(v).sort == VarSort::kNumeric) {
-      numeric_keep.push_back(v);
-    }
-  }
   ChildOutcome out;
   out.bottom = false;
-  out.iso = pool_->type(s.iso).Project(keep, ctx_->nav_depth());
+  out.iso = pool_->type(s.iso).Project(ctx_->output_vars(), ctx_->nav_depth());
   if (ctx_->basis() != nullptr) {
-    out.cell = pool_->cell(s.cell).RestrictTo(
-        ctx_->basis()->PolysOverVars(numeric_keep));
+    out.cell = pool_->cell(s.cell).RestrictTo(ctx_->output_polys());
   }
   return out;
 }

@@ -14,6 +14,7 @@
 #define HAS_CORE_TASK_VASS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -152,9 +153,20 @@ class TaskVass : public VassSystem {
   // only reads product state. Commit applies the cheap mutations
   // (state/dimension/ib-bit/outcome/record interning). Successors runs
   // both; they are public so profilers can time them separately.
+  //
+  // Commit hands the Prepared object back to the product, and the next
+  // Prepare reuses it (and its buffers' capacity), so a warm
+  // Successors call allocates only the output list and the non-empty
+  // deltas. Several prepared objects may be outstanding at once.
   std::unique_ptr<Prepared> PrepareSuccessors(int state);
   void CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
                         std::vector<VassEdge>* out);
+  /// Frees the successor scratch (the Büchi successor lists, the cached
+  /// child-query batches, the spare Prepared and the commit buffers).
+  /// The engine calls it once the product's exploration is built; a
+  /// later Successors call rebuilds what it needs. Must not be called
+  /// while a Prepared object is outstanding.
+  void ReleaseScratch();
   /// Committed length of `state`'s ample prefix (0 = no reduction): the
   /// leading edges produced by the ample service selected in
   /// PrepareSuccessors. Written only inside the commit and a pure
@@ -277,9 +289,12 @@ class TaskVass : public VassSystem {
   /// normalized configurations); a pool hit is copy-free.
   TypeId InternIso(const PartialIsoType& iso);
   CellId InternCell(const Cell& cell);
-  int InternState(State s);
-  /// Label of the transition record (allocating on first sight).
-  int64_t InternRecord(TransitionRecord rec);
+  /// Id of the state held in `probe_`, copying it into `states_` only
+  /// when it is new.
+  int InternProbe();
+  /// Label of the transition record `key` (allocating it, with a copy
+  /// of `note`, on first sight).
+  int64_t InternRecord(const RecordKey& key, const std::string& note);
   /// A (relation, TS-type) key: the SAME normalized projection arising
   /// for two different relations must map to two different counter
   /// dimensions / ib bits — tuples of S_T,i and S_T,j are never
@@ -294,7 +309,10 @@ class TaskVass : public VassSystem {
   /// Input-bound bit id of a (relation, TS-type) (allocating on first
   /// sight).
   int IbIdOf(int relation, TypeId ts);
-  int InternOutcome(ChildOutcome outcome);
+  /// Outcome id of `src`, an oracle-owned (hence stable) child output:
+  /// keyed by the pointer first, and by its pooled (type, cell) the
+  /// first time a pointer is seen.
+  int InternOutcome(const ChildOutcome* src);
 
   /// Letter of a configuration for the Büchi product.
   std::vector<bool> MakeLetter(const SymbolicConfig& config,
@@ -329,13 +347,16 @@ class TaskVass : public VassSystem {
   /// configuration is already pool-interned and the Büchi-compatible
   /// successor states of the memoized letter are precomputed; everything
   /// that allocates product-local ids (counter dimensions, ib bits,
-  /// outcomes, states, records) is deferred to the commit.
+  /// outcomes, states, records) is deferred to the commit. An edge owns
+  /// no heap memory: its successor list and note point into the
+  /// product, its set ops into the PendingSuccessors.
   struct PendingEdge {
     TypeId next_iso = kNoTypeId;
     CellId next_cell = kNoCellId;
     ServiceRef service;
     Assignment child_beta = 0;
-    std::vector<int> q2s;  ///< compatible Büchi successors of from.q
+    /// Compatible Büchi successors of from.q (BuchiSuccessors).
+    const std::vector<int>* q2s = nullptr;
     /// Artifact-relation bookkeeping ((A) transitions), one entry per
     /// relation the service updates (ascending relation index),
     /// resolved to counter dimensions / ib bits at commit time.
@@ -348,7 +369,9 @@ class TaskVass : public VassSystem {
       bool retrieve_input_bound = false;
       TypeId retrieve_ts = kNoTypeId;
     };
-    std::vector<PendingSetOp> set_ops;
+    /// The edge's set ops: PendingSuccessors::set_ops[begin, end).
+    uint32_t set_ops_begin = 0;
+    uint32_t set_ops_end = 0;
     /// Child-stage rewrite: (A) resets all stages, (B)/(C) rewrite one
     /// child's stage; a kActive outcome is interned at commit from
     /// `outcome_src` (a pointer into the oracle's immutable result).
@@ -358,10 +381,13 @@ class TaskVass : public VassSystem {
     const ChildOutcome* outcome_src = nullptr;
     RtQueryKey child_key;
     int child_result_index = -1;
-    std::string note;
+    /// The transition's note (one of the product's note strings or a
+    /// service name).
+    const std::string* note = nullptr;
   };
   struct PendingSuccessors : Prepared {
     std::vector<PendingEdge> edges;
+    std::vector<PendingEdge::PendingSetOp> set_ops;  ///< all edges' ops
     bool truncated = false;
     /// Count of LEADING edges that are ample identity stutters, one
     /// per eligible service (0 = no ample set selected — the state
@@ -369,14 +395,19 @@ class TaskVass : public VassSystem {
     int ample_pending = 0;
   };
 
-  /// Appends a PendingEdge for the transition into (`next_iso`,
-  /// `next_cell`) reading `letter` (computing the compatible Büchi
-  /// successors of `from`); the caller fills in the transition-specific
-  /// bookkeeping on the returned edge.
-  PendingEdge* EmitPending(const State& from, TypeId next_iso,
-                           CellId next_cell, const std::vector<bool>& letter,
+  /// The Büchi successors of `q` compatible with `letter`. Letters are
+  /// memo-owned and never move, so the list is keyed by the letter's
+  /// address; it lives until ReleaseScratch.
+  const std::vector<int>& BuchiSuccessors(int q,
+                                          const std::vector<bool>& letter);
+
+  /// Appends a PendingEdge for the transition from Büchi state `q` into
+  /// (`next_iso`, `next_cell`) reading `letter`; the caller fills in the
+  /// transition-specific bookkeeping on the returned edge.
+  PendingEdge* EmitPending(int q, TypeId next_iso, CellId next_cell,
+                           const std::vector<bool>& letter,
                            const ServiceRef& service, Assignment child_beta,
-                           const std::string& note,
+                           const std::string* note,
                            PendingSuccessors* pending);
 
   const TaskContext* ctx_;
@@ -393,21 +424,27 @@ class TaskVass : public VassSystem {
 
   /// The state index keys by id and hashes/compares through states_,
   /// so each State (with its stages/ib_bits vectors) is stored once.
+  /// The id kProbe stands for `probe_`, the candidate being looked up.
+  static constexpr int kProbe = -1;
   struct StateIndexHash {
     const std::vector<State>* states;
+    const State* probe;
     size_t operator()(int id) const {
-      return StateHash{}((*states)[static_cast<size_t>(id)]);
+      return StateHash{}(id == kProbe ? *probe
+                                      : (*states)[static_cast<size_t>(id)]);
     }
   };
   struct StateIndexEq {
     const std::vector<State>* states;
+    const State* probe;
     bool operator()(int a, int b) const {
-      return (*states)[static_cast<size_t>(a)] ==
-             (*states)[static_cast<size_t>(b)];
+      return (a == kProbe ? *probe : (*states)[static_cast<size_t>(a)]) ==
+             (b == kProbe ? *probe : (*states)[static_cast<size_t>(b)]);
     }
   };
 
   std::vector<State> states_;
+  State probe_;
   std::unordered_set<int, StateIndexHash, StateIndexEq> state_index_;
   /// Dimension / ib-bit registries, keyed by RelTypeKey(relation, ts).
   std::vector<std::pair<int, TypeId>> dim_types_;
@@ -417,12 +454,55 @@ class TaskVass : public VassSystem {
   std::vector<ChildOutcome> outcomes_;
   std::vector<OutcomeKey> outcome_keys_;  ///< parallel to outcomes_
   std::unordered_map<OutcomeKey, int, OutcomeKeyHash> outcome_index_;
+  std::unordered_map<const ChildOutcome*, int> outcome_by_src_;
   std::vector<TransitionRecord> records_;
   std::unordered_map<RecordKey, int64_t, RecordKeyHash> record_index_;
   /// Per-state committed ample-prefix length (AmplePrefix); indexed by
   /// state id, lazily grown in CommitSuccessors.
   std::vector<int> ample_prefix_;
   bool truncated_ = false;
+
+  /// Transition notes, built once: per child, "open X", "open X
+  /// (non-returning)" and "close X"; and "close self".
+  std::vector<std::string> open_notes_;
+  std::vector<std::string> open_bottom_notes_;
+  std::vector<std::string> close_notes_;
+  std::string close_self_note_ = "close self";
+
+  // --- successor scratch (ReleaseScratch frees it) -----------------------
+  /// BuchiSuccessors' lists, keyed by (letter address, Büchi state).
+  struct LetterKey {
+    const std::vector<bool>* letter = nullptr;
+    int q = -1;
+    bool operator==(const LetterKey& o) const {
+      return letter == o.letter && q == o.q;
+    }
+  };
+  struct LetterKeyHash {
+    size_t operator()(const LetterKey& k) const {
+      size_t seed = std::hash<const void*>{}(k.letter);
+      HashMix(&seed, k.q);
+      return seed;
+    }
+  };
+  std::unordered_map<LetterKey, std::vector<int>, LetterKeyHash>
+      buchi_successors_;
+  /// The oracle's batched answers per opening memo entry: the entry
+  /// fixes the child, its input and the number of assignments, and the
+  /// oracle's answers never change.
+  std::unordered_map<const EnumMemo::Opening*, RtOracle::BatchedChildResult>
+      child_batches_;
+  /// The Prepared object the last commit handed back.
+  std::unique_ptr<PendingSuccessors> spare_;
+  /// Prepare's per-service memo heads and ample services.
+  std::vector<const EnumMemo::Internal*> heads_;
+  std::vector<int> ample_;
+  std::vector<TypeId> insert_ts_;
+  /// Commit's copies of the source state's stages and ib bits (`states_`
+  /// may grow during the commit), and the delta being built.
+  std::vector<ChildStage> from_stages_;
+  std::vector<int> from_ib_;
+  Delta delta_;
 };
 
 }  // namespace has

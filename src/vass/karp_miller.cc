@@ -67,10 +67,14 @@ bool KarpMiller::SuccessorMarking(int parent_node, int target,
 }
 
 int KarpMiller::DominatorOf(int state, const MarkingView& marking) {
-  auto it = antichain_.find(state);
-  if (it == antichain_.end()) return -1;
+  // A state's index is never empty once its first node is absorbed.
+  if (static_cast<size_t>(state) >= antichain_.size() ||
+      antichain_[static_cast<size_t>(state)].size() == 0) {
+    return -1;
+  }
   DominanceIndex::Stats stats;
-  const int dom = it->second.DominatorOf(marking, &stats);
+  const int dom =
+      antichain_[static_cast<size_t>(state)].DominatorOf(marking, &stats);
   antichain_bucket_probes_ += stats.bucket_probes;
   antichain_probes_ += stats.payload_probes;
   antichain_skipped_by_summary_ += stats.skipped;
@@ -78,7 +82,9 @@ int KarpMiller::DominatorOf(int state, const MarkingView& marking) {
 }
 
 void KarpMiller::AntichainAbsorb(int node) {
-  DominanceIndex& index = antichain_[nodes_[node].state];
+  const auto state = static_cast<size_t>(nodes_[node].state);
+  if (antichain_.size() <= state) antichain_.resize(state + 1);
+  DominanceIndex& index = antichain_[state];
   const MarkingView m = nodes_[node].marking;
   // Entries ≤ m are strictly covered (an entry equal to m would have
   // dominated the candidate before it was interned). The victim-flag
@@ -216,6 +222,10 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         ample = static_cast<size_t>(a);
       }
     }
+    // Every examined successor leaves one edge (a materialized or a
+    // cover-edge), except the marking-disabled ones: room for the ample
+    // prefix, or for every successor once the node expands fully.
+    nodes_[n].edges.reserve(ample > 0 ? ample : out.size());
     bool ample_active = ample > 0;
     bool ample_fresh = false;
     for (size_t i = 0; i < out.size(); ++i) {
@@ -229,6 +239,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         // Every stutter folded or was disabled: expand fully.
         ample_active = false;
         ++ample_full_expansions_;
+        nodes_[n].edges.reserve(out.size());
       }
       const VassEdge& e = out[i];
       if (!SuccessorMarking(n, e.target, e.delta, &next)) {

@@ -261,10 +261,12 @@ class KarpMiller {
   bool truncated_ = false;
 
   // --- antichain pruning state (prune_coverability only) ---------------
-  /// VASS state -> the state's maximal active markings (pairwise
-  /// incomparable), bucketed by extended summary so probes enumerate
-  /// only summary-compatible buckets (vass/dominance_index.h).
-  std::unordered_map<int, DominanceIndex> antichain_;
+  /// Indexed by VASS state: the state's maximal active markings
+  /// (pairwise incomparable), bucketed by extended summary so probes
+  /// enumerate only summary-compatible buckets
+  /// (vass/dominance_index.h). Grown on a state's first node; empty for
+  /// states without one.
+  std::vector<DominanceIndex> antichain_;
   /// Per node: retired before expansion (parallel to nodes_).
   std::vector<char> deactivated_;
   /// First node id of the current round's newcomers: entries at or

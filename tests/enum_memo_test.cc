@@ -39,7 +39,8 @@ class TaskVassTestPeer {
     to->ib_index_ = from.ib_index_;
   }
 
-  /// Every field of a prepared successor list, in order.
+  /// Every field of a prepared successor list, in order; the successor
+  /// list, set ops and note by their contents, not their addresses.
   static std::string Describe(const VassSystem::Prepared& prepared) {
     const auto& p = static_cast<const TaskVass::PendingSuccessors&>(prepared);
     std::ostringstream out;
@@ -48,8 +49,9 @@ class TaskVassTestPeer {
       out << "to " << e.next_iso << "/" << e.next_cell << " service "
           << static_cast<int>(e.service.kind) << ":" << e.service.task << ":"
           << e.service.index << " beta " << e.child_beta << " q2s";
-      for (int q : e.q2s) out << " " << q;
-      for (const TaskVass::PendingEdge::PendingSetOp& op : e.set_ops) {
+      for (int q : *e.q2s) out << " " << q;
+      for (uint32_t k = e.set_ops_begin; k < e.set_ops_end; ++k) {
+        const TaskVass::PendingEdge::PendingSetOp& op = p.set_ops[k];
         out << " op " << op.relation << ":" << op.inserts
             << op.insert_input_bound << ":" << op.insert_ts << ":"
             << op.retrieves << op.retrieve_input_bound << ":"
@@ -59,7 +61,7 @@ class TaskVassTestPeer {
           << static_cast<int>(e.stage_kind) << ":" << e.outcome_src
           << " child " << e.child_key.task << ":" << e.child_key.iso << ":"
           << e.child_key.cell << ":" << e.child_key.beta << ":"
-          << e.child_result_index << " [" << e.note << "]\n";
+          << e.child_result_index << " [" << *e.note << "]\n";
     }
     return out.str();
   }
