@@ -17,8 +17,8 @@ namespace has {
 namespace bench {
 
 /// Writes the per-verification counters of `stats` into `state`. They
-/// are identical every iteration and on every host (the timing-dependent
-/// enum_memo_hits aside), which makes them the regression-gate payload.
+/// are identical every iteration and on every host, which makes them
+/// the regression-gate payload.
 inline void ExportStats(const RtStats& stats, benchmark::State* state) {
   const std::pair<const char*, size_t> fields[] = {
       {"cov_nodes", stats.cov_nodes},

@@ -71,6 +71,10 @@ GATED = [
     # configurations with one input projection share. Deterministic
     # like enum_memo_misses; growth means less sharing.
     "enum_body_fills",
+    # Memo lookups an already-filled entry answered. Each exploration
+    # prepares each product state once, so this is a pure function of
+    # the explored graphs too; growth means more repeated steps.
+    "enum_memo_hits",
 ]
 # Deterministic but directionless: a drift is worth a look, not a fail
 # (e.g. pruning MORE successors is usually good news).
@@ -89,10 +93,6 @@ INFORMATIONAL = [
     # is part of the deterministic replay, but the count tracks fold
     # timing rather than work done, so it is surfaced, not gated.
     "ample_full_expansions",
-    # Memo lookups an already-filled entry answered: follows how often
-    # the explorer re-prepares a state (successor-cache evictions), so
-    # it is surfaced, not gated.
-    "enum_memo_hits",
 ]
 
 

@@ -22,16 +22,6 @@ void LinearExpr::AddTerm(ArithVar v, const Rational& coef) {
   }
 }
 
-void LinearExpr::Prune() {
-  for (auto it = coefs_.begin(); it != coefs_.end();) {
-    if (it->second.is_zero()) {
-      it = coefs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 LinearExpr LinearExpr::operator+(const LinearExpr& o) const {
   LinearExpr out = *this;
   out.constant_ += o.constant_;
@@ -83,20 +73,6 @@ std::vector<ArithVar> LinearExpr::Vars() const {
   out.reserve(coefs_.size());
   for (const auto& [v, c] : coefs_) out.push_back(v);
   return out;
-}
-
-LinearExpr LinearExpr::CanonicalizedDirection() const {
-  if (coefs_.empty()) {
-    // Pure constants canonicalize by sign only.
-    LinearExpr out;
-    out.constant_ = Rational(constant_.sign());
-    return out;
-  }
-  // Scale so the leading (lowest-index) coefficient is exactly 1; the
-  // caller (PolyBasis) treats e and -e as the same hyperplane and
-  // tracks the orientation flip separately.
-  Rational lead = coefs_.begin()->second;
-  return *this * (Rational(1) / lead);
 }
 
 std::string LinearExpr::ToString() const {

@@ -63,17 +63,10 @@ class LinearExpr {
   /// All variables with non-zero coefficient.
   std::vector<ArithVar> Vars() const;
 
-  /// Scales so that coefficients are coprime integers with a canonical
-  /// leading sign; used to deduplicate basis polynomials (a cell's sign
-  /// condition is invariant under positive scaling).
-  LinearExpr CanonicalizedDirection() const;
-
   std::string ToString() const;
   size_t Hash() const;
 
  private:
-  void Prune();
-
   std::map<ArithVar, Rational> coefs_;
   Rational constant_;
 };

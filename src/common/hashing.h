@@ -30,12 +30,6 @@ void HashMix(size_t* seed, const T& value) {
   HashCombine(seed, std::hash<T>{}(value));
 }
 
-template <typename T>
-size_t HashRange(const std::vector<T>& values, size_t seed = 0) {
-  for (const T& v : values) HashMix(&seed, v);
-  return seed;
-}
-
 /// Hash of a vector of hashable elements.
 template <typename T>
 struct VectorHash {

@@ -34,8 +34,9 @@ struct RtStats {
   /// Canonical types / cells hash-consed in the engine's shared pool.
   size_t pooled_types = 0;
   size_t pooled_cells = 0;
-  /// Successor-cache accounting across all coverability explorations
-  /// (one hit or miss per processed coverability node).
+  /// Successor-list accounting across all coverability explorations:
+  /// one hit or miss per processed coverability node, one miss per
+  /// distinct product state an exploration expands.
   size_t succ_cache_hits = 0;
   size_t succ_cache_misses = 0;
   /// Antichain-pruning accounting (0 unless prune_coverability):
@@ -72,9 +73,9 @@ struct RtStats {
   /// Successor-enumeration memo accounting (EnumMemo in
   /// core/successor.h), summed over the engine's tasks: entries filled,
   /// one per distinct (configuration, service / child / child outcome)
-  /// key and so deterministic; and lookups an
-  /// already-filled entry answered (informational: the count follows how
-  /// often the explorer re-prepares a state).
+  /// key and so deterministic; and lookups an already-filled entry
+  /// answered, deterministic too: each exploration prepares each product
+  /// state once.
   size_t enum_memo_misses = 0;
   size_t enum_memo_hits = 0;
   /// Internal-service bodies the memo filled: one per distinct (input

@@ -52,9 +52,10 @@ struct VerifierOptions {
   /// only because the perfbench replica checks it, and goes together
   /// with that check.
   static constexpr int num_shards = 1;
-  /// Bound on each exploration's successor cache (distinct product
-  /// states kept; least-recently-used entries beyond are evicted).
-  size_t succ_cache_capacity = 1 << 14;
+  /// Not an option either: every exploration keeps each product
+  /// state's successor list for the graph's lifetime. Remains only
+  /// because the perfbench replica reads it, and goes together with it.
+  static constexpr size_t succ_cache_capacity = 1 << 14;
   /// Antichain subsumption pruning for the coverability explorations
   /// (minimal-coverability-set style; VERIFAS' biggest practical win
   /// over the naive Karp–Miller construction). Every consumer reads

@@ -667,8 +667,7 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     }
   }
   // Record the ample-prefix length for AmplePrefix. The ample choice
-  // and its successor set are pure functions of the configuration, so a
-  // recommit after cache eviction reproduces the same count.
+  // and its successor set are pure functions of the configuration.
   if (ample_prefix_.size() < states_.size()) {
     ample_prefix_.resize(states_.size(), 0);
   }

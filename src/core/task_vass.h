@@ -169,9 +169,8 @@ class TaskVass : public VassSystem {
   void ReleaseScratch();
   /// Committed length of `state`'s ample prefix (0 = no reduction): the
   /// leading edges produced by the ample service selected in
-  /// PrepareSuccessors. Written only inside the commit and a pure
-  /// function of the state's configuration, so recomputation after
-  /// cache eviction reproduces the same value.
+  /// PrepareSuccessors. Written only inside the commit; a pure function
+  /// of the state's configuration.
   int AmplePrefix(int state) const override;
 
   // --- state inspection (used by the RT computation) -------------------
@@ -257,10 +256,9 @@ class TaskVass : public VassSystem {
 
   /// Identity of a TransitionRecord: everything decoding needs. The
   /// note string is derived from the service identity, so it is not
-  /// part of the key. Records are interned so that a successor
-  /// recomputation (after the explorer's bounded cache evicted a
-  /// state's edge list) reproduces the ORIGINAL labels — Successors is
-  /// idempotent and the graph stays schedule- and eviction-independent.
+  /// part of the key. Records are interned so that every source state
+  /// taking the same transition shares one record (and one label), and
+  /// a commit reuses existing records instead of allocating new ones.
   struct RecordKey {
     ServiceRef service;
     int target = -1;

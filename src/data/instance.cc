@@ -125,16 +125,6 @@ Status DatabaseInstance::CheckDependencies() const {
   return Status::Ok();
 }
 
-std::vector<Value> DatabaseInstance::ActiveDomain() const {
-  std::set<Value> dom;
-  for (RelationId r = 0; r < schema_->num_relations(); ++r) {
-    for (const Tuple& t : tuples_[r]) {
-      for (const Value& v : t) dom.insert(v);
-    }
-  }
-  return std::vector<Value>(dom.begin(), dom.end());
-}
-
 std::string DatabaseInstance::ToString() const {
   std::string out;
   for (RelationId r = 0; r < schema_->num_relations(); ++r) {

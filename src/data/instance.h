@@ -54,9 +54,6 @@ class DatabaseInstance {
   /// re-checked) and all inclusion dependencies R[Fi] ⊆ R_Fi[ID].
   Status CheckDependencies() const;
 
-  /// All values appearing in the instance (ids and reals).
-  std::vector<Value> ActiveDomain() const;
-
   std::string ToString() const;
 
  private:

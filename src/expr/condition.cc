@@ -100,13 +100,6 @@ CondPtr Condition::AndAll(const std::vector<CondPtr>& cs) {
   return out;
 }
 
-CondPtr Condition::OrAll(const std::vector<CondPtr>& cs) {
-  if (cs.empty()) return False();
-  CondPtr out = cs[0];
-  for (size_t i = 1; i < cs.size(); ++i) out = Or(out, cs[i]);
-  return out;
-}
-
 bool Condition::Equals(const Condition& o) const {
   if (kind_ != o.kind_) return false;
   switch (kind_) {

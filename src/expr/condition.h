@@ -86,7 +86,6 @@ class Condition {
   static CondPtr And(CondPtr a, CondPtr b);
   static CondPtr Or(CondPtr a, CondPtr b);
   static CondPtr AndAll(const std::vector<CondPtr>& cs);
-  static CondPtr OrAll(const std::vector<CondPtr>& cs);
 
   CondKind kind() const { return kind_; }
 

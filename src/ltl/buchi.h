@@ -37,12 +37,6 @@ class BuchiAutomaton {
   /// True iff state q's required proposition literals match `letter`.
   bool CompatibleWith(int q, const std::vector<bool>& letter) const;
 
-  /// The truth value state q requires of proposition p (meaningful only
-  /// when the proposition occurs in the formula; see PropConstrained).
-  bool PropHolds(int q, int p) const { return props_[q][p]; }
-  /// Whether the formula constrains proposition p at all.
-  bool PropConstrained(int p) const { return constrained_[p]; }
-
   /// Runs the automaton on an explicit finite word; true iff some run
   /// ends in a finite-accepting state (finite-word satisfaction).
   bool AcceptsFinite(const std::vector<std::vector<bool>>& word) const;

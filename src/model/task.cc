@@ -16,11 +16,4 @@ std::vector<int> Task::ReturnVars() const {
   return out;
 }
 
-std::vector<int> Task::ParentReturnTargets() const {
-  std::vector<int> out;
-  out.reserve(fout_.size());
-  for (const auto& [parent, own] : fout_) out.push_back(parent);
-  return out;
-}
-
 }  // namespace has

@@ -144,8 +144,6 @@ class Task {
   const std::vector<std::pair<int, int>>& fout() const { return fout_; }
   /// The to-be-returned variables x̄_ret (range f_out) in this task.
   std::vector<int> ReturnVars() const;
-  /// The parent's variables written on return (x̄^T_{Tc↑}).
-  std::vector<int> ParentReturnTargets() const;
 
   // --- services ------------------------------------------------------------
   int AddInternalService(InternalService service) {

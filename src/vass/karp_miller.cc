@@ -105,7 +105,7 @@ void KarpMiller::AntichainAbsorb(int node) {
       // coverer keeps the closed-walk structure: anything the victim
       // could do, the coverer's subtree over-approximates.
       nodes_[static_cast<size_t>(victim)].edges.push_back(
-          Edge{node, -1, {}, /*cover=*/true});
+          Edge{node, /*cover=*/true, /*source=*/nullptr});
       ++cover_edges_;
     }
   });
@@ -118,28 +118,18 @@ void KarpMiller::AntichainAbsorb(int node) {
       std::max(antichain_buckets_peak_, index.num_buckets());
 }
 
-const std::vector<VassEdge>& KarpMiller::CacheSuccessors(int state) {
-  auto it = succ_cache_.find(state);
-  if (it != succ_cache_.end()) {
+const std::vector<VassEdge>& KarpMiller::Successors(int state) {
+  const auto index = static_cast<size_t>(state);
+  if (successors_.size() <= index) successors_.resize(index + 1);
+  SuccessorList& list = successors_[index];
+  if (list.filled) {
     ++cache_hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.edges;
+  } else {
+    ++cache_misses_;
+    system_->Successors(state, &list.edges);
+    list.filled = true;
   }
-  ++cache_misses_;
-  CacheEntry entry;
-  system_->Successors(state, &entry.edges);
-  lru_.push_front(state);
-  entry.lru_pos = lru_.begin();
-  it = succ_cache_.emplace(state, std::move(entry)).first;
-  // Evict least-recently-used entries beyond the cap. The new entry sits
-  // at the LRU front and the caller reads its edges, so it survives even
-  // at capacity 0.
-  const size_t capacity = std::max<size_t>(options_.succ_cache_capacity, 1);
-  while (succ_cache_.size() > capacity) {
-    succ_cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return it->second.edges;
+  return list.edges;
 }
 
 void KarpMiller::Build(const std::vector<int>& initial_states) {
@@ -200,9 +190,9 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
       if (deactivated_[static_cast<size_t>(n)]) continue;
     }
     const int state = nodes_[n].state;
-    // The cache entry lives at least until the next CacheSuccessors
-    // call, and nothing below touches the cache.
-    const std::vector<VassEdge>& out = CacheSuccessors(state);
+    // Nothing below asks for another state's list, so `out` stays
+    // valid through the loop.
+    const std::vector<VassEdge>& out = Successors(state);
     // Ample-prefix partial-order reduction (options_.por): expand only
     // the leading `ample` edges, and only if at least one of them lands
     // on a FRESH node — a folded stutter is covered by its dominator,
@@ -265,8 +255,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
           // marking was folded into the (larger) antichain entry. A
           // folded PREFIX edge stays covered the same way: the
           // dominator's expansion stands in for the stutter target's.
-          nodes_[n].edges.push_back(Edge{dom, e.label, e.delta,
-                                         /*cover=*/true});
+          nodes_[n].edges.push_back(Edge{dom, /*cover=*/true, &e});
           ++cover_edges_;
           ++pruned_successors_;
           continue;
@@ -274,13 +263,13 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         int child = make_node(e.target, next, n, e.label);
         if (ample_active) ample_fresh = true;
         round.resize(nodes_.size(), cur_round + 1);
-        nodes_[n].edges.push_back(Edge{child, e.label, e.delta});
+        nodes_[n].edges.push_back(Edge{child, /*cover=*/false, &e});
         worklist.push_back(child);
         continue;
       }
       bool created = false;
       int child = InternNode(e.target, next, n, e.label, &created);
-      nodes_[n].edges.push_back(Edge{child, e.label, e.delta});
+      nodes_[n].edges.push_back(Edge{child, /*cover=*/false, &e});
       if (created) {
         if (ample_active) ample_fresh = true;
         worklist.push_back(child);

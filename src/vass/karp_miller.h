@@ -31,7 +31,6 @@
 #define HAS_VASS_KARP_MILLER_H_
 
 #include <functional>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -46,12 +45,9 @@ namespace has {
 struct KarpMillerOptions {
   /// Hard cap on coverability-graph nodes; exceeded => truncated().
   size_t max_nodes = 1 << 18;
-  /// Bound on the successor cache (distinct VASS states kept); least-
-  /// recently-used entries beyond the cap are evicted. The entry being
-  /// expanded is never evicted, so 0 behaves like 1. Eviction never
-  /// changes the produced graph — systems must make successor
-  /// recomputation idempotent (TaskVass interns its transition records,
-  /// so recomputations reproduce the original labels).
+  /// Unread: the explorer keeps every state's successor list for the
+  /// graph's lifetime. The perfbench replica (perfbench/replica.cc) is
+  /// the sole writer; the field goes together with it.
   size_t succ_cache_capacity = 1 << 14;
   /// Antichain subsumption pruning (minimal-coverability-set style, à
   /// la Reynier–Servais): a successor whose marking is ≤ an active
@@ -91,6 +87,10 @@ struct KarpMillerOptions {
 class KarpMiller {
  public:
   explicit KarpMiller(VassSystem* system, KarpMillerOptions options = {});
+  /// Edges point into the graph's own successor lists, so a copy's
+  /// edges would point into the original's.
+  KarpMiller(const KarpMiller&) = delete;
+  KarpMiller& operator=(const KarpMiller&) = delete;
 
   /// Explores the coverability graph from (s, 0̄) for each initial
   /// state s.
@@ -104,8 +104,10 @@ class KarpMiller {
   /// vass/marking.h); the view is valid for the graph's lifetime.
   MarkingView node_marking(int n) const { return nodes_[n].marking; }
 
-  /// A coverability-graph edge. Keeps the raw action delta: closed-walk
-  /// effects on ω-coordinates are not recoverable from the markings.
+  /// A coverability-graph edge. Refers to the successor-list entry it
+  /// came from, which the graph keeps for its lifetime: closed-walk
+  /// effects on ω-coordinates need the raw action delta, which the
+  /// markings alone do not recover.
   ///
   /// With pruning, `cover` marks a subsumption edge recorded at a prune
   /// point instead of a materialized successor:
@@ -113,18 +115,25 @@ class KarpMiller {
   ///     becomes a cover-edge from its parent to the dominator, keeping
   ///     the dropped transition's label and delta — the transition is
   ///     real, only its target was folded into a larger node;
-  ///   - a RETIRED (deactivated) node gets a label-less (-1, empty
-  ///     delta) cover-edge to the newcomer that strictly covers it, so
-  ///     walks entering the retired node continue through the coverer's
-  ///     subtree.
+  ///   - a RETIRED (deactivated) node gets a cover-edge with no source
+  ///     (label -1, empty delta) to the newcomer that strictly covers
+  ///     it, so walks entering the retired node continue through the
+  ///     coverer's subtree.
   /// Both jumps land on a marking ≥ the one the unpruned graph would
   /// have carried (effect-widening), which is what makes them sound for
   /// the lasso criterion in vass/repeated.cc.
   struct Edge {
     int target = -1;
-    int64_t label = -1;
-    Delta delta;
     bool cover = false;
+    /// Entry of the source state's successor list; null for a retired
+    /// node's cover-edge.
+    const VassEdge* source = nullptr;
+
+    int64_t label() const { return source != nullptr ? source->label : -1; }
+    const Delta& delta() const {
+      static const Delta kNone;
+      return source != nullptr ? source->delta : kNone;
+    }
   };
 
   /// Graph edges out of node n.
@@ -142,7 +151,8 @@ class KarpMiller {
 
   /// Statistics for the benchmark harness.
   size_t TotalEdges() const;
-  /// Successor-cache accounting: one hit or miss per processed node.
+  /// Successor-list accounting: one hit or miss per processed node;
+  /// misses equal the distinct states expanded.
   size_t succ_cache_hits() const { return cache_hits_; }
   size_t succ_cache_misses() const { return cache_misses_; }
 
@@ -209,10 +219,12 @@ class KarpMiller {
   /// flat integer mix with no serialization.
   using NodeKey = std::pair<int, std::vector<int64_t>>;
 
-  /// Bounded LRU successor cache entry.
-  struct CacheEntry {
+  /// One VASS state's successor list, filled on the state's first
+  /// expansion and kept unchanged for the graph's lifetime (edges point
+  /// into it).
+  struct SuccessorList {
     std::vector<VassEdge> edges;
-    std::list<int>::iterator lru_pos;
+    bool filled = false;
   };
 
   int InternNode(int state, const std::vector<int64_t>& marking, int parent,
@@ -225,10 +237,10 @@ class KarpMiller {
   bool SuccessorMarking(int parent_node, int target, const Delta& delta,
                         std::vector<int64_t>* out) const;
 
-  /// Looks up `state` in the successor cache (moving it to the LRU
-  /// front), asking the system for its edges on a miss. The returned
-  /// list stays valid until the next call.
-  const std::vector<VassEdge>& CacheSuccessors(int state);
+  /// `state`'s successor list, asking the system on its first call.
+  /// The returned reference stays valid until the next call (the table
+  /// may grow); the entries it holds live as long as the graph.
+  const std::vector<VassEdge>& Successors(int state);
 
   /// MINIMUM-id active antichain node of `state` whose marking
   /// dominates `marking` (ω-aware, 0-padded compare); -1 if none. The
@@ -254,8 +266,9 @@ class KarpMiller {
   /// antichain probes walk together).
   MarkingArena marking_arena_;
   std::unordered_map<NodeKey, int, IdVectorHash> index_;
-  std::unordered_map<int, CacheEntry> succ_cache_;
-  std::list<int> lru_;  // front = most recently used state
+  /// Indexed by VASS state. Moving a list on table growth keeps its
+  /// heap buffer, so Edge::source pointers stay valid.
+  std::vector<SuccessorList> successors_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   bool truncated_ = false;

@@ -134,7 +134,7 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
         // transitions; they can appear here only in the delta-free
         // cover-SCC case.
         std::vector<int64_t> labels;
-        if (e.label >= 0) labels.push_back(e.label);
+        if (e.label() >= 0) labels.push_back(e.label());
         for (int w = u; w != start; w = parent_node[w]) {
           if (parent_label[w] >= 0) labels.push_back(parent_label[w]);
         }
@@ -144,7 +144,7 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
       if (!seen[e.target]) {
         seen[e.target] = true;
         parent_node[e.target] = u;
-        parent_label[e.target] = e.label;
+        parent_label[e.target] = e.label();
         queue.push_back(e.target);
       }
     }
@@ -190,7 +190,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
       if (scc[e.target] != target) continue;
       std::vector<int64_t> eff = cur.second;
       bool feasible = true;
-      for (const auto& [dim, change] : e.delta) {
+      for (const auto& [dim, change] : e.delta()) {
         for (size_t k = 0; feasible && k < td.dims.size(); ++k) {
           if (td.dims[k] != dim) continue;
           int64_t v = eff[k] + change;
@@ -233,7 +233,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
         // Reconstruct the label sequence; label-less cover hops are
         // walk steps but contribute no transition.
         std::vector<int64_t> labels;
-        if (e.label >= 0) labels.push_back(e.label);
+        if (e.label() >= 0) labels.push_back(e.label());
         Key key = cur;
         while (key != init) {
           auto it = parent.find(key);
@@ -246,7 +246,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
       }
       Key key{e.target, std::move(eff)};
       if (seen.insert(key).second) {
-        parent[key] = {cur, e.label};
+        parent[key] = {cur, e.label()};
         stack.push_back(std::move(key));
       }
     }
@@ -308,7 +308,7 @@ std::optional<LassoWitness> FindAcceptingLasso(
         for (const KarpMiller::Edge& e : graph.edges(u)) {
           if (scc[e.target] != target) continue;
           if (e.cover) has_cover = true;
-          for (const auto& [dim, change] : e.delta) {
+          for (const auto& [dim, change] : e.delta()) {
             (void)change;
             if (std::find(touched.begin(), touched.end(), dim) ==
                 touched.end()) {

@@ -49,10 +49,9 @@ class VassSystem {
   /// explorer may expand only those edges as long as at least one of
   /// them makes progress (see KarpMillerOptions::por). 0 means no
   /// reduction. Contract: the value is a pure function of `state`
-  /// (never of markings or arrival order) and idempotent across
-  /// successor recomputations, and every prefix edge has a non-negative
-  /// delta (it can never be marking-disabled) and targets a real
-  /// successor — the reduced graph is a subgraph of the full one's
+  /// (never of markings or arrival order), and every prefix edge has a
+  /// non-negative delta (it can never be marking-disabled) and targets a
+  /// real successor — the reduced graph is a subgraph of the full one's
   /// closure under the prefix transitions.
   virtual int AmplePrefix(int state) const {
     (void)state;
@@ -65,10 +64,6 @@ class ExplicitVass : public VassSystem {
  public:
   explicit ExplicitVass(int num_states) : adj_(num_states) {}
 
-  int AddState() {
-    adj_.emplace_back();
-    return static_cast<int>(adj_.size() - 1);
-  }
   int num_states() const { return static_cast<int>(adj_.size()); }
 
   /// Adds an action (from, delta, to); returns its label.

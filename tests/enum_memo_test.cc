@@ -218,7 +218,6 @@ class Harness {
   void Explore(TaskVass* vass) {
     KarpMillerOptions km;
     km.max_nodes = options_.max_cov_nodes;
-    km.succ_cache_capacity = options_.succ_cache_capacity;
     km.prune_coverability = options_.prune_coverability;
     km.por = options_.por;
     KarpMiller graph(vass, km);

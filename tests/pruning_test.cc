@@ -11,7 +11,11 @@
 // subsumption-heavy systems).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "builders.h"
 #include "core/verifier.h"
@@ -148,7 +152,9 @@ TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
         ++cover;
         // Drop cover-edges keep the dropped transition's label; retire
         // cover-edges are label-less with an empty delta.
-        if (e.label < 0) EXPECT_TRUE(e.delta.empty());
+        if (e.label() < 0) {
+          EXPECT_TRUE(e.delta().empty());
+        }
       } else {
         ++real;
         // A real pruned edge always points at a strictly newer node.
@@ -192,7 +198,7 @@ TEST(PrunedKarpMillerTest, RepeatedPrunedBuildIsNodeIdentical) {
       for (size_t i = 0; i < first.edges(n).size(); ++i) {
         EXPECT_EQ(first.edges(n)[i].target, again.edges(n)[i].target)
             << what << " " << n << " edge " << i;
-        EXPECT_EQ(first.edges(n)[i].label, again.edges(n)[i].label)
+        EXPECT_EQ(first.edges(n)[i].label(), again.edges(n)[i].label())
             << what << " " << n << " edge " << i;
         EXPECT_EQ(first.edges(n)[i].cover, again.edges(n)[i].cover)
             << what << " " << n << " edge " << i;
@@ -206,6 +212,110 @@ TEST(PrunedKarpMillerTest, RepeatedPrunedBuildIsNodeIdentical) {
     EXPECT_EQ(first.deactivated_nodes(), again.deactivated_nodes()) << what;
     EXPECT_EQ(first.antichain_peak(), again.antichain_peak()) << what;
     EXPECT_EQ(first.cover_edges(), again.cover_edges()) << what;
+  }
+}
+
+TEST(SuccessorListTest, OneHitOrMissPerProcessedNode) {
+  // Every processed (expanded, never a retired) node charges exactly
+  // one hit or one miss, and each state's list is computed once: the
+  // misses are the distinct states among the processed nodes.
+  for (bool prune : {false, true}) {
+    for (bool subsumption : {false, true}) {
+      ExplicitVass v = subsumption ? SubsumptionVass(4) : PumpVass(3);
+      KarpMillerOptions options;
+      options.prune_coverability = prune;
+      KarpMiller g(&v, options);
+      g.Build({0});
+      ASSERT_FALSE(g.truncated());
+      size_t processed = 0;
+      std::set<int> states;
+      for (int n = 0; n < g.num_nodes(); ++n) {
+        if (g.node_deactivated(n)) continue;
+        ++processed;
+        states.insert(g.node_state(n));
+      }
+      const std::string what = "prune=" + std::to_string(prune) +
+                               " subsumption=" + std::to_string(subsumption);
+      EXPECT_EQ(g.succ_cache_hits() + g.succ_cache_misses(), processed)
+          << what;
+      EXPECT_EQ(g.succ_cache_misses(), states.size()) << what;
+      // PumpVass re-enters its pump states at new markings.
+      if (!subsumption) {
+        EXPECT_GT(g.succ_cache_hits(), 0u) << what;
+      }
+    }
+  }
+}
+
+TEST(SuccessorListTest, EdgesReadTheirStatesSuccessorLists) {
+  // Edges point into per-state successor lists held in a table that
+  // grows with the state ids; a list moved on growth must keep its
+  // entries in place. Every edge of an expanded node must read the
+  // (label, delta, target state) of an entry of its state's list, in
+  // list order, as recomputed from the product after the build. A
+  // dangling pointer reads freed memory here (an ASan report).
+  bench::Workload w = bench::MakeCommutingServices(/*width=*/3, /*depth=*/2);
+  HltlProperty negated = w.property.Negated();
+  struct Mode {
+    bool prune;
+    bool por;
+  };
+  for (Mode mode : {Mode{false, false}, Mode{true, false}, Mode{true, true}}) {
+    const std::string what = "prune=" + std::to_string(mode.prune) +
+                             " por=" + std::to_string(mode.por);
+    VerifierOptions options;
+    options.prune_coverability = mode.prune;
+    options.por = mode.por;
+    RtEngine engine(&w.system, &negated, options, nullptr);
+    engine.CheckRoot();
+    const TaskId root = w.system.root();
+    PartialIsoType empty_input(&w.system.schema(),
+                               &w.system.task(root).vars(),
+                               engine.context(root).nav_depth());
+    int max_states = 0;
+    size_t checked = 0;
+    for (Assignment beta = 0; beta < 8; ++beta) {
+      const RtEngine::Entry* entry =
+          engine.FindEntry(engine.EntryKey(root, empty_input, Cell(), beta));
+      if (entry == nullptr) continue;
+      const KarpMiller& g = *entry->graph;
+      max_states = std::max(max_states, entry->vass->num_states());
+      std::map<int, std::vector<VassEdge>> fresh;
+      for (int n = 0; n < g.num_nodes(); ++n) {
+        const std::string where =
+            what + " beta=" + std::to_string(beta) + " node " +
+            std::to_string(n);
+        if (g.node_deactivated(n)) {
+          ASSERT_EQ(g.edges(n).size(), 1u) << where;
+          EXPECT_EQ(g.edges(n)[0].source, nullptr) << where;
+          EXPECT_EQ(g.edges(n)[0].label(), -1) << where;
+          EXPECT_TRUE(g.edges(n)[0].delta().empty()) << where;
+          continue;
+        }
+        const int state = g.node_state(n);
+        auto it = fresh.find(state);
+        if (it == fresh.end()) {
+          it = fresh.emplace(state, std::vector<VassEdge>()).first;
+          entry->vass->Successors(state, &it->second);
+        }
+        const std::vector<VassEdge>& list = it->second;
+        size_t k = 0;
+        for (const KarpMiller::Edge& e : g.edges(n)) {
+          ASSERT_NE(e.source, nullptr) << where;
+          while (k < list.size() &&
+                 !(list[k].label == e.label() && list[k].delta == e.delta() &&
+                   list[k].target == g.node_state(e.target))) {
+            ++k;
+          }
+          ASSERT_LT(k, list.size()) << where << ": edge matches no entry";
+          ++k;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << what;
+    // Enough states that the table was reallocated several times.
+    EXPECT_GE(max_states, 64) << what;
   }
 }
 

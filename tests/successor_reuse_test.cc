@@ -185,7 +185,6 @@ class Harness {
     RecordingVass recording(vass.get(), first);
     KarpMillerOptions km;
     km.max_nodes = options_.max_cov_nodes;
-    km.succ_cache_capacity = options_.succ_cache_capacity;
     km.prune_coverability = options_.prune_coverability;
     km.por = options_.por;
     KarpMiller graph(&recording, km);
