@@ -31,9 +31,6 @@ inline void ExportStats(const RtStats& stats, benchmark::State* state) {
       {"antichain_peak", stats.antichain_peak},
       {"cover_edges", stats.cover_edges},
       {"antichain_probes", stats.antichain_probes},
-      {"antichain_skipped_by_summary", stats.antichain_skipped_by_summary},
-      {"antichain_bucket_probes", stats.antichain_bucket_probes},
-      {"antichain_buckets_peak", stats.antichain_buckets_peak},
       {"ample_reduced_successors", stats.ample_reduced_successors},
       {"ample_full_expansions", stats.ample_full_expansions},
       {"sliced_services", stats.sliced_services},

@@ -33,16 +33,11 @@ GATED = [
     "pooled_types",
     "cover_edges",
     "counter_dims",
-    # Marking payloads touched by domination probes (DominanceLeq
-    # calls made by the bucketed dominance index): the dominance
-    # kernel's work count. Deterministic, so the --exact gates double
-    # as the probe-determinism check. Entries a summary test resolves
-    # are counted by antichain_skipped_by_summary instead.
+    # Antichain entries compared by domination probes, one DominanceLeq
+    # per entry visited: the dominance kernel's work count.
+    # Deterministic, so the --exact gates double as the
+    # probe-determinism check.
     "antichain_probes",
-    # Summary buckets examined by the bucketed dominance index — the
-    # sublinear-probe work count. Deterministic like antichain_probes
-    # (the bucket layout follows the insertion/removal history).
-    "antichain_bucket_probes",
     # Successors the ample-prefix partial-order reduction never
     # generated. Deterministic (the ample choice is a pure function of
     # the product state), so any unexplained drift is a bug: growth
@@ -82,12 +77,6 @@ INFORMATIONAL = [
     "pruned_successors",
     "deactivated_nodes",
     "antichain_peak",
-    # Largest per-state bucket count of the bucketed dominance index:
-    # tracks antichain shape, not work done (mirrors antichain_peak).
-    "antichain_buckets_peak",
-    # Probes resolved by the support-summary prefilter alone: more
-    # skips is good news, so drift is surfaced, not gated.
-    "antichain_skipped_by_summary",
     # Ample attempts that reverted to full expansion because a prefix
     # successor folded into an existing/dominated node (C3). The revert
     # is part of the deterministic replay, but the count tracks fold

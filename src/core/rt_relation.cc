@@ -185,11 +185,6 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
       std::max(stats_.antichain_peak, entry->graph->antichain_peak());
   stats_.cover_edges += entry->graph->cover_edges();
   stats_.antichain_probes += entry->graph->antichain_probes();
-  stats_.antichain_bucket_probes += entry->graph->antichain_bucket_probes();
-  stats_.antichain_skipped_by_summary +=
-      entry->graph->antichain_skipped_by_summary();
-  stats_.antichain_buckets_peak = std::max(
-      stats_.antichain_buckets_peak, entry->graph->antichain_buckets_peak());
   stats_.ample_reduced_successors +=
       entry->graph->ample_reduced_successors();
   stats_.ample_full_expansions += entry->graph->ample_full_expansions();

@@ -47,13 +47,12 @@ struct RtStats {
   size_t deactivated_nodes = 0;
   size_t antichain_peak = 0;
   size_t cover_edges = 0;
-  /// Antichain probe accounting (deterministic): marking payloads
-  /// touched by domination probes
-  /// (DominanceLeq calls), summary buckets examined by the bucketed
-  /// dominance index (vass/dominance_index.h), entries a summary test
-  /// resolved without touching their payload, and the largest
-  /// per-state bucket count seen.
+  /// Antichain entries compared by domination probes, one DominanceLeq
+  /// per entry visited (deterministic).
   size_t antichain_probes = 0;
+  /// Always 0 (the antichain has no summary buckets). Kept solely
+  /// because the perfbench replica (perfbench/replica.cc) still
+  /// accumulates them.
   size_t antichain_bucket_probes = 0;
   size_t antichain_skipped_by_summary = 0;
   size_t antichain_buckets_peak = 0;

@@ -31,6 +31,25 @@ void CheckTask(const ArtifactSystem& system, const Task& t,
   };
   const DatabaseSchema& schema = system.schema();
 
+  // Variables and services resolve by name (spec references, source
+  // locations), so each name is declared once per task.
+  {
+    std::set<std::string> names;
+    for (int v = 0; v < t.vars().size(); ++v) {
+      const std::string& name = t.vars().var(v).name;
+      if (!names.insert(name).second) {
+        error_at(locs == nullptr ? SourceLoc{} : locs->Var(t.name(), name),
+                 StrCat("duplicate variable ", name));
+      }
+    }
+    names.clear();
+    for (const InternalService& s : t.services()) {
+      if (!names.insert(s.name).second) {
+        error_at(svc_loc(s.name), StrCat("duplicate service ", s.name));
+      }
+    }
+  }
+
   // Artifact relations S_T,1 … S_T,k: per relation, a distinct name,
   // arity ≥ 1, and a tuple of distinct ID variables of the task
   // (Definition 2 requires each s̄_T,i to consist of distinct ID vars;
@@ -187,6 +206,18 @@ std::vector<std::string> ValidateSystemAll(const ArtifactSystem& system,
   if (system.num_tasks() == 0) {
     errors.push_back("artifact system has no tasks");
     return errors;
+  }
+  // Tasks resolve by name across the whole hierarchy (properties'
+  // [φ]@T and open(T), source locations), so names are global.
+  std::set<std::string> task_names;
+  for (TaskId t = 0; t < system.num_tasks(); ++t) {
+    const std::string& name = system.task(t).name();
+    if (!task_names.insert(name).second) {
+      std::string where = locs == nullptr ? std::string()
+                                          : locs->Render(locs->Task(name));
+      errors.push_back(StrCat(where.empty() ? "" : StrCat(where, ": "),
+                              "duplicate task ", name));
+    }
   }
   for (TaskId t = 0; t < system.num_tasks(); ++t) {
     CheckTask(system, system.task(t), locs, &errors);

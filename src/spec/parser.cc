@@ -462,6 +462,9 @@ class Parser {
   Status ParseProperty(ParsedSpec* spec) {
     HAS_RETURN_IF_ERROR(ExpectIdent("property"));
     if (Peek().kind != TokKind::kIdent) return Error("property name");
+    if (spec->FindProperty(Peek().text) != nullptr) {
+      return Error(StrCat("duplicate property ", Peek().text));
+    }
     locs_->SetProperty(Peek().text, LocOf(Peek()));
     const int line = Peek().line;
     std::string name = Next().text;

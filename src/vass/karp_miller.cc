@@ -9,6 +9,17 @@ namespace has {
 KarpMiller::KarpMiller(VassSystem* system, KarpMillerOptions options)
     : system_(system), options_(options) {}
 
+int KarpMiller::AddNode(int state, const std::vector<int64_t>& marking,
+                        int parent, int64_t parent_label) {
+  Node node;
+  node.state = state;
+  node.marking = marking_arena_.Add(marking);
+  node.parent = parent;
+  node.parent_label = parent_label;
+  nodes_.push_back(std::move(node));
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
 int KarpMiller::InternNode(int state, const std::vector<int64_t>& marking,
                            int parent, int64_t parent_label, bool* created) {
   auto key = std::make_pair(state, marking);
@@ -17,13 +28,7 @@ int KarpMiller::InternNode(int state, const std::vector<int64_t>& marking,
     *created = false;
     return it->second;
   }
-  Node node;
-  node.state = state;
-  node.marking = marking_arena_.Add(marking);
-  node.parent = parent;
-  node.parent_label = parent_label;
-  int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(std::move(node));
+  int id = AddNode(state, marking, parent, parent_label);
   index_[std::move(key)] = id;
   *created = true;
   return id;
@@ -67,55 +72,51 @@ bool KarpMiller::SuccessorMarking(int parent_node, int target,
 }
 
 int KarpMiller::DominatorOf(int state, const MarkingView& marking) {
-  // A state's index is never empty once its first node is absorbed.
-  if (static_cast<size_t>(state) >= antichain_.size() ||
-      antichain_[static_cast<size_t>(state)].size() == 0) {
-    return -1;
+  if (static_cast<size_t>(state) >= antichain_.size()) return -1;
+  // Ascending node id: the first dominator is the minimum-id one.
+  for (const AntichainEntry& e : antichain_[static_cast<size_t>(state)]) {
+    ++antichain_probes_;
+    if (DominanceLeq(marking, e.marking)) return e.node;
   }
-  DominanceIndex::Stats stats;
-  const int dom =
-      antichain_[static_cast<size_t>(state)].DominatorOf(marking, &stats);
-  antichain_bucket_probes_ += stats.bucket_probes;
-  antichain_probes_ += stats.payload_probes;
-  antichain_skipped_by_summary_ += stats.skipped;
-  return dom;
+  return -1;
 }
 
 void KarpMiller::AntichainAbsorb(int node) {
   const auto state = static_cast<size_t>(nodes_[node].state);
   if (antichain_.size() <= state) antichain_.resize(state + 1);
-  DominanceIndex& index = antichain_[state];
+  std::vector<AntichainEntry>& chain = antichain_[state];
   const MarkingView m = nodes_[node].marking;
   // Entries ≤ m are strictly covered (an entry equal to m would have
-  // dominated the candidate before it was interned). The victim-flag
-  // work below is order-independent, which is all the index's
-  // unspecified callback order requires.
-  DominanceIndex::Stats stats;
-  index.RemoveCoveredBy(m, &stats, [&](int victim) {
-    if (static_cast<size_t>(victim) >= round_first_new_id_) {
+  // dominated the candidate before it was created). One stable pass
+  // drops them, so the survivors keep ascending node id.
+  size_t kept = 0;
+  for (const AntichainEntry& e : chain) {
+    ++antichain_probes_;
+    if (!DominanceLeq(e.marking, m)) {
+      chain[kept++] = e;
+      continue;
+    }
+    const auto victim = static_cast<size_t>(e.node);
+    if (victim >= round_first_new_id_) {
       // A same-round newcomer: unexpanded, so deactivation cuts its
       // entire would-be subtree. Older covered entries are either
       // already expanded or sit in the round's frontier (their
       // expansion proceeds — deactivation is round-granular); they
       // only leave the antichain.
-      deactivated_[static_cast<size_t>(victim)] = 1;
+      deactivated_[victim] = 1;
       ++deactivated_count_;
       // The retired node never expands, so walks entering it would
       // dead-end; a label-less cover-edge to the (strictly larger)
       // coverer keeps the closed-walk structure: anything the victim
       // could do, the coverer's subtree over-approximates.
-      nodes_[static_cast<size_t>(victim)].edges.push_back(
+      nodes_[victim].edges.push_back(
           Edge{node, /*cover=*/true, /*source=*/nullptr});
       ++cover_edges_;
     }
-  });
-  antichain_bucket_probes_ += stats.bucket_probes;
-  antichain_probes_ += stats.payload_probes;
-  antichain_skipped_by_summary_ += stats.skipped;
-  index.Insert(node, m);
-  antichain_peak_ = std::max(antichain_peak_, index.size());
-  antichain_buckets_peak_ =
-      std::max(antichain_buckets_peak_, index.num_buckets());
+  }
+  chain.resize(kept);
+  chain.push_back(AntichainEntry{node, m});
+  antichain_peak_ = std::max(antichain_peak_, chain.size());
 }
 
 const std::vector<VassEdge>& KarpMiller::Successors(int state) {
@@ -144,13 +145,7 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
   // dead marking-vector copy per node.
   auto make_node = [&](int state, const std::vector<int64_t>& marking,
                        int parent, int64_t parent_label) {
-    int id = static_cast<int>(nodes_.size());
-    Node node;
-    node.state = state;
-    node.marking = marking_arena_.Add(marking);
-    node.parent = parent;
-    node.parent_label = parent_label;
-    nodes_.push_back(std::move(node));
+    int id = AddNode(state, marking, parent, parent_label);
     deactivated_.resize(nodes_.size(), 0);
     AntichainAbsorb(id);
     return id;

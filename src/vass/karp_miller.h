@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "common/hashing.h"
-#include "vass/dominance_index.h"
+#include "vass/marking.h"
 #include "vass/vass.h"
 
 namespace has {
@@ -166,25 +166,16 @@ class KarpMiller {
   /// Cover-edges recorded at the prune points (one per dropped
   /// successor plus one per retired node; included in TotalEdges).
   size_t cover_edges() const { return cover_edges_; }
-  /// Marking payloads touched across all domination probes
-  /// (DominanceLeq calls made by the bucketed index). Entries resolved
-  /// by a summary test alone are antichain_skipped_by_summary.
+  /// Antichain entries compared across all domination probes: one
+  /// DominanceLeq per entry visited, by DominatorOf's scan up to its
+  /// first hit and by every absorb pass.
   size_t antichain_probes() const { return antichain_probes_; }
-  /// Summary buckets examined across all probes (one summary test
-  /// per bucket stands in for one per entry —
-  /// vass/dominance_index.h).
-  size_t antichain_bucket_probes() const { return antichain_bucket_probes_; }
-  /// Antichain entries resolved by a summary test alone — bucket-key
-  /// misses count every member of the bucket, the ω-saturated wild
-  /// bucket filters per entry. The summary filter is a sound necessary
-  /// condition (miss ⇒ dominance impossible; vass/marking.h), so
-  /// skipping never changes the dominator decision and the graph stays
-  /// node-identical.
-  size_t antichain_skipped_by_summary() const {
-    return antichain_skipped_by_summary_;
-  }
-  /// Largest per-state bucket count observed (wild bucket included).
-  size_t antichain_buckets_peak() const { return antichain_buckets_peak_; }
+  /// Always 0: the antichain is one flat list per state, with no
+  /// summary buckets. Kept solely because the perfbench replica
+  /// (perfbench/replica.cc) still reads them.
+  size_t antichain_bucket_probes() const { return 0; }
+  size_t antichain_skipped_by_summary() const { return 0; }
+  size_t antichain_buckets_peak() const { return 0; }
   /// Always 0: markings are stored dense only. Kept solely because the
   /// perfbench replica (perfbench/replica.cc) still reads it.
   size_t sparse_markings() const { return 0; }
@@ -227,6 +218,19 @@ class KarpMiller {
     bool filled = false;
   };
 
+  /// One active antichain entry: a node and its marking's view.
+  struct AntichainEntry {
+    int node;
+    MarkingView marking;
+  };
+
+  /// Appends a node with `marking` copied into the arena; returns its
+  /// id.
+  int AddNode(int state, const std::vector<int64_t>& marking, int parent,
+              int64_t parent_label);
+
+  /// The unpruned path's node constructor: returns the node already
+  /// carrying (state, marking), or adds and indexes a new one.
   int InternNode(int state, const std::vector<int64_t>& marking, int parent,
                  int64_t parent_label, bool* created);
 
@@ -244,18 +248,18 @@ class KarpMiller {
 
   /// MINIMUM-id active antichain node of `state` whose marking
   /// dominates `marking` (ω-aware, 0-padded compare); -1 if none. The
-  /// minimum over all dominators is a pure function of the antichain
-  /// CONTENT — independent of bucket or scan order (see
-  /// vass/dominance_index.h for the rank-cutoff walk that keeps it
-  /// sublinear). Non-const for the probe accounting.
+  /// antichain is kept in ascending node id, so the scan's first hit is
+  /// that minimum — a pure function of the antichain CONTENT, which the
+  /// pruned build and the POR progress test both rely on. Non-const for
+  /// the probe accounting.
   int DominatorOf(int state, const MarkingView& marking);
 
-  /// Inserts freshly interned `node` into its state's antichain and
-  /// retires every entry its marking strictly covers. Retired entries
-  /// with id >= round_first_new_id_ (same-round newcomers, hence not
-  /// yet expanded) are deactivated: flagged so they never reach a
-  /// frontier, and given a cover-edge to `node` so walks entering them
-  /// continue through the coverer's subtree.
+  /// Appends freshly created `node` to its state's antichain after one
+  /// stable pass that retires every entry its marking strictly covers.
+  /// Retired entries with id >= round_first_new_id_ (same-round
+  /// newcomers, hence not yet expanded) are deactivated: flagged so
+  /// they never reach a frontier, and given a cover-edge to `node` so
+  /// walks entering them continue through the coverer's subtree.
   void AntichainAbsorb(int node);
 
   VassSystem* system_;
@@ -275,11 +279,9 @@ class KarpMiller {
 
   // --- antichain pruning state (prune_coverability only) ---------------
   /// Indexed by VASS state: the state's maximal active markings
-  /// (pairwise incomparable), bucketed by extended summary so probes
-  /// enumerate only summary-compatible buckets
-  /// (vass/dominance_index.h). Grown on a state's first node; empty for
-  /// states without one.
-  std::vector<DominanceIndex> antichain_;
+  /// (pairwise incomparable), in ascending node id. Grown on a state's
+  /// first node; empty for states without one.
+  std::vector<std::vector<AntichainEntry>> antichain_;
   /// Per node: retired before expansion (parallel to nodes_).
   std::vector<char> deactivated_;
   /// First node id of the current round's newcomers: entries at or
@@ -292,9 +294,6 @@ class KarpMiller {
   size_t antichain_peak_ = 0;
   size_t cover_edges_ = 0;
   size_t antichain_probes_ = 0;
-  size_t antichain_bucket_probes_ = 0;
-  size_t antichain_skipped_by_summary_ = 0;
-  size_t antichain_buckets_peak_ = 0;
 
   // --- partial-order reduction accounting (options.por only) -----------
   size_t ample_reduced_successors_ = 0;

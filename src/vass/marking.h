@@ -153,59 +153,6 @@ inline bool DominanceLeq(const MarkingView& a, const MarkingView& b) {
   return true;
 }
 
-/// Two-word per-dimension-group summary of a marking, the key and
-/// per-entry filter of the bucketed dominance index
-/// (vass/dominance_index.h). Dimension d falls in group d & 31.
-/// Counter dimensions are grouped (relation, TS-type) upstream and
-/// allocated in discovery order, so for markings of width <= 32 every
-/// group is a single dimension and the words are exact bit sets.
-///   - `support`: bit g of the low word when some dimension of group g
-///     is nonzero, of the high word when one is ω.
-///   - `magnitude`: bit g of the low word when some dimension of group
-///     g holds a value >= 2, of the high word when >= 4 (ω = INT64_MAX
-///     sets both).
-///
-/// Filter soundness (summary miss ⇒ dominance impossible): a ≤ b needs,
-/// per dimension, b[d] > 0 wherever a[d] > 0, b[d] = ω wherever
-/// a[d] = ω, and b[d] >= t wherever a[d] >= t for t ∈ {2, 4}. A bit of
-/// `a & ~b` in any word exhibits a group where a has a dimension with
-/// the property but no dimension of b in that group has it — so some
-/// a[d] violates its requirement against b[d], and a ≤ b is impossible.
-/// Skipping a pair on a miss never changes a dominance decision; it
-/// only avoids the payload compare.
-struct MarkingSummary {
-  uint64_t support = 0;
-  uint64_t magnitude = 0;
-
-  bool operator==(const MarkingSummary& o) const {
-    return support == o.support && magnitude == o.magnitude;
-  }
-  bool operator!=(const MarkingSummary& o) const { return !(*this == o); }
-};
-
-inline MarkingSummary ExtendedSummary(const MarkingView& m) {
-  MarkingSummary s;
-  auto add = [&s](size_t d, int64_t v) {
-    const uint64_t group = uint64_t{1} << (d & 31);
-    s.support |= group;
-    if (v >= 2) s.magnitude |= group;
-    if (v >= 4) s.magnitude |= group << 32;
-    if (v == kOmega) s.support |= group << 32;
-  };
-  for (size_t d = 0; d < m.size(); ++d) {
-    if (m[d] != 0) add(d, m[d]);
-  }
-  return s;
-}
-
-/// Necessary condition for "some marking with summary `a` is ≤ some
-/// marking with summary `b`" (see MarkingSummary).
-inline bool SummaryMayDominate(const MarkingSummary& a,
-                               const MarkingSummary& b) {
-  return (a.support & ~b.support) == 0 &&
-         (a.magnitude & ~b.magnitude) == 0;
-}
-
 /// Markings with ω: 0-padded comparison and addition helpers. The
 /// std::vector overloads are the SCALAR REFERENCE semantics (and the
 /// mutation API for owned markings); the MarkingView overloads are the

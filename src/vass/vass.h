@@ -6,7 +6,7 @@
 //
 // Markings are packed vectors of int64 counters (vass/marking.h: the
 // canonical trailing-zero-stripped representation, the arena, and the
-// vectorized dominance kernel); the sentinel kOmega denotes the
+// portable dominance kernel); the sentinel kOmega denotes the
 // accelerated "arbitrarily large" value of Karp–Miller trees.
 // Dimensions are allowed to grow during exploration (the verifier
 // allocates a counter per newly discovered (relation, TS-type) pair);

@@ -226,5 +226,61 @@ system {
   }
 }
 
+TEST(HostileInputTest, DuplicateNamesAreInputErrors) {
+  // Each declaration kind resolves by name, so a second declaration of
+  // a name would silently shadow or be shadowed by the first; every
+  // one is an input error naming the duplicate.
+  const std::pair<const char*, const char*> systems[] = {
+      {R"(
+system {
+  task Main { ids: x0, x0; }
+}
+)",
+       "duplicate variable x0"},
+      {R"(
+system {
+  task Main {
+    ids: x;
+    service s0 { pre: true; post: true; }
+    service s0 { pre: true; post: x == null; }
+  }
+}
+)",
+       "duplicate service s0"},
+      {R"(
+system {
+  task Main {
+    ids: x;
+    task T1 { ids: y; input: y <- x; }
+    task T1 { ids: z; input: z <- x; }
+  }
+}
+)",
+       "duplicate task T1"},
+  };
+  for (const auto& [source, reason] : systems) {
+    StatusOr<ParsedSpec> parsed = ParseSpec(source);
+    ASSERT_TRUE(parsed.ok()) << reason << ": " << parsed.status().message();
+    Status valid = ValidateSystem(parsed->system);
+    ASSERT_FALSE(valid.ok()) << reason;
+    EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument) << reason;
+    EXPECT_NE(valid.message().find(reason), std::string::npos)
+        << valid.message();
+  }
+
+  StatusOr<ParsedSpec> parsed = ParseSpec(R"(
+system {
+  task Main { ids: x; }
+}
+property p { G({ x == null }) }
+property p { F({ x != null }) }
+)");
+  ASSERT_FALSE(parsed.ok());
+  const std::string& message = parsed.status().message();
+  EXPECT_EQ(message.rfind("line 6:", 0), 0u) << message;
+  EXPECT_NE(message.find("duplicate property p"), std::string::npos)
+      << message;
+}
+
 }  // namespace
 }  // namespace has

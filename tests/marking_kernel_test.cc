@@ -2,10 +2,9 @@
 // the std::vector overloads in namespace marking are the scalar
 // REFERENCE semantics (0-padded, per-dimension ω branches); the
 // MarkingView kernels (DominanceLeq, operator==, ApplyView) are the
-// packed reimplementations the explorer actually runs. The summary
-// filter test covers the MarkingSummary test the dominance index runs
-// before a payload compare. Every property here quantifies over a
-// fixed-seed random corpus plus hand-picked ω edge cases.
+// packed reimplementations the explorer actually runs. Every property
+// here quantifies over a fixed-seed random corpus plus hand-picked ω
+// edge cases.
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -127,32 +126,6 @@ TEST(MarkingKernelTest, ApplyViewOmegaAbsorbsAndRepeatedDimsRunInOrder) {
   // Writing past the current width grows it.
   EXPECT_TRUE(marking::ApplyView(MarkingView(zero_one), {{3, 2}}, &out));
   EXPECT_EQ(out, (std::vector<int64_t>{0, 1, 0, 2}));
-}
-
-TEST(MarkingKernelTest, SummaryFilterIsSoundOnRandomPairs) {
-  std::mt19937 rng(0x51a7e5u);
-  size_t skipped = 0;
-  size_t skipped_by_magnitude = 0;
-  for (int trial = 0; trial < 20000; ++trial) {
-    const int max_dims = 1 + trial % 40;
-    std::vector<int64_t> a = RandomMarking(&rng, max_dims);
-    std::vector<int64_t> b = RandomMarking(&rng, max_dims);
-    const MarkingSummary sa = ExtendedSummary(MarkingView(a));
-    const MarkingSummary sb = ExtendedSummary(MarkingView(b));
-    if (!SummaryMayDominate(sa, sb)) {
-      // A summary miss must imply non-dominance — the dominance index
-      // skips the payload compare entirely on this verdict.
-      EXPECT_FALSE(marking::LessEq(a, b))
-          << marking::ToString(a) << " vs " << marking::ToString(b);
-      ++skipped;
-      if ((sa.support & ~sb.support) == 0) ++skipped_by_magnitude;
-    }
-  }
-  // The filter actually fires on this corpus (guards against a summary
-  // that degenerates to "always maybe"), and the magnitude word
-  // rejects pairs the support word lets through.
-  EXPECT_GT(skipped, 1000u);
-  EXPECT_GT(skipped_by_magnitude, 100u);
 }
 
 TEST(MarkingKernelTest, ArenaViewsAreStableAndStructurallyEqual) {

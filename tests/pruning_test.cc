@@ -133,6 +133,66 @@ TEST(PrunedKarpMillerTest, NodesFormAnAntichainPerState) {
   }
 }
 
+TEST(PrunedKarpMillerTest, DroppedSuccessorCoversToMinimumIdDominator) {
+  // State 1 holds two incomparable entries, (2,0) and (0,2); the zero
+  // marking arriving through state 2 is dominated by both, and its
+  // cover-edge must target the smaller node id whichever marking that
+  // node carries.
+  for (bool swap : {false, true}) {
+    ExplicitVass v(3);
+    v.AddAction(0, {{swap ? 1 : 0, +2}}, 1);
+    v.AddAction(0, {{swap ? 0 : 1, +2}}, 1);
+    v.AddAction(0, {}, 2);
+    const int64_t fold = v.AddAction(2, {}, 1);
+    KarpMillerOptions options;
+    options.prune_coverability = true;
+    KarpMiller g(&v, options);
+    g.Build({0});
+    ASSERT_EQ(g.num_nodes(), 4) << swap;
+    const std::vector<int64_t> first =
+        swap ? std::vector<int64_t>{0, 2} : std::vector<int64_t>{2};
+    EXPECT_EQ(g.node_marking(1), MarkingView(first)) << swap;
+    EXPECT_EQ(g.node_state(3), 2) << swap;
+    ASSERT_EQ(g.edges(3).size(), 1u) << swap;
+    const KarpMiller::Edge& e = g.edges(3)[0];
+    EXPECT_TRUE(e.cover) << swap;
+    EXPECT_EQ(e.target, 1) << swap;
+    EXPECT_EQ(e.label(), fold) << swap;
+    EXPECT_EQ(g.pruned_successors(), 1u) << swap;
+    EXPECT_EQ(g.deactivated_nodes(), 0u) << swap;
+  }
+}
+
+TEST(PrunedKarpMillerTest, NewcomerRetiresEveryEntryItStrictlyCovers) {
+  // One round creates (1,0) and (0,1) in state 1, then (1,1), which
+  // strictly covers both: both are retired by that one absorb, each
+  // with one label-less cover-edge to the newcomer.
+  ExplicitVass v(2);
+  v.AddAction(0, {{0, +1}}, 1);
+  v.AddAction(0, {{1, +1}}, 1);
+  v.AddAction(0, {{0, +1}, {1, +1}}, 1);
+  KarpMillerOptions options;
+  options.prune_coverability = true;
+  KarpMiller g(&v, options);
+  g.Build({0});
+  ASSERT_EQ(g.num_nodes(), 4);
+  EXPECT_EQ(g.node_marking(3), MarkingView(std::vector<int64_t>{1, 1}));
+  for (int victim : {1, 2}) {
+    EXPECT_TRUE(g.node_deactivated(victim)) << victim;
+    ASSERT_EQ(g.edges(victim).size(), 1u) << victim;
+    const KarpMiller::Edge& e = g.edges(victim)[0];
+    EXPECT_TRUE(e.cover) << victim;
+    EXPECT_EQ(e.target, 3) << victim;
+    EXPECT_EQ(e.label(), -1) << victim;
+    EXPECT_TRUE(e.delta().empty()) << victim;
+  }
+  EXPECT_FALSE(g.node_deactivated(3));
+  EXPECT_EQ(g.deactivated_nodes(), 2u);
+  EXPECT_EQ(g.cover_edges(), 2u);
+  EXPECT_EQ(g.pruned_successors(), 0u);
+  EXPECT_EQ(g.antichain_peak(), 2u);
+}
+
 TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
   // Every surviving successor creates a NEW node, so the pruned
   // graph's REAL edges are exactly its spanning forest; the closed-
