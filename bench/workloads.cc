@@ -401,6 +401,22 @@ Workload MakeCommutingServices(int width, int depth) {
   return w;
 }
 
+Workload WithHoldingProperty(Workload w) {
+  HltlNode node;
+  node.task = 0;
+  node.props.push_back(HltlProp::Service(ServiceRef::Closing(1)));
+  LinearExpr e = LinearExpr::Var(1);  // amount
+  e.AddConstant(Rational(-1));
+  node.props.push_back(HltlProp::Cond(
+      Condition::Arith(LinearConstraint{std::move(e), Relop::kEq})));
+  node.skeleton = LtlFormula::Always(
+      LtlFormula::Implies(LtlFormula::Prop(0), LtlFormula::Prop(1)));
+  w.property = HltlProperty();
+  w.property.AddNode(std::move(node));
+  w.name += "/holds";
+  return w;
+}
+
 Workload MakeWorkload(SchemaClass schema_class, int size, int depth,
                       bool with_sets, bool with_arith) {
   Workload w;

@@ -98,7 +98,10 @@ void RtEngine::ComputeEntry(const RtQueryKey& key,
   // reachable VASS states (every dropped marking is covered by an
   // expanded node of the same state), and returning/blocking/accepting
   // are per-state predicates. A state's output is computed once, at its
-  // first node: its later nodes would repeat the same outcome.
+  // first node: its later nodes would repeat the same outcome. A root
+  // graph may end early (the root cut, core/task_vass.h): nothing reads
+  // a root's returning set, and a cut graph always holds a node of a
+  // blocking state, so the scan below still finds one.
   std::unordered_set<std::pair<TypeId, CellId>, PairHash<TypeId, CellId>>
       seen_outputs;
   std::vector<char> seen_states(

@@ -315,6 +315,13 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   // so the reference stays valid.
   const State& from = states_[state];
   const Task& task = ctx_->task();
+  // The root cut (root_decided_): a blocking root state asked to expand
+  // has a live node, so ⊥ is reachable and the root query is decided;
+  // from then on the root product emits nothing.
+  if (task.is_root()) {
+    root_decided_ = root_decided_ || IsBlocking(state);
+    if (root_decided_) return pending;
+  }
   // Returned states are absorbing.
   if (from.service.kind == ServiceRef::Kind::kClosing &&
       from.service.task == ctx_->task_id()) {
@@ -371,7 +378,8 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // into their own nodes). States entered by an observed service
     // expand fully — the stutter must not sit on a letter the property
     // can see. Everything read here is part of the state's
-    // configuration, so the choice is a pure function of the state.
+    // configuration, so the choice is a pure function of the state
+    // (the root cut aside: a cut root product emits nothing).
     const int num_services = static_cast<int>(task.services().size());
     heads_.resize(static_cast<size_t>(num_services));
     std::optional<InputBodies> input;  // set by the first body lookup
@@ -592,7 +600,9 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
   for (const PendingEdge& pe : pending->edges) max_edges += pe.q2s->size();
   out->reserve(out->size() + max_edges);
   const size_t num_children = ctx_->task().children().size();
+  const bool task_is_root = ctx_->task().is_root();
   int ample_committed = 0;
+  bool cut = false;
   for (size_t pi = 0; pi < pending->edges.size(); ++pi) {
     const PendingEdge& pe = pending->edges[pi];
     // Resolve artifact-relation bookkeeping to counter dimensions / ib
@@ -656,6 +666,11 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     key.child_beta = pe.child_beta;
     key.child_key = pe.child_key;
     key.child_result_index = pe.child_result_index;
+    // An edge with no negative delta is enabled at every marking.
+    const bool can_cut =
+        task_is_root &&
+        std::none_of(delta_.begin(), delta_.end(),
+                     [](const auto& d) { return d.second < 0; });
     for (int q2 : *pe.q2s) {
       probe_.q = q2;
       key.target = InternProbe();
@@ -664,14 +679,21 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
       if (pi < static_cast<size_t>(pending->ample_pending)) {
         ++ample_committed;
       }
+      // The root cut: the explorer follows such an edge into a blocking
+      // state at the node it is expanding (the commit records no ample
+      // prefix), so a node of the blocking state exists and the root
+      // query is decided.
+      if (can_cut && IsBlocking(key.target)) cut = true;
     }
   }
-  // Record the ample-prefix length for AmplePrefix. The ample choice
-  // and its successor set are pure functions of the configuration.
+  root_decided_ = root_decided_ || cut;
+  // Record the ample-prefix length for AmplePrefix. Until the root cut
+  // the ample choice and its successor set are pure functions of the
+  // configuration.
   if (ample_prefix_.size() < states_.size()) {
     ample_prefix_.resize(states_.size(), 0);
   }
-  ample_prefix_[static_cast<size_t>(state)] = ample_committed;
+  ample_prefix_[static_cast<size_t>(state)] = cut ? 0 : ample_committed;
   prepared.release();
   spare_.reset(pending);
 }

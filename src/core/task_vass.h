@@ -130,6 +130,12 @@ struct TransitionRecord {
   std::string note;
 };
 
+/// The root product decides its query on the fly (the root cut): the
+/// root's R_T query only asks whether ⊥ is reachable, so once the
+/// product knows that a blocking state has a node in the explorer's
+/// graph it emits no more successors. A root product's successor lists
+/// are therefore pure functions of the state only until the cut; child
+/// products never cut, so their returning sets stay exact.
 class TaskVass : public VassSystem {
  public:
   /// `opening_filter` (nullable) must hold at opening configurations —
@@ -145,14 +151,29 @@ class TaskVass : public VassSystem {
   std::vector<int> InitialStates();
 
   /// Equivalent to CommitSuccessors(state, PrepareSuccessors(state)).
+  /// Empty for every state once the root product is cut.
   void Successors(int state, std::vector<VassEdge>* out) override;
 
   // --- successor computation in two steps --------------------------------
   // Prepare runs the expensive symbolic work (successor enumeration,
   // condition evaluation, child-oracle queries, pool interning) and
-  // only reads product state. Commit applies the cheap mutations
-  // (state/dimension/ib-bit/outcome/record interning). Successors runs
-  // both; they are public so profilers can time them separately.
+  // only reads product state, apart from the root cut. Commit applies
+  // the cheap mutations (state/dimension/ib-bit/outcome/record
+  // interning). Successors runs both; they are public so profilers can
+  // time them separately.
+  //
+  // The root cut (root products only) is set by either step:
+  //  - Commit sets it when it emits an edge into a blocking state whose
+  //    delta has no negative entry, and then records AmplePrefix(state)
+  //    = 0. Such an edge is enabled at every marking and cannot be
+  //    deferred, so the explorer materializes a node of the blocking
+  //    state (a new node, or a cover-edge into a same-state dominator).
+  //  - Prepare sets it when asked to expand a blocking state: the
+  //    explorer only expands states that have a node. Every edge into
+  //    a blocking state opens or closes a child and has an empty delta,
+  //    so today the commit rule fires first; this fallback keeps the
+  //    cut sound for an edge the commit rule passes over.
+  // After the cut, Prepare returns no edges for any state.
   //
   // Commit hands the Prepared object back to the product, and the next
   // Prepare reuses it (and its buffers' capacity), so a warm
@@ -170,7 +191,8 @@ class TaskVass : public VassSystem {
   /// Committed length of `state`'s ample prefix (0 = no reduction): the
   /// leading edges produced by the ample service selected in
   /// PrepareSuccessors. Written only inside the commit; a pure function
-  /// of the state's configuration.
+  /// of the state's configuration, except that the root product's
+  /// cutting commit records 0.
   int AmplePrefix(int state) const override;
 
   // --- state inspection (used by the RT computation) -------------------
@@ -459,6 +481,10 @@ class TaskVass : public VassSystem {
   /// state id, lazily grown in CommitSuccessors.
   std::vector<int> ample_prefix_;
   bool truncated_ = false;
+  /// The root cut: set once a root product knows a blocking state has a
+  /// node in the explorer's graph (see PrepareSuccessors). Never set in
+  /// a child product.
+  bool root_decided_ = false;
 
   /// Transition notes, built once: per child, "open X", "open X
   /// (non-returning)" and "close X"; and "close self".

@@ -52,7 +52,10 @@ class VassSystem {
   /// (never of markings or arrival order), and every prefix edge has a
   /// non-negative delta (it can never be marking-disabled) and targets a
   /// real successor — the reduced graph is a subgraph of the full one's
-  /// closure under the prefix transitions.
+  /// closure under the prefix transitions. One exception: a system that
+  /// stops emitting successors once its query is decided (TaskVass's
+  /// root cut) may report 0 from the commit that decides it, so that
+  /// the deciding edge is never deferred.
   virtual int AmplePrefix(int state) const {
     (void)state;
     return 0;

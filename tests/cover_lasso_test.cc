@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "builders.h"
 #include "core/rt_relation.h"
@@ -357,15 +360,21 @@ TEST(CoverLassoTest, StarvedVerifierDegradesToInconclusive) {
 // ---------------------------------------------------------------------
 // Engine-level: the retired full-graph fallback as a test oracle.
 
-/// For every root memo entry of a pruned engine run, rebuild the full
-/// (unpruned) graph from the SAME TaskVass — exactly what the old
-/// RtEngine fallback did — and demand lasso-existence agreement with
-/// the entry's cover-edge lasso, plus valid (replayable) record ids in
-/// the recorded witness.
+/// For every memo entry of a pruned engine run whose product explored in
+/// full, rebuild the full (unpruned) graph from the SAME TaskVass —
+/// exactly what the old RtEngine fallback did — and demand
+/// lasso-existence agreement with the entry's cover-edge lasso, plus
+/// valid (replayable) record ids in the recorded witness. The entries
+/// are the root entries and every child entry their graphs opened,
+/// transitively. A root entry with a blocking node is skipped: its
+/// product is cut (core/task_vass.h) and emits nothing more, so there
+/// is no full graph to rebuild. Sets `*lassos` to how many compared
+/// entries have a lasso.
 void ExpectEntriesMatchFallbackOracle(const ArtifactSystem& system,
                                       const HltlProperty& property,
                                       const std::string& what,
-                                      VerifierOptions options = {}) {
+                                      VerifierOptions options = {},
+                                      int* lassos = nullptr) {
   options.prune_coverability = true;
   HltlProperty negated = property.Negated();
   std::optional<Hcd> hcd;
@@ -381,12 +390,34 @@ void ExpectEntriesMatchFallbackOracle(const ArtifactSystem& system,
   PartialIsoType empty_input(&system.schema(), &root_task.vars(),
                              engine.context(system.root()).nav_depth());
   Cell empty_cell;
-  int compared = 0;
+  std::vector<RtQueryKey> keys;
+  std::unordered_set<RtQueryKey, RtQueryKeyHash> seen;
   for (Assignment beta = 0; beta < 8; ++beta) {
     RtQueryKey key = engine.EntryKey(system.root(), empty_input, empty_cell,
                                      beta);
-    const RtEngine::Entry* entry = engine.FindEntry(key);
-    if (entry == nullptr) continue;
+    if (engine.FindEntry(key) != nullptr && seen.insert(key).second) {
+      keys.push_back(key);
+    }
+  }
+  int compared = 0;
+  int with_lasso = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const RtEngine::Entry* entry = engine.FindEntry(keys[i]);
+    const KarpMiller& graph = *entry->graph;
+    for (int n = 0; n < graph.num_nodes(); ++n) {
+      for (const KarpMiller::Edge& e : graph.edges(n)) {
+        if (e.label() < 0) continue;
+        const RtQueryKey& child = entry->vass->record(e.label()).child_key;
+        if (child.valid() && engine.FindEntry(child) != nullptr &&
+            seen.insert(child).second) {
+          keys.push_back(child);
+        }
+      }
+    }
+    if (entry->task == system.root() && entry->blocking_node >= 0) continue;
+    const std::string where = what + " entry " + std::to_string(i) +
+                              " (task " + std::to_string(entry->task) +
+                              ", beta " + std::to_string(keys[i].beta) + ")";
     const auto accepting = [&](int state) {
       return entry->vass->IsBuchiAccepting(state);
     };
@@ -395,34 +426,40 @@ void ExpectEntriesMatchFallbackOracle(const ArtifactSystem& system,
     KarpMiller full(entry->vass.get(), full_options);
     full.Build(entry->vass->InitialStates());
     std::optional<LassoWitness> oracle = FindAcceptingLasso(full, accepting);
-    std::optional<LassoWitness> cover =
-        FindAcceptingLasso(*entry->graph, accepting);
-    EXPECT_EQ(oracle.has_value(), cover.has_value())
-        << what << " beta=" << beta;
+    std::optional<LassoWitness> cover = FindAcceptingLasso(graph, accepting);
+    EXPECT_EQ(oracle.has_value(), cover.has_value()) << where;
     if (cover.has_value()) {
       // Replayable for counterexample.cc: every label resolves to a
       // transition record (the cover path never leaks label-less hops
       // into the witness).
       for (int64_t label : cover->stem_labels) {
-        ASSERT_GE(label, 0) << what;
+        ASSERT_GE(label, 0) << where;
         (void)entry->vass->record(label);
       }
-      ASSERT_FALSE(cover->loop_labels.empty()) << what;
+      ASSERT_FALSE(cover->loop_labels.empty()) << where;
       for (int64_t label : cover->loop_labels) {
-        ASSERT_GE(label, 0) << what;
+        ASSERT_GE(label, 0) << where;
         (void)entry->vass->record(label);
       }
+      ++with_lasso;
     }
     ++compared;
   }
   EXPECT_GT(compared, 0) << what;
+  if (lassos != nullptr) *lassos = with_lasso;
 }
 
 TEST(CoverLassoOracleTest, Table1Workload) {
   bench::Workload w = bench::MakeWorkload(SchemaClass::kAcyclic, /*size=*/3,
                                           /*depth=*/2, /*with_sets=*/true,
                                           /*with_arith=*/false);
-  ExpectEntriesMatchFallbackOracle(w.system, w.property, w.name);
+  // The child's ⊥ is a lasso: the comparison must meet one.
+  int lassos = 0;
+  ExpectEntriesMatchFallbackOracle(w.system, w.property, w.name, {}, &lassos);
+  EXPECT_GT(lassos, 0) << w.name;
+  // A property that holds leaves the root uncut, so it is compared too.
+  const bench::Workload holds = bench::WithHoldingProperty(w);
+  ExpectEntriesMatchFallbackOracle(holds.system, holds.property, holds.name);
 }
 
 TEST(CoverLassoOracleTest, MultiSetWorkload) {
@@ -435,6 +472,8 @@ TEST(CoverLassoOracleTest, MultiSetWorkload) {
 TEST(CoverLassoOracleTest, AdversarialCyclicWorkload) {
   bench::Workload w = bench::MakeAdversarialCyclic(/*size=*/3, /*depth=*/2);
   ExpectEntriesMatchFallbackOracle(w.system, w.property, w.name);
+  const bench::Workload holds = bench::WithHoldingProperty(w);
+  ExpectEntriesMatchFallbackOracle(holds.system, holds.property, holds.name);
 }
 
 TEST(CoverLassoOracleTest, TravelMiniSpecs) {

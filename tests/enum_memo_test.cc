@@ -239,8 +239,11 @@ class Harness {
 
 /// Explores every product the verification builds (the root queries and
 /// every child query they reach) over shared warm contexts, then
-/// re-prepares each product state from a fresh context: the pending
-/// edges must be identical. Returns the number of states compared.
+/// prepares each product state from the warm context and from a fresh
+/// one: the pending edges must be identical. Both sides are fresh,
+/// undecided products holding the explored product's states — an
+/// explored root product may be cut (core/task_vass.h) and prepare
+/// nothing. Returns the number of states compared.
 size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
                             const HltlProperty& property,
                             const std::string& what) {
@@ -254,10 +257,12 @@ size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
       std::unique_ptr<TaskContext> cold_ctx = h.NewContext(q.task);
       std::unique_ptr<TaskVass> cold = h.Product(q, cold_ctx.get());
       TaskVassTestPeer::CopyPrepareInputs(*warm, cold.get());
+      std::unique_ptr<TaskVass> warm_fresh = h.Product(q, h.context(q.task));
+      TaskVassTestPeer::CopyPrepareInputs(*warm, warm_fresh.get());
       const std::string want =
           TaskVassTestPeer::Describe(*cold->PrepareSuccessors(s));
       const std::string got =
-          TaskVassTestPeer::Describe(*warm->PrepareSuccessors(s));
+          TaskVassTestPeer::Describe(*warm_fresh->PrepareSuccessors(s));
       EXPECT_EQ(got, want) << what << ": query " << i << " (task " << q.task
                            << ", beta " << q.beta << "), state " << s;
       ++compared;

@@ -7,7 +7,9 @@
 // reverse order, each interleaved with another state's outstanding
 // prepare and, once per product, with a whole nested exploration of
 // another query's product. A counting operator new bounds what a warm
-// re-run allocates.
+// re-run allocates. A VIOLATED root product is cut once it reaches a
+// blocking state (core/task_vass.h) and re-runs to nothing, so re-runs
+// cover child products and the roots of HOLDS properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,6 +174,7 @@ class Harness {
   }
 
   const std::vector<QueryRec>& queries() const { return oracle_->queries(); }
+  TaskId root() const { return system_.root(); }
 
   /// Builds query `i`'s product and explores it the way the engine
   /// does, releasing the product's scratch afterwards.
@@ -208,6 +211,7 @@ class Harness {
 struct Explored {
   std::unique_ptr<TaskVass> vass;
   FirstRun first;
+  bool root = false;
 };
 
 /// Explores every product of the verification; child products are
@@ -217,6 +221,7 @@ std::vector<Explored> ExploreAll(Harness* h) {
   for (size_t i = 0; i < h->queries().size(); ++i) {
     Explored p;
     p.vass = h->Explore(i, &p.first);
+    p.root = h->queries()[i].task == h->root();
     products.push_back(std::move(p));
   }
   return products;
@@ -233,16 +238,18 @@ void ExpectSameEdges(const std::vector<VassEdge>& got,
   }
 }
 
-/// Re-runs every expanded state of every product, last product and
-/// highest state first. Each re-run holds another state's prepared
-/// successors across it, and the middle one of each product also
-/// explores a fresh product of another query (whose first run must
-/// equal that query's). Returns the number of states re-run.
+/// Re-runs every expanded state of every product (of every child
+/// product unless `rerun_roots`), last product and highest state first.
+/// Each re-run holds another state's prepared successors across it, and
+/// the middle one of each product also explores a fresh product of
+/// another query (whose first run must equal that query's). Returns the
+/// number of states re-run.
 size_t ExpectRerunsMatch(Harness* h, std::vector<Explored>* products,
-                         const std::string& what) {
+                         bool rerun_roots, const std::string& what) {
   size_t rerun = 0;
   for (size_t i = products->size(); i-- > 0;) {
     Explored& p = (*products)[i];
+    if (p.root && !rerun_roots) continue;
     std::vector<int> states;
     for (const auto& [s, edges] : p.first.edges) states.push_back(s);
     std::reverse(states.begin(), states.end());
@@ -285,16 +292,27 @@ TEST(SuccessorReuseTest, RerunsAfterReleaseReproduceTheExploration) {
       bench::MakeMultiRelation(/*size=*/3, /*depth=*/2, /*num_rels=*/2),
       bench::MakeCommutingServices(/*width=*/3, /*depth=*/2),
   };
-  for (const bench::Workload& w : families) {
-    Harness h(w.system, w.property);
-    std::vector<Explored> products = ExploreAll(&h);
-    ASSERT_GT(products.size(), 0u) << w.name;
-    EXPECT_GT(ExpectRerunsMatch(&h, &products, w.name), 0u) << w.name;
+  for (const bench::Workload& violated : families) {
+    // The VIOLATED property's child products, then every product of
+    // the HOLDS one.
+    const bench::Workload holds = bench::WithHoldingProperty(violated);
+    for (const bench::Workload* w : {&violated, &holds}) {
+      Harness h(w->system, w->property);
+      std::vector<Explored> products = ExploreAll(&h);
+      ASSERT_GT(products.size(), 1u) << w->name;
+      EXPECT_GT(ExpectRerunsMatch(&h, &products, /*rerun_roots=*/w == &holds,
+                                  w->name),
+                0u)
+          << w->name;
+    }
   }
 }
 
 TEST(SuccessorReuseTest, WarmRerunAllocatesOnlyOutputsAndDeltas) {
-  const bench::Workload w = bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
+  // A HOLDS property, so that every product, the root included,
+  // re-runs its exploration's lists.
+  const bench::Workload w = bench::WithHoldingProperty(
+      bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3));
   Harness h(w.system, w.property);
   std::vector<Explored> products = ExploreAll(&h);
   // The first pass after the release refills the product's scratch;
@@ -320,11 +338,14 @@ TEST(SuccessorReuseTest, WarmRerunAllocatesOnlyOutputsAndDeltas) {
   std::printf("warm re-run: %zu allocations for %zu edges (ceiling %zu)\n",
               allocs, edges, ceiling);
 
-  // For the record: allocations of one warm Verify call.
-  VerifyResult warmup = Verify(w.system, w.property);
+  // For the record: allocations of one warm Verify call on the deep
+  // family's own (VIOLATED) property.
+  const bench::Workload deep =
+      bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
+  VerifyResult warmup = Verify(deep.system, deep.property);
   VerifyResult result;
   const size_t per_verify =
-      CountAllocs([&] { result = Verify(w.system, w.property); });
+      CountAllocs([&] { result = Verify(deep.system, deep.property); });
   EXPECT_EQ(result.verdict, warmup.verdict);
   std::printf("allocations per Verify (deep, depth 4, size 3): %zu\n",
               per_verify);
