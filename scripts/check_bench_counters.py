@@ -14,7 +14,8 @@ Usage:
   check_bench_counters.py BASELINE.json RUN.json [--tolerance PCT] [--exact]
 
 Exit code 1 iff a gated counter grew beyond the tolerance (default 0%),
-shrank under --exact, or a baselined benchmark is missing from the run.
+shrank under --exact, a baselined benchmark is missing from the run, or
+a run row carries a counter that is neither gated nor informational.
 Benchmarks present in the run but not in the baseline are reported as
 needing a baseline update, not failed.
 """
@@ -83,6 +84,18 @@ INFORMATIONAL = [
     # timing rather than work done, so it is surfaced, not gated.
     "ample_full_expansions",
 ]
+# Fields of a run row that are not exploration counters: Google
+# Benchmark's own fields, the rows' parameters and their throughput
+# rate. Every other field is an exploration counter (ExportStats in
+# bench/bench_stats.h) and must be listed in GATED or INFORMATIONAL, so
+# a new one cannot go ungated silently.
+ROW_FIELDS = {
+    "name", "run_name", "run_type", "family_index",
+    "per_family_instance_index", "repetitions", "repetition_index",
+    "threads", "iterations", "real_time", "cpu_time", "time_unit",
+    "label", "error_occurred", "error_message",
+    "prune", "por", "slice", "num_rels", "width", "states_per_sec",
+}
 
 
 def load(path):
@@ -175,6 +188,14 @@ def main():
                     f"{name}: wall-clock {(c - b) / b:+.1%} vs baseline "
                     "(informational; hosts differ)"
                 )
+
+    known = ROW_FIELDS | set(GATED) | set(INFORMATIONAL)
+    for name, cur in sorted(run.items()):
+        for counter in sorted(set(cur) - known):
+            failures.append(
+                f"{name}: counter {counter} is neither gated nor "
+                "informational (classify it in this script)"
+            )
 
     for name in sorted(set(run) - set(baseline)):
         notes.append(f"{name}: no baseline yet (add it to the JSON)")

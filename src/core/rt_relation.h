@@ -151,7 +151,8 @@ class RtEngine : public RtOracle {
     /// analysis runs on `graph` itself — pruned graphs carry the
     /// closed-walk structure in their cover-edges — so `lasso->node`
     /// always indexes into `graph`; the witness LABEL sequences are
-    /// transition-record ids valid independent of any graph.
+    /// target-state ids of `vass` (TaskVass::record), valid independent
+    /// of any graph.
     int blocking_node = -1;
     std::optional<LassoWitness> lasso;
     TaskId task = kNoTask;

@@ -51,22 +51,6 @@ int TaskVass::InternProbe() {
   return id;
 }
 
-int64_t TaskVass::InternRecord(const RecordKey& key, const std::string& note) {
-  auto it = record_index_.find(key);
-  if (it != record_index_.end()) return it->second;
-  int64_t label = static_cast<int64_t>(records_.size());
-  TransitionRecord rec;
-  rec.service = key.service;
-  rec.target_state = key.target;
-  rec.child_beta = key.child_beta;
-  rec.child_key = key.child_key;
-  rec.child_result_index = key.child_result_index;
-  rec.note = note;
-  records_.push_back(std::move(rec));
-  record_index_.emplace(key, label);
-  return label;
-}
-
 int TaskVass::DimOf(int relation, TypeId ts) {
   uint64_t key = RelTypeKey(relation, ts);
   auto it = dim_index_.find(key);
@@ -90,25 +74,14 @@ int TaskVass::IbIdOf(int relation, TypeId ts) {
 int TaskVass::InternOutcome(const ChildOutcome* src) {
   auto [by_src, fresh] = outcome_by_src_.try_emplace(src, -1);
   if (!fresh) return by_src->second;
-  OutcomeKey key;
-  key.bottom = src->bottom;
   // Child outcomes arrive as canonical pool representatives (the
   // engine normalizes them when deduplicating returning outputs).
-  key.iso = pool_->InternNormalized(src->iso);
-  key.cell = pool_->InternCell(src->cell);
-  auto it = outcome_index_.find(key);
-  if (it != outcome_index_.end()) return by_src->second = it->second;
-  int id = static_cast<int>(outcomes_.size());
-  // Store the canonical (normalized) instance from the pool so every
-  // consumer sees the interned representative.
-  ChildOutcome outcome;
-  outcome.bottom = src->bottom;
-  outcome.iso = pool_->type(key.iso);
-  outcome.cell = src->cell;
-  outcomes_.push_back(std::move(outcome));
-  outcome_keys_.push_back(key);
-  outcome_index_.emplace(key, id);
-  return by_src->second = id;
+  const OutcomeKey key{pool_->InternNormalized(src->iso),
+                       pool_->InternCell(src->cell)};
+  auto [it, added] = outcome_index_.try_emplace(
+      key, static_cast<int>(outcome_keys_.size()));
+  if (added) outcome_keys_.push_back(key);
+  return by_src->second = it->second;
 }
 
 std::vector<bool> TaskVass::MakeLetter(const SymbolicConfig& config,
@@ -225,12 +198,12 @@ void TaskVass::FillOpening(const SymbolicConfig& cur, int child,
 }
 
 void TaskVass::FillReturn(const SymbolicConfig& cur, int child,
-                          const ChildOutcome& outcome,
+                          const OutcomeKey& outcome,
                           EnumMemo::Return* entry) const {
   const TaskId child_id = ctx_->task().children()[child];
-  std::vector<SymbolicConfig> nexts =
-      ApplyChildReturn(*ctx_, *child_ctxs_->at(child_id), cur, outcome.iso,
-                       outcome.cell, &entry->truncated);
+  std::vector<SymbolicConfig> nexts = ApplyChildReturn(
+      *ctx_, *child_ctxs_->at(child_id), cur, pool_->type(outcome.iso),
+      pool_->cell(outcome.cell), &entry->truncated);
   const ServiceRef ref = ServiceRef::Closing(child_id);
   entry->steps.reserve(nexts.size());
   for (SymbolicConfig& next : nexts) {
@@ -264,6 +237,9 @@ std::vector<int> TaskVass::InitialStates() {
       probe_.stages.assign(ctx_->task().children().size(), ChildStage{});
       probe_.ib_bits.clear();
       int id = InternProbe();
+      // No edge enters an initial state (no transition opens the task
+      // itself), so its record stays empty.
+      if (static_cast<size_t>(id) == records_.size()) records_.emplace_back();
       if (std::find(out.begin(), out.end(), id) == out.end()) {
         out.push_back(id);
       }
@@ -547,13 +523,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   for (size_t c = 0; c < task.children().size(); ++c) {
     if (from.stages[c].kind != ChildStage::Kind::kActive) continue;
     const int ci = static_cast<int>(c);
-    const int outcome = from.stages[c].outcome;
-    const OutcomeKey& o = outcome_keys_[outcome];
+    const OutcomeKey& o = outcome_keys_[from.stages[c].outcome];
     const EnumMemo::Return& e = memo.GetReturn(
         {from.iso, from.cell, ci, o.iso, o.cell},
-        [&](EnumMemo::Return* out) {
-          FillReturn(cur(), ci, outcomes_[outcome], out);
-        });
+        [&](EnumMemo::Return* out) { FillReturn(cur(), ci, o, out); });
     pending->truncated = pending->truncated || e.truncated;
     TaskId child_id = task.children()[c];
     for (const EnumMemo::Step& s : e.steps) {
@@ -661,11 +634,6 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     probe_.iso = pe.next_iso;
     probe_.cell = pe.next_cell;
     probe_.service = pe.service;
-    RecordKey key;
-    key.service = pe.service;
-    key.child_beta = pe.child_beta;
-    key.child_key = pe.child_key;
-    key.child_result_index = pe.child_result_index;
     // An edge with no negative delta is enabled at every marking.
     const bool can_cut =
         task_is_root &&
@@ -673,9 +641,14 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
                      [](const auto& d) { return d.second < 0; });
     for (int q2 : *pe.q2s) {
       probe_.q = q2;
-      key.target = InternProbe();
-      out->push_back(
-          VassEdge{key.target, delta_, InternRecord(key, *pe.note)});
+      const int target = InternProbe();
+      // The commit that creates a state writes its record; every later
+      // edge into it did the same thing (see TransitionRecord).
+      if (static_cast<size_t>(target) == records_.size()) {
+        records_.push_back(TransitionRecord{pe.service, pe.child_key,
+                                            pe.child_result_index, *pe.note});
+      }
+      out->push_back(VassEdge{target, delta_, target});
       if (pi < static_cast<size_t>(pending->ample_pending)) {
         ++ample_committed;
       }
@@ -683,7 +656,7 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
       // state at the node it is expanding (the commit records no ample
       // prefix), so a node of the blocking state exists and the root
       // query is decided.
-      if (can_cut && IsBlocking(key.target)) cut = true;
+      if (can_cut && IsBlocking(target)) cut = true;
     }
   }
   root_decided_ = root_decided_ || cut;
@@ -744,7 +717,6 @@ bool TaskVass::IsBuchiAccepting(int state) const {
 ChildOutcome TaskVass::OutputOf(int state) const {
   const State& s = states_[state];
   ChildOutcome out;
-  out.bottom = false;
   out.iso = pool_->type(s.iso).Project(ctx_->output_vars(), ctx_->nav_depth());
   if (ctx_->basis() != nullptr) {
     out.cell = pool_->cell(s.cell).RestrictTo(ctx_->output_polys());

@@ -31,10 +31,9 @@
 
 namespace has {
 
-/// A child output option: either a returning output (iso/cell) or ⊥.
+/// A returning child output (⊥ is ChildResult::has_bottom).
 struct ChildOutcome {
-  bool bottom = false;  ///< the child call never returns
-  PartialIsoType iso;   ///< over the child scope, projected to in ∪ ret
+  PartialIsoType iso;  ///< over the child scope, projected to in ∪ ret
   Cell cell;
 };
 
@@ -102,7 +101,7 @@ class RtOracle {
 struct ChildStage {
   enum class Kind : uint8_t { kInit, kActive, kActiveBottom, kClosed };
   Kind kind = Kind::kInit;
-  int outcome = -1;         ///< index into TaskVass outcome registry
+  int outcome = -1;         ///< TaskVass outcome id (kActive only)
   Assignment beta = 0;      ///< β_c guessed at the opening
 
   bool operator==(const ChildStage& o) const {
@@ -115,13 +114,14 @@ struct ChildStage {
   }
 };
 
-/// What a transition did — used to decode counterexample paths.
+/// What the transitions into one product state did — used to decode
+/// counterexample paths. A product state holds the service it was
+/// entered by and, for an opening, the opened child's stage (its β_c
+/// and outcome, or ⊥) at an unchanged configuration, so every edge into
+/// a state did the same thing: the record belongs to the target state,
+/// and an edge's label is its target state's id.
 struct TransitionRecord {
   ServiceRef service;
-  int target_state = -1;
-  /// For child openings: the guessed β_c and outcome index (-1 = ⊥).
-  Assignment child_beta = 0;
-  int child_outcome = -1;
   /// Memo key of the child query (invalid when the transition opened no
   /// child) and the index into its returning set (-1 for ⊥ outcomes);
   /// used to expand the child's witness run.
@@ -158,9 +158,9 @@ class TaskVass : public VassSystem {
   // Prepare runs the expensive symbolic work (successor enumeration,
   // condition evaluation, child-oracle queries, pool interning) and
   // only reads product state, apart from the root cut. Commit applies
-  // the cheap mutations (state/dimension/ib-bit/outcome/record
-  // interning). Successors runs both; they are public so profilers can
-  // time them separately.
+  // the cheap mutations (state/dimension/ib-bit/outcome interning, and
+  // a new state's record). Successors runs both; they are public so
+  // profilers can time them separately.
   //
   // The root cut (root products only) is set by either step:
   //  - Commit sets it when it emits an edge into a blocking state whose
@@ -203,16 +203,14 @@ class TaskVass : public VassSystem {
   /// Output type of a returning state: projection onto x̄_in ∪ x̄_ret.
   ChildOutcome OutputOf(int state) const;
 
+  /// The record of the edges labelled `label`, i.e. of the edges into
+  /// state `label` (empty for an initial state, which no edge enters).
   const TransitionRecord& record(int64_t label) const {
     return records_[static_cast<size_t>(label)];
   }
   const PartialIsoType& state_iso(int state) const;
   ServiceRef state_service(int state) const {
     return states_[state].service;
-  }
-  int state_buchi(int state) const { return states_[state].q; }
-  const std::vector<ChildStage>& state_stages(int state) const {
-    return states_[state].stages;
   }
 
   /// Whether any successor enumeration hit the branch budget.
@@ -221,8 +219,6 @@ class TaskVass : public VassSystem {
   /// (artifact relation, TS-type) pair — each relation owns its own
   /// dimension group, interleaved by discovery order.
   int num_dimensions() const { return static_cast<int>(dim_types_.size()); }
-  size_t num_outcomes() const { return outcomes_.size(); }
-  const ChildOutcome& outcome(int i) const { return outcomes_[i]; }
 
  private:
   friend class TaskVassTestPeer;
@@ -257,50 +253,19 @@ class TaskVass : public VassSystem {
     }
   };
 
-  /// Key of an interned child outcome (all components pool ids).
+  /// An interned child outcome: its pooled (type, cell).
   struct OutcomeKey {
-    bool bottom = false;
     TypeId iso = kNoTypeId;
     CellId cell = kNoCellId;
 
     bool operator==(const OutcomeKey& o) const {
-      return bottom == o.bottom && iso == o.iso && cell == o.cell;
+      return iso == o.iso && cell == o.cell;
     }
   };
   struct OutcomeKeyHash {
     size_t operator()(const OutcomeKey& k) const {
-      size_t seed = k.bottom ? 1 : 0;
-      HashMix(&seed, k.iso);
+      size_t seed = static_cast<size_t>(k.iso);
       HashMix(&seed, k.cell);
-      return seed;
-    }
-  };
-
-  /// Identity of a TransitionRecord: everything decoding needs. The
-  /// note string is derived from the service identity, so it is not
-  /// part of the key. Records are interned so that every source state
-  /// taking the same transition shares one record (and one label), and
-  /// a commit reuses existing records instead of allocating new ones.
-  struct RecordKey {
-    ServiceRef service;
-    int target = -1;
-    Assignment child_beta = 0;
-    RtQueryKey child_key;
-    int child_result_index = -1;
-
-    bool operator==(const RecordKey& o) const {
-      return service == o.service && target == o.target &&
-             child_beta == o.child_beta && child_key == o.child_key &&
-             child_result_index == o.child_result_index;
-    }
-  };
-  struct RecordKeyHash {
-    size_t operator()(const RecordKey& k) const {
-      size_t seed = k.service.Hash();
-      HashMix(&seed, k.target);
-      HashMix(&seed, k.child_beta);
-      HashCombine(&seed, RtQueryKeyHash{}(k.child_key));
-      HashMix(&seed, k.child_result_index);
       return seed;
     }
   };
@@ -312,9 +277,6 @@ class TaskVass : public VassSystem {
   /// Id of the state held in `probe_`, copying it into `states_` only
   /// when it is new.
   int InternProbe();
-  /// Label of the transition record `key` (allocating it, with a copy
-  /// of `note`, on first sight).
-  int64_t InternRecord(const RecordKey& key, const std::string& note);
   /// A (relation, TS-type) key: the SAME normalized projection arising
   /// for two different relations must map to two different counter
   /// dimensions / ib bits — tuples of S_T,i and S_T,j are never
@@ -361,13 +323,13 @@ class TaskVass : public VassSystem {
   void FillOpening(const SymbolicConfig& cur, int child,
                    EnumMemo::Opening* entry) const;
   void FillReturn(const SymbolicConfig& cur, int child,
-                  const ChildOutcome& outcome, EnumMemo::Return* entry) const;
+                  const OutcomeKey& outcome, EnumMemo::Return* entry) const;
 
   /// One prepared (not yet committed) product transition: the target
   /// configuration is already pool-interned and the Büchi-compatible
   /// successor states of the memoized letter are precomputed; everything
   /// that allocates product-local ids (counter dimensions, ib bits,
-  /// outcomes, states, records) is deferred to the commit. An edge owns
+  /// outcomes, states) is deferred to the commit. An edge owns
   /// no heap memory: its successor list and note point into the
   /// product, its set ops into the PendingSuccessors.
   struct PendingEdge {
@@ -399,10 +361,10 @@ class TaskVass : public VassSystem {
     int stage_child = -1;
     ChildStage::Kind stage_kind = ChildStage::Kind::kInit;
     const ChildOutcome* outcome_src = nullptr;
+    /// The rest of the TransitionRecord a new target state gets; the
+    /// note is one of the product's note strings or a service name.
     RtQueryKey child_key;
     int child_result_index = -1;
-    /// The transition's note (one of the product's note strings or a
-    /// service name).
     const std::string* note = nullptr;
   };
   struct PendingSuccessors : Prepared {
@@ -471,12 +433,11 @@ class TaskVass : public VassSystem {
   std::unordered_map<uint64_t, int> dim_index_;
   std::vector<std::pair<int, TypeId>> ib_types_;
   std::unordered_map<uint64_t, int> ib_index_;
-  std::vector<ChildOutcome> outcomes_;
-  std::vector<OutcomeKey> outcome_keys_;  ///< parallel to outcomes_
+  std::vector<OutcomeKey> outcome_keys_;  ///< indexed by outcome id
   std::unordered_map<OutcomeKey, int, OutcomeKeyHash> outcome_index_;
   std::unordered_map<const ChildOutcome*, int> outcome_by_src_;
+  /// Indexed by state id (record(); parallel to states_).
   std::vector<TransitionRecord> records_;
-  std::unordered_map<RecordKey, int64_t, RecordKeyHash> record_index_;
   /// Per-state committed ample-prefix length (AmplePrefix); indexed by
   /// state id, lazily grown in CommitSuccessors.
   std::vector<int> ample_prefix_;

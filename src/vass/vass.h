@@ -23,7 +23,8 @@ namespace has {
 
 /// An outgoing edge of a VASS state. `label` is an opaque tag the
 /// caller uses to reconstruct what the transition meant (the verifier
-/// stores an index into its transition table).
+/// stores the target state, whose record says what every transition
+/// into it did: TaskVass::record).
 struct VassEdge {
   int target = -1;
   Delta delta;

@@ -33,7 +33,6 @@ class TaskVassTestPeer {
   /// child outcomes and ib-bit registry) from `from` into `to`.
   static void CopyPrepareInputs(const TaskVass& from, TaskVass* to) {
     to->states_ = from.states_;
-    to->outcomes_ = from.outcomes_;
     to->outcome_keys_ = from.outcome_keys_;
     to->ib_types_ = from.ib_types_;
     to->ib_index_ = from.ib_index_;
