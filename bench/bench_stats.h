@@ -25,6 +25,7 @@ inline void ExportStats(const RtStats& stats, benchmark::State* state) {
       {"cov_edges", stats.cov_edges},
       {"product_states", stats.product_states},
       {"pooled_types", stats.pooled_types},
+      {"pooled_cells", stats.pooled_cells},
       {"counter_dims", stats.counter_dims},
       {"pruned_successors", stats.pruned_successors},
       {"deactivated_nodes", stats.deactivated_nodes},

@@ -71,6 +71,11 @@ GATED = [
     # prepares each product state once, so this is a pure function of
     # the explored graphs too; growth means more repeated steps.
     "enum_memo_hits",
+    # Distinct cells interned in the engine's pool, a pure function of
+    # the explored graphs. On the arithmetic rows (BM_Pruning_Table2)
+    # these are the cells the enumeration produced; rows without
+    # arithmetic intern only the empty cell.
+    "pooled_cells",
 ]
 # Deterministic but directionless: a drift is worth a look, not a fail
 # (e.g. pruning MORE successors is usually good news).

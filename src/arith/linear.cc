@@ -116,6 +116,15 @@ void LinearSystem::Append(const LinearSystem& o) {
                       o.constraints_.end());
 }
 
+size_t LinearSystem::Hash() const {
+  size_t seed = constraints_.size();
+  for (const LinearConstraint& c : constraints_) {
+    HashMix(&seed, c.expr.Hash());
+    HashMix(&seed, static_cast<int>(c.op));
+  }
+  return seed;
+}
+
 LinearSystem LinearSystem::Rename(
     const std::map<ArithVar, ArithVar>& map) const {
   LinearSystem out;

@@ -109,6 +109,12 @@ class LinearSystem {
   bool empty() const { return constraints_.empty(); }
   size_t size() const { return constraints_.size(); }
 
+  /// Same constraints in the same order.
+  bool operator==(const LinearSystem& o) const {
+    return constraints_ == o.constraints_;
+  }
+  size_t Hash() const;
+
   LinearSystem Rename(const std::map<ArithVar, ArithVar>& map) const;
 
   /// All variables mentioned.

@@ -307,16 +307,36 @@ PartialIsoType TaskContext::OpeningIso(const PartialIsoType& input) const {
   return iso;
 }
 
+const std::vector<Cell>& CellCompletions(const TaskContext& ctx, Cell partial,
+                                         LinearSystem extra) {
+  return ctx.memo().GetCompletions(
+      std::move(partial), std::move(extra),
+      [&](const Cell& cell, const LinearSystem& eqs,
+          EnumMemo::Completions* out) {
+        std::vector<int> todo;
+        for (int p = 0; p < cell.size(); ++p) {
+          if (cell.sign(p) == kSignAny) todo.push_back(p);
+        }
+        // CompleteDecisions counts every cell it reads as a branch and
+        // has counted at least one before, so it stops within the first
+        // max_branches + 1 cells.
+        EnumerateCells(*ctx.basis(), cell, todo, eqs, [&](const Cell& c) {
+          out->push_back(c);
+          return out->size() <= ctx.max_branches();
+        });
+      });
+}
+
 namespace {
 
 /// Shared decision DFS: refines `seed` until every equality atom of the
 /// context is decided, then (in arithmetic mode) completes the cell
-/// over the given todo polynomials, requiring `must_hold` (if any) to
-/// be definitely true at the leaves.
+/// (CellCompletions), requiring `must_hold` (if any) to be definitely
+/// true at the leaves.
 void CompleteDecisions(const TaskContext& ctx, const SymbolicConfig& seed,
-                       const CondPtr& must_hold, size_t max_branches,
-                       bool* truncated,
+                       const CondPtr& must_hold, bool* truncated,
                        const std::function<void(SymbolicConfig&&)>& emit) {
+  const size_t max_branches = ctx.max_branches();
   size_t branches = 0;
   std::function<void(SymbolicConfig&)> rec = [&](SymbolicConfig& cur) {
     if (++branches > max_branches) {
@@ -349,34 +369,27 @@ void CompleteDecisions(const TaskContext& ctx, const SymbolicConfig& seed,
       emit(std::move(out));
       return;
     }
-    std::vector<int> todo;
-    if (cur.cell.size() != ctx.basis()->size()) {
-      Cell fresh(ctx.basis()->size());
-      for (int p = 0; p < cur.cell.size() && p < fresh.size(); ++p) {
-        fresh.set_sign(p, cur.cell.sign(p));
+    Cell partial(ctx.basis()->size());
+    for (int p = 0; p < cur.cell.size() && p < partial.size(); ++p) {
+      partial.set_sign(p, cur.cell.sign(p));
+    }
+    // The memo's lists never move, so the reference stays valid while
+    // emit runs.
+    const std::vector<Cell>& cells = CellCompletions(
+        ctx, std::move(partial), ctx.NumericEqualities(cur.iso));
+    for (const Cell& cell : cells) {
+      if (++branches > max_branches) {
+        *truncated = true;
+        return;
       }
-      cur.cell = fresh;
+      SymbolicConfig out{cur.iso, cell};
+      if (must_hold != nullptr &&
+          ctx.EvalSym(*must_hold, out) != Truth::kTrue) {
+        continue;
+      }
+      out.iso.Normalize();
+      emit(std::move(out));
     }
-    for (int p = 0; p < ctx.basis()->size(); ++p) {
-      if (cur.cell.sign(p) == kSignAny) todo.push_back(p);
-    }
-    LinearSystem extra = ctx.NumericEqualities(cur.iso);
-    EnumerateCells(*ctx.basis(), cur.cell, todo, extra,
-                   [&](const Cell& cell) {
-                     if (++branches > max_branches) {
-                       *truncated = true;
-                       return false;
-                     }
-                     SymbolicConfig out = cur;
-                     out.cell = cell;
-                     if (must_hold != nullptr &&
-                         ctx.EvalSym(*must_hold, out) != Truth::kTrue) {
-                       return true;
-                     }
-                     out.iso.Normalize();
-                     emit(std::move(out));
-                     return true;
-                   });
   };
   SymbolicConfig start = seed;
   rec(start);
@@ -404,7 +417,7 @@ std::vector<InternalSuccessor> EnumerateInternal(const TaskContext& ctx,
   }
   // The input projection is preserved exactly, everything else is fresh.
   CompleteDecisions(
-      ctx, base, svc.post, ctx.max_branches(), truncated,
+      ctx, base, svc.post, truncated,
       [&](SymbolicConfig&& next) {
         InternalSuccessor s;
         s.set_ops = skeleton;
@@ -430,7 +443,7 @@ std::vector<SymbolicConfig> EnumerateOpening(const TaskContext& ctx,
       base.cell.set_sign(p, input_cell.sign(p));
     }
   }
-  CompleteDecisions(ctx, base, nullptr, ctx.max_branches(), truncated,
+  CompleteDecisions(ctx, base, nullptr, truncated,
                     [&](SymbolicConfig&& next) {
                       out.push_back(std::move(next));
                     });
@@ -561,8 +574,8 @@ std::vector<SymbolicConfig> ApplyChildReturn(
   }
 
   std::vector<SymbolicConfig> out;
-  CompleteDecisions(parent_ctx, base, nullptr, parent_ctx.max_branches(),
-                    truncated, [&](SymbolicConfig&& next) {
+  CompleteDecisions(parent_ctx, base, nullptr, truncated,
+                    [&](SymbolicConfig&& next) {
                       out.push_back(std::move(next));
                     });
   return out;

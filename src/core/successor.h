@@ -259,6 +259,15 @@ std::vector<SymbolicConfig> EnumerateOpening(const TaskContext& ctx,
                                              const Cell& input_cell,
                                              bool* truncated);
 
+/// The satisfiable completions of `partial`, a cell over the task's
+/// basis, under `extra`, the numeric equalities of the configuration
+/// being completed (TaskContext::NumericEqualities): every kSignAny
+/// position receives a sign, in EnumerateCells' order. The list comes
+/// from the task's memo (EnumMemo::GetCompletions) and holds at most
+/// max_branches + 1 cells, which is as far as any enumeration reads.
+const std::vector<Cell>& CellCompletions(const TaskContext& ctx, Cell partial,
+                                         LinearSystem extra);
+
 /// The input type a child receives when opened from `parent_state`:
 /// projection onto the passed variables, renamed into the child scope,
 /// clipped to the child's navigation depth.
@@ -305,6 +314,12 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 // with that base. The input base is keyed by its canonical encoding and
 // cell, not by a pool id: interning it would add types to the engine's
 // pool that no unmemoized enumeration interns.
+//
+// Every step that decides a configuration ends by completing its cell.
+// The completions depend only on the partial cell and the numeric
+// equalities of the iso type, not on its ID equalities, so the memo
+// keeps them per (partial cell, numeric equalities) and every step of
+// the task shares them (CellCompletions).
 
 /// A value the memo keeps until it is interned, then only its pool id.
 /// The id is interned on first use, never when the entry is filled, so
@@ -456,6 +471,27 @@ class EnumMemo {
     return close_self_.Get(key, fill, &uncounted);
   }
 
+  /// (E) The completions of a partial cell under numeric equalities
+  /// (CellCompletions), in EnumerateCells' order.
+  using Completions = std::vector<Cell>;
+  /// The completions of `partial` under `extra`, filled by
+  /// `fill(partial, extra, Completions*)` on first demand. Not counted
+  /// in misses() or hits(): a step's entry already counts the
+  /// enumeration it belongs to. The reference stays valid for the
+  /// memo's lifetime.
+  template <typename Fill>
+  const Completions& GetCompletions(Cell partial, LinearSystem extra,
+                                    const Fill& fill) {
+    CompletionKey key{std::move(partial), std::move(extra)};
+    auto it = completions_.find(key);
+    if (it != completions_.end()) return it->second;
+    Completions cells;
+    fill(key.partial, key.extra, &cells);
+    ++completion_fills_;
+    return completions_.emplace(std::move(key), std::move(cells))
+        .first->second;
+  }
+
   /// The body table of input base `base` (TaskContext::InputBase),
   /// created empty on first demand. The reference stays valid for the
   /// memo's lifetime.
@@ -483,8 +519,13 @@ class EnumMemo {
   /// Internal bodies filled: one per distinct (input base, service), so
   /// deterministic.
   size_t body_fills() const { return body_fills_; }
+  /// Completion lists filled: one per distinct (partial cell, numeric
+  /// equalities), so deterministic.
+  size_t completion_fills() const { return completion_fills_; }
 
  private:
+  friend class EnumMemoTestPeer;
+
   struct KeyHash {
     size_t operator()(const Key& k) const {
       size_t seed = static_cast<size_t>(k.iso);
@@ -514,6 +555,23 @@ class EnumMemo {
     size_t operator()(const BaseKey& k) const {
       size_t seed = HashCanonicalEncoding(k.tokens, k.consts);
       HashCombine(&seed, k.cell.Hash());
+      return seed;
+    }
+  };
+
+  /// A partial cell and the numeric equalities it is completed under.
+  struct CompletionKey {
+    Cell partial;
+    LinearSystem extra;
+
+    bool operator==(const CompletionKey& o) const {
+      return partial == o.partial && extra == o.extra;
+    }
+  };
+  struct CompletionKeyHash {
+    size_t operator()(const CompletionKey& k) const {
+      size_t seed = k.partial.Hash();
+      HashCombine(&seed, k.extra.Hash());
       return seed;
     }
   };
@@ -548,6 +606,9 @@ class EnumMemo {
   Table<CloseSelf> close_self_;
   std::unordered_map<BaseKey, Bodies, BaseKeyHash> bodies_;
   size_t body_fills_ = 0;
+  std::unordered_map<CompletionKey, Completions, CompletionKeyHash>
+      completions_;
+  size_t completion_fills_ = 0;
 };
 
 }  // namespace has

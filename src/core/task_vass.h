@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -127,7 +128,9 @@ struct TransitionRecord {
   /// used to expand the child's witness run.
   RtQueryKey child_key;
   int child_result_index = -1;
-  std::string note;
+  /// One of the product's note strings or a service name, so it lives
+  /// as long as the product and the system it was built from.
+  std::string_view note;
 };
 
 /// The root product decides its query on the fly (the root cut): the
@@ -146,6 +149,9 @@ class TaskVass : public VassSystem {
            PropertyAutomata* automata, TypePool* pool, Assignment beta,
            PartialIsoType input_iso, Cell input_cell, RtOracle* oracle,
            const Condition* opening_filter);
+  /// Records and pending edges point into the product's note strings.
+  TaskVass(const TaskVass&) = delete;
+  TaskVass& operator=(const TaskVass&) = delete;
 
   /// Builds and interns the initial states; returns their ids.
   std::vector<int> InitialStates();

@@ -1,5 +1,6 @@
 // Pins the verifier's observable output byte for byte: for every
-// property of the committed specs, and for four bench families, the
+// property of the committed specs, for four bench families, and for the
+// three heaviest arithmetic specs of the generated corpus, the
 // verdict, the exploration counters `queries`, `cov_nodes` and
 // `product_states`, and the full counterexample text `Verify` renders
 // (including the expanded child runs). The expected output lives in
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "core/verifier.h"
+#include "fuzz/generator.h"
 #include "spec/parser.h"
 #include "test_paths.h"
 #include "workloads.h"
@@ -63,6 +65,19 @@ std::string DescribeAll() {
       bench::MakeCommutingServices(/*width=*/3, /*depth=*/2);
   out += Describe("MakeCommutingServices(3,2)", commuting.system,
                   commuting.property);
+  // The generated specs that spend the most time in cell enumeration.
+  for (uint64_t seed : {70, 92, 115}) {
+    const StatusOr<GeneratedSpec> gen = GenerateSpec(seed);
+    EXPECT_TRUE(gen.ok()) << "seed " << seed;
+    if (!gen.ok()) continue;
+    auto parsed = ParseSpec(gen->source);
+    EXPECT_TRUE(parsed.ok()) << "seed " << seed;
+    if (!parsed.ok()) continue;
+    for (const auto& [name, property] : parsed->properties) {
+      out += Describe("GenerateSpec(" + std::to_string(seed) + "):" + name,
+                      parsed->system, property);
+    }
+  }
   return out;
 }
 

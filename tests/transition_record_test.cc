@@ -16,6 +16,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -134,7 +135,7 @@ void ForEachRun(const EntryCheck& check) {
   }
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
+bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
