@@ -4,7 +4,7 @@
 Compares the DETERMINISTIC exploration counters of a Google-Benchmark
 JSON run against a committed baseline and fails on unexplained growth.
 The gated counters (coverability nodes/edges, product states, interned
-types, recorded cover-edges) are pure work counts: they are
+types per task scope, recorded cover-edges) are pure work counts: they are
 deterministic and host-independent, so exceeding the baseline means the
 change genuinely made the verifier explore more — unlike wall-clock, which
 stays informational (the committed baselines come from a 1-vCPU
@@ -31,6 +31,9 @@ GATED = [
     "cov_nodes",
     "cov_edges",
     "product_states",
+    # Distinct types interned in the engine's pool. A pool id is a
+    # type's scope plus its canonical form, so canonically equal types
+    # of two tasks count twice.
     "pooled_types",
     "cover_edges",
     "counter_dims",

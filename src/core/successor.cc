@@ -586,11 +586,4 @@ void EnumMemo::Bind(const TypePool* pool) {
   HAS_CHECK_MSG(pool_ == pool, "an enumeration memo serves a single TypePool");
 }
 
-EnumMemo::Bodies& EnumMemo::BodiesOf(const SymbolicConfig& base) {
-  BaseKey key;
-  base.iso.CanonicalEncode(&key.tokens, &key.consts);
-  key.cell = base.cell;
-  return bodies_[std::move(key)];
-}
-
 }  // namespace has

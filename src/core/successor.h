@@ -311,9 +311,12 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 // successor list. By restriction 1 that list is a function of the
 // configuration's input base (TaskContext::InputBase) alone, so bodies
 // are keyed by (input base, service) and shared by every configuration
-// with that base. The input base is keyed by its canonical encoding and
-// cell, not by a pool id: interning it would add types to the engine's
-// pool that no unmemoized enumeration interns.
+// with that base.
+//
+// Entries hold successor configurations and TS-types as pool ids: a
+// fill interns what it produces. A pool id identifies a type together
+// with its scope, so every id in a task's memo stands for a type of
+// that task, and pool.type(id) is a representative to fill from.
 //
 // Every step that decides a configuration ends by completing its cell.
 // The completions depend only on the partial cell and the numeric
@@ -321,45 +324,15 @@ std::vector<SymbolicConfig> ApplyChildReturn(
 // keeps them per (partial cell, numeric equalities) and every step of
 // the task shares them (CellCompletions).
 
-/// A value the memo keeps until it is interned, then only its pool id.
-/// The id is interned on first use, never when the entry is filled, so
-/// the pool sees exactly the interns an unmemoized enumeration makes: a
-/// successor the ib-bit precheck rejects is never interned. The first
-/// user interns and frees the value (the pool holds the canonical copy).
-template <typename T>
-class Pooled {
- public:
-  Pooled() = default;
-  explicit Pooled(T value) : value_(std::make_unique<T>(std::move(value))) {}
-
-  int32_t Id(TypePool* pool) const {
-    if (id_ < 0) {
-      id_ = Intern(pool, *value_);
-      value_.reset();
-    }
-    return id_;
-  }
-
- private:
-  static int32_t Intern(TypePool* pool, const PartialIsoType& iso) {
-    return pool->InternNormalized(iso);
-  }
-  static int32_t Intern(TypePool* pool, const Cell& cell) {
-    return pool->InternCell(cell);
-  }
-
-  mutable std::unique_ptr<T> value_;
-  mutable int32_t id_ = -1;
-};
-
-/// The successor-enumeration memo of one task. Keys other than the body
-/// table's hold pool-interned ids, so the memo is bound to one TypePool.
+/// The successor-enumeration memo of one task. Every table but the
+/// completions keys on pool ids, so the memo is bound to one TypePool.
 /// Entries are filled by the caller's callback (the product computes
 /// letters, which need its automata) and never change afterwards.
 class EnumMemo {
  public:
-  /// The configuration's pool ids, the service or child index, and for
-  /// child returns the outcome's pool ids.
+  /// The configuration's pool ids (a body's: its input base's), the
+  /// service or child index, and for child returns the outcome's pool
+  /// ids.
   struct Key {
     TypeId iso = kNoTypeId;
     CellId cell = kNoCellId;
@@ -376,8 +349,8 @@ class EnumMemo {
   /// One successor configuration and the letter the Büchi product reads
   /// on the step into it.
   struct Step {
-    Pooled<PartialIsoType> iso;
-    Pooled<Cell> cell;
+    TypeId iso = kNoTypeId;
+    CellId cell = kNoCellId;
     std::vector<bool> letter;
   };
 
@@ -391,7 +364,7 @@ class EnumMemo {
       bool inserts = false;
       bool retrieves = false;
       bool retrieve_input_bound = false;
-      Pooled<PartialIsoType> retrieve_ts;  ///< set iff `retrieves`
+      TypeId retrieve_ts = kNoTypeId;  ///< set iff `retrieves`
     };
     struct Successor {
       Step step;
@@ -407,7 +380,7 @@ class EnumMemo {
     /// Indexed by relation, set for the relations the service inserts
     /// into: the pre-state's TS-type and input-bound bit, shared by every
     /// successor's insert and by the POR stutter.
-    std::vector<Pooled<PartialIsoType>> insert_ts;
+    std::vector<TypeId> insert_ts;
     std::vector<char> insert_input_bound;
     /// Letter of the identity stutter; set only for POR-eligible
     /// services whose post-condition holds.
@@ -416,10 +389,6 @@ class EnumMemo {
     /// input base; set iff `pre`.
     const InternalBody* body = nullptr;
   };
-
-  /// The bodies of one input base, indexed by service (null until
-  /// filled).
-  using Bodies = std::vector<std::unique_ptr<InternalBody>>;
 
   /// (B) A child opened at a configuration.
   struct Opening {
@@ -492,23 +461,11 @@ class EnumMemo {
         .first->second;
   }
 
-  /// The body table of input base `base` (TaskContext::InputBase),
-  /// created empty on first demand. The reference stays valid for the
-  /// memo's lifetime.
-  Bodies& BodiesOf(const SymbolicConfig& base);
-  /// The body of `service` in `bodies`, filled by `fill(InternalBody*)`
-  /// on first demand.
+  /// Bodies are keyed by their input base and service, and counted in
+  /// body_fills() only: the head that asks for a body counts the step.
   template <typename Fill>
-  const InternalBody& GetBody(Bodies* bodies, int service, const Fill& fill) {
-    const size_t slot = static_cast<size_t>(service);
-    if (bodies->size() <= slot) bodies->resize(slot + 1);
-    if ((*bodies)[slot] == nullptr) {
-      auto body = std::make_unique<InternalBody>();
-      fill(body.get());
-      ++body_fills_;
-      (*bodies)[slot] = std::move(body);
-    }
-    return *(*bodies)[slot];
+  const InternalBody& GetBody(const Key& key, const Fill& fill) {
+    return body_.Get(key, fill, &body_counts_);
   }
 
   /// Head and opening/return entries filled: one per distinct key, so
@@ -518,7 +475,7 @@ class EnumMemo {
   size_t hits() const { return counts_.hits; }
   /// Internal bodies filled: one per distinct (input base, service), so
   /// deterministic.
-  size_t body_fills() const { return body_fills_; }
+  size_t body_fills() const { return body_counts_.misses; }
   /// Completion lists filled: one per distinct (partial cell, numeric
   /// equalities), so deterministic.
   size_t completion_fills() const { return completion_fills_; }
@@ -539,24 +496,6 @@ class EnumMemo {
   struct Counts {
     size_t hits = 0;
     size_t misses = 0;
-  };
-
-  /// An input base's canonical encoding and cell.
-  struct BaseKey {
-    std::vector<int64_t> tokens;
-    std::vector<Rational> consts;
-    Cell cell;
-
-    bool operator==(const BaseKey& o) const {
-      return tokens == o.tokens && consts == o.consts && cell == o.cell;
-    }
-  };
-  struct BaseKeyHash {
-    size_t operator()(const BaseKey& k) const {
-      size_t seed = HashCanonicalEncoding(k.tokens, k.consts);
-      HashCombine(&seed, k.cell.Hash());
-      return seed;
-    }
   };
 
   /// A partial cell and the numeric equalities it is completed under.
@@ -604,8 +543,8 @@ class EnumMemo {
   Table<Opening> opening_;
   Table<Return> return_;
   Table<CloseSelf> close_self_;
-  std::unordered_map<BaseKey, Bodies, BaseKeyHash> bodies_;
-  size_t body_fills_ = 0;
+  Table<InternalBody> body_;
+  Counts body_counts_;
   std::unordered_map<CompletionKey, Completions, CompletionKeyHash>
       completions_;
   size_t completion_fills_ = 0;

@@ -34,14 +34,6 @@ TaskVass::TaskVass(const TaskContext* ctx,
   }
 }
 
-TypeId TaskVass::InternIso(const PartialIsoType& iso) {
-  return pool_->InternNormalized(iso);
-}
-
-CellId TaskVass::InternCell(const Cell& cell) {
-  return pool_->InternCell(cell);
-}
-
 int TaskVass::InternProbe() {
   auto it = state_index_.find(kProbe);
   if (it != state_index_.end()) return *it;
@@ -121,29 +113,28 @@ std::vector<bool> TaskVass::MakeLetter(const SymbolicConfig& config,
 }
 
 void TaskVass::FillInternal(const SymbolicConfig& cur, int service,
-                            std::optional<InputBodies>* input,
+                            EnumMemo::Key* base,
                             EnumMemo::Internal* head) const {
   const InternalService& svc = ctx_->task().service(service);
   head->pre = ctx_->EvalSym(*svc.pre, cur) == Truth::kTrue;
   if (!head->pre) return;
   head->post = ctx_->EvalSym(*svc.post, cur) == Truth::kTrue;
   const size_t num_rels = static_cast<size_t>(ctx_->num_set_relations());
-  head->insert_ts.resize(num_rels);
+  head->insert_ts.assign(num_rels, kNoTypeId);
   head->insert_input_bound.assign(num_rels, 0);
   for (int rel : svc.insert_rels) {
     TsType ts = ctx_->TsTypeOf(cur.iso, rel);
-    head->insert_ts[rel] = Pooled<PartialIsoType>(std::move(ts.type));
+    head->insert_ts[rel] = pool_->InternNormalized(std::move(ts.type));
     head->insert_input_bound[rel] = ts.input_bound;
   }
-  if (!input->has_value()) {
-    SymbolicConfig base = ctx_->InputBase(cur);
-    EnumMemo::Bodies* bodies = &ctx_->memo().BodiesOf(base);
-    input->emplace(InputBodies{std::move(base), bodies});
+  if (base->iso == kNoTypeId) {
+    SymbolicConfig input = ctx_->InputBase(cur);
+    base->iso = pool_->InternNormalized(std::move(input.iso));
+    base->cell = pool_->InternCell(std::move(input.cell));
   }
-  const InputBodies& in = **input;
+  const EnumMemo::Key key{base->iso, base->cell, service};
   head->body = &ctx_->memo().GetBody(
-      in.bodies, service,
-      [&](EnumMemo::InternalBody* body) { FillBody(in.base, service, body); });
+      key, [&](EnumMemo::InternalBody* body) { FillBody(key, body); });
   if (ctx_->options().por && ctx_->PorServiceEligible(service) &&
       head->post) {
     head->stutter_letter = MakeLetter(
@@ -151,17 +142,18 @@ void TaskVass::FillInternal(const SymbolicConfig& cur, int service,
   }
 }
 
-void TaskVass::FillBody(const SymbolicConfig& base, int service,
+void TaskVass::FillBody(const EnumMemo::Key& key,
                         EnumMemo::InternalBody* body) const {
-  const ServiceRef ref = ServiceRef::Internal(ctx_->task_id(), service);
+  const SymbolicConfig base{pool_->type(key.iso), pool_->cell(key.cell)};
+  const ServiceRef ref = ServiceRef::Internal(ctx_->task_id(), key.slot);
   std::vector<InternalSuccessor> succs = EnumerateInternal(
-      *ctx_, base, ctx_->task().service(service), &body->truncated);
+      *ctx_, base, ctx_->task().service(key.slot), &body->truncated);
   body->successors.reserve(succs.size());
   for (InternalSuccessor& s : succs) {
     EnumMemo::InternalBody::Successor out;
     out.step.letter = MakeLetter(s.next, ref, kNoTask, 0);
-    out.step.iso = Pooled<PartialIsoType>(std::move(s.next.iso));
-    out.step.cell = Pooled<Cell>(std::move(s.next.cell));
+    out.step.iso = pool_->InternNormalized(std::move(s.next.iso));
+    out.step.cell = pool_->InternCell(std::move(s.next.cell));
     out.set_ops.reserve(s.set_ops.size());
     for (SetOpEffect& eff : s.set_ops) {
       EnumMemo::InternalBody::SetOp op;
@@ -171,7 +163,7 @@ void TaskVass::FillBody(const SymbolicConfig& base, int service,
       if (eff.retrieves) {
         op.retrieve_input_bound = eff.retrieve_ts.input_bound;
         op.retrieve_ts =
-            Pooled<PartialIsoType>(std::move(eff.retrieve_ts.type));
+            pool_->InternNormalized(std::move(eff.retrieve_ts.type));
       }
       out.set_ops.push_back(std::move(op));
     }
@@ -209,8 +201,8 @@ void TaskVass::FillReturn(const SymbolicConfig& cur, int child,
   for (SymbolicConfig& next : nexts) {
     EnumMemo::Step step;
     step.letter = MakeLetter(next, ref, kNoTask, 0);
-    step.iso = Pooled<PartialIsoType>(std::move(next.iso));
-    step.cell = Pooled<Cell>(std::move(next.cell));
+    step.iso = pool_->InternNormalized(std::move(next.iso));
+    step.cell = pool_->InternCell(std::move(next.cell));
     entry->steps.push_back(std::move(step));
   }
 }
@@ -230,8 +222,9 @@ std::vector<int> TaskVass::InitialStates() {
     std::vector<bool> letter = MakeLetter(config, open_self, kNoTask, 0);
     for (int q : buchi_->initial()) {
       if (!buchi_->CompatibleWith(q, letter)) continue;
-      probe_.iso = InternIso(config.iso);
-      probe_.cell = InternCell(config.cell);
+      // The enumeration emits normalized configurations.
+      probe_.iso = pool_->InternNormalized(config.iso);
+      probe_.cell = pool_->InternCell(config.cell);
       probe_.service = open_self;
       probe_.q = q;
       probe_.stages.assign(ctx_->task().children().size(), ChildStage{});
@@ -358,11 +351,11 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     // (the root cut aside: a cut root product emits nothing).
     const int num_services = static_cast<int>(task.services().size());
     heads_.resize(static_cast<size_t>(num_services));
-    std::optional<InputBodies> input;  // set by the first body lookup
+    EnumMemo::Key base;  // the input base's ids, set by the first fill
     for (int i = 0; i < num_services; ++i) {
       heads_[i] = &memo.GetInternal(
           {from.iso, from.cell, i},
-          [&](EnumMemo::Internal* e) { FillInternal(cur(), i, &input, e); });
+          [&](EnumMemo::Internal* e) { FillInternal(cur(), i, &base, e); });
     }
     ample_.clear();
     if (ctx_->options().por && !ctx_->PorServiceIsProp(from.service)) {
@@ -373,26 +366,13 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         }
       }
     }
-    // Emits every successor of service `i`. Pool ids are taken in the
-    // order the unmemoized enumeration interned them, and only for what
-    // it interned: the inserted TS-types once the service has a
-    // successor, each retrieved TS-type up to the first infeasible
-    // retrieve, and the target of each feasible successor.
+    // Emits every successor of service `i`.
     auto emit_service = [&](int i) {
       const EnumMemo::Internal& e = *heads_[i];
       if (!e.pre) return;
       const InternalService& svc = task.service(i);
       const EnumMemo::InternalBody& body = *e.body;
       pending->truncated = pending->truncated || body.truncated;
-      // Each inserted TS-type is the per-relation projection of the
-      // CURRENT state, so it is identical across every successor of
-      // this service (the retrieved types vary per successor).
-      insert_ts_.assign(e.insert_ts.size(), kNoTypeId);
-      if (!body.successors.empty()) {
-        for (int rel : svc.insert_rels) {
-          insert_ts_[rel] = e.insert_ts[rel].Id(pool_);
-        }
-      }
       std::vector<PendingEdge::PendingSetOp>& ops = pending->set_ops;
       for (const EnumMemo::InternalBody::Successor& s : body.successors) {
         const size_t ops_begin = ops.size();
@@ -403,21 +383,23 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           op.inserts = eff.inserts;
           if (eff.inserts) {
             op.insert_input_bound = e.insert_input_bound[eff.relation] != 0;
-            op.insert_ts = insert_ts_[eff.relation];
+            // The inserted TS-type is the per-relation projection of
+            // the CURRENT state, the same for every successor.
+            op.insert_ts = e.insert_ts[eff.relation];
           }
           if (eff.retrieves) {
             op.retrieves = true;
             op.retrieve_input_bound = eff.retrieve_input_bound;
-            op.retrieve_ts = eff.retrieve_ts.Id(pool_);
+            op.retrieve_ts = eff.retrieve_ts;
             if (eff.retrieve_input_bound) {
               // Read-only feasibility precheck (ib-bit ALLOCATION stays
               // in the commit): the retrieve can only succeed when the
               // (relation, type) bit is already in the state's set, or
               // when this same transition inserts the identical TS type
-              // into the same relation. Skipping here saves the
-              // letter/interning/Büchi work for successors the commit
-              // would drop anyway. ib_index_ is only mutated by
-              // commits, which never overlap prepares.
+              // into the same relation. Skipping here saves the Büchi
+              // work for successors the commit would drop anyway.
+              // ib_index_ is only mutated by commits, which never
+              // overlap prepares.
               auto it =
                   ib_index_.find(RelTypeKey(eff.relation, op.retrieve_ts));
               bool in_set = it != ib_index_.end() &&
@@ -438,10 +420,8 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           continue;
         }
         const auto ops_end = static_cast<uint32_t>(ops.size());
-        const TypeId next_iso = s.step.iso.Id(pool_);
-        const CellId next_cell = s.step.cell.Id(pool_);
         PendingEdge* pe = EmitPending(
-            from.q, next_iso, next_cell, s.step.letter,
+            from.q, s.step.iso, s.step.cell, s.step.letter,
             ServiceRef::Internal(ctx_->task_id(), i), 0, &svc.name,
             pending.get());
         pe->fresh_stages = true;
@@ -463,7 +443,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
         op.relation = rel;
         op.inserts = true;
         op.insert_input_bound = e.insert_input_bound[rel] != 0;
-        op.insert_ts = e.insert_ts[rel].Id(pool_);
+        op.insert_ts = e.insert_ts[rel];
       }
       pe->set_ops_end = static_cast<uint32_t>(pending->set_ops.size());
     }
@@ -530,9 +510,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
     pending->truncated = pending->truncated || e.truncated;
     TaskId child_id = task.children()[c];
     for (const EnumMemo::Step& s : e.steps) {
-      const TypeId next_iso = s.iso.Id(pool_);
-      const CellId next_cell = s.cell.Id(pool_);
-      PendingEdge* pe = EmitPending(from.q, next_iso, next_cell, s.letter,
+      PendingEdge* pe = EmitPending(from.q, s.iso, s.cell, s.letter,
                                     ServiceRef::Closing(child_id), 0,
                                     &close_notes_[c], pending.get());
       pe->stage_child = ci;
@@ -679,7 +657,6 @@ void TaskVass::ReleaseScratch() {
   spare_.reset();
   decltype(heads_)().swap(heads_);
   decltype(ample_)().swap(ample_);
-  decltype(insert_ts_)().swap(insert_ts_);
   decltype(from_stages_)().swap(from_stages_);
   decltype(from_ib_)().swap(from_ib_);
   decltype(delta_)().swap(delta_);

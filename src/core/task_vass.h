@@ -17,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -276,10 +275,6 @@ class TaskVass : public VassSystem {
     }
   };
 
-  /// Interns an already-normalized iso type (the enumeration emits
-  /// normalized configurations); a pool hit is copy-free.
-  TypeId InternIso(const PartialIsoType& iso);
-  CellId InternCell(const Cell& cell);
   /// Id of the state held in `probe_`, copying it into `states_` only
   /// when it is new.
   int InternProbe();
@@ -307,25 +302,17 @@ class TaskVass : public VassSystem {
                                const ServiceRef& service, TaskId opened_child,
                                Assignment child_beta) const;
 
-  /// A configuration's input base (TaskContext::InputBase) and its
-  /// body table, computed on the first internal head miss of a prepare
-  /// and shared by all of the configuration's services.
-  struct InputBodies {
-    SymbolicConfig base;
-    EnumMemo::Bodies* bodies = nullptr;
-  };
-
   /// Fill the enumeration-memo entries of configuration `cur` (see
-  /// EnumMemo): internal service `service` (its head, and its body
-  /// through `input`, which the call sets when still empty), opening
-  /// child `child` (an index into the task's children), and that
-  /// child's return with `outcome`. Fills intern nothing into the pool.
+  /// EnumMemo): internal service `service` (its head, and its body at
+  /// the input base whose pool ids `base` holds; the first call that
+  /// needs them interns them), opening child `child` (an index into the
+  /// task's children), and that child's return with `outcome`. Fills
+  /// intern the configurations and TS-types they produce.
   void FillInternal(const SymbolicConfig& cur, int service,
-                    std::optional<InputBodies>* input,
-                    EnumMemo::Internal* head) const;
-  /// Fills the body of internal service `service` at input base `base`.
-  void FillBody(const SymbolicConfig& base, int service,
-                EnumMemo::InternalBody* body) const;
+                    EnumMemo::Key* base, EnumMemo::Internal* head) const;
+  /// Fills the body of internal service `key.slot` at the input base
+  /// whose pool ids `key` holds.
+  void FillBody(const EnumMemo::Key& key, EnumMemo::InternalBody* body) const;
   void FillOpening(const SymbolicConfig& cur, int child,
                    EnumMemo::Opening* entry) const;
   void FillReturn(const SymbolicConfig& cur, int child,
@@ -488,7 +475,6 @@ class TaskVass : public VassSystem {
   /// Prepare's per-service memo heads and ample services.
   std::vector<const EnumMemo::Internal*> heads_;
   std::vector<int> ample_;
-  std::vector<TypeId> insert_ts_;
   /// Commit's copies of the source state's stages and ib bits (`states_`
   /// may grow during the commit), and the delta being built.
   std::vector<ChildStage> from_stages_;

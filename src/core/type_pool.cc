@@ -27,7 +27,8 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
 
   std::vector<TypeEntry>& bucket = type_buckets_[hash];
   for (const TypeEntry& entry : bucket) {
-    if (entry.tokens == tokens && entry.consts == consts) {
+    if (entry.scope == iso.scope() && entry.max_depth == iso.max_depth() &&
+        entry.tokens == tokens && entry.consts == consts) {
       ++iso_hits_;
       // Id equality must coincide with signature equality (the
       // canonical encoding is a faithful re-coding of Signature()).
@@ -36,17 +37,18 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
       return entry.id;
     }
   }
-  TypeId id;
+  TypeEntry entry{kNoTypeId, iso.scope(), iso.max_depth(), std::move(tokens),
+                  std::move(consts)};
   if (owned != nullptr) {
     owned->CompressPaths();
-    id = static_cast<TypeId>(types_.Append(std::move(*owned)));
+    entry.id = static_cast<TypeId>(types_.Append(std::move(*owned)));
   } else {
     PartialIsoType copy = iso;
     copy.CompressPaths();
-    id = static_cast<TypeId>(types_.Append(std::move(copy)));
+    entry.id = static_cast<TypeId>(types_.Append(std::move(copy)));
   }
-  bucket.push_back(TypeEntry{id, std::move(tokens), std::move(consts)});
-  return id;
+  bucket.push_back(std::move(entry));
+  return bucket.back().id;
 }
 
 CellId TypePool::InternCell(Cell cell) {

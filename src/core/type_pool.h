@@ -1,10 +1,11 @@
 // Hash-consed interning of canonical symbolic state: a TypePool owns
 // the canonical PartialIsoType (and Cell) instances in arena storage
 // and hands out dense integer handles. Interning normalizes first, so
-// two semantically equal types always map to the SAME TypeId — equality
-// on the hot paths (RT memoization, product-state interning, counter
-// dimensions, coverability keys) degenerates to an integer compare, and
-// the per-type canonical hash is computed exactly once.
+// two semantically equal types of one task scope always map to the SAME
+// TypeId — equality on the hot paths (RT memoization, product-state
+// interning, counter dimensions, coverability keys) degenerates to an
+// integer compare, and the per-type canonical hash is computed exactly
+// once.
 //
 // The pool is shared across all per-task products of one RtEngine.
 // The arenas are chunked, so a pooled instance never moves and its
@@ -68,8 +69,10 @@ class TypePool {
   TypePool(const TypePool&) = delete;
   TypePool& operator=(const TypePool&) = delete;
 
-  /// Normalizes `iso` and interns the canonical form. Equal constraint
-  /// sets (equal Signature()s) receive equal ids.
+  /// Normalizes `iso` and interns the canonical form. Types receive
+  /// equal ids iff they have the same scope and navigation depth and
+  /// equal constraint sets (equal Signature()s): a type is a type of one
+  /// task (Section 4.1), so type(id) is always over its caller's scope.
   TypeId Intern(PartialIsoType iso);
 
   /// Interns a type the caller guarantees is already normalized (the
@@ -77,7 +80,7 @@ class TypePool {
   /// ran during enumeration). Copies into the arena only on a miss —
   /// a hit costs one canonical encoding and a hash probe. Debug builds
   /// assert that a hit really has an identical Signature(), i.e. id
-  /// equality coincides with signature equality.
+  /// equality coincides with (scope, depth, signature) equality.
   TypeId InternNormalized(const PartialIsoType& iso);
   /// Rvalue variant: a miss moves the type into the arena instead of
   /// copying it.
@@ -111,11 +114,13 @@ class TypePool {
   }
 
  private:
-  /// One hash bucket entry: the issued id plus the canonical encoding
-  /// probe comparisons run against (kept beside the id so collisions
-  /// resolve without re-encoding the pooled instance).
+  /// One hash bucket entry: the issued id plus the scope, depth and
+  /// canonical encoding probe comparisons run against (kept beside the
+  /// id so collisions resolve without reading the pooled instance).
   struct TypeEntry {
     TypeId id;
+    const VarScope* scope;
+    int max_depth;
     std::vector<int64_t> tokens;
     std::vector<Rational> consts;
   };

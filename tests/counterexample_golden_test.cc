@@ -1,9 +1,10 @@
 // Pins the verifier's observable output byte for byte: for every
-// property of the committed specs, for four bench families, and for the
-// three heaviest arithmetic specs of the generated corpus, the
-// verdict, the exploration counters `queries`, `cov_nodes` and
-// `product_states`, and the full counterexample text `Verify` renders
-// (including the expanded child runs). The expected output lives in
+// property of the committed specs, for four bench families, and for six
+// specs of the generated corpus (the three heaviest arithmetic ones and
+// three whose tasks share variable layouts), the verdict, the
+// exploration counters `queries`, `cov_nodes` and `product_states`, and
+// the full counterexample text `Verify` renders (including the expanded
+// child runs). The expected output lives in
 // tests/counterexample_golden.txt.
 //
 // After an intended change of output, regenerate the file with
@@ -65,8 +66,10 @@ std::string DescribeAll() {
       bench::MakeCommutingServices(/*width=*/3, /*depth=*/2);
   out += Describe("MakeCommutingServices(3,2)", commuting.system,
                   commuting.property);
-  // The generated specs that spend the most time in cell enumeration.
-  for (uint64_t seed : {70, 92, 115}) {
+  // The generated specs that spend the most time in cell enumeration,
+  // then three whose tasks share variable layouts, so that their types
+  // are canonically equal across task scopes.
+  for (uint64_t seed : {70, 92, 115, 5, 8, 19}) {
     const StatusOr<GeneratedSpec> gen = GenerateSpec(seed);
     EXPECT_TRUE(gen.ok()) << "seed " << seed;
     if (!gen.ok()) continue;

@@ -4,8 +4,9 @@
 // reads must equal EnumerateInternal run fresh at that state's own
 // configuration; bodies are shared by exactly the configurations with
 // one input base; a second β product of a task must add no memo entries
-// for the configurations it shares with the first; and the count of
-// filled entries must be the same on every run.
+// for the configurations it shares with the first; the count of filled
+// entries must be the same on every run; and every product state's
+// pooled type must be over its own task's scope.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +20,7 @@
 
 #include "core/rt_relation.h"
 #include "core/verifier.h"
+#include "fuzz/generator.h"
 #include "spec/parser.h"
 #include "test_paths.h"
 #include "vass/karp_miller.h"
@@ -77,10 +79,10 @@ class TaskVassTestPeer {
                                         int service) {
     const TaskVass::State& s = vass.states_[static_cast<size_t>(state)];
     const SymbolicConfig cur = Config(vass, state);
-    std::optional<TaskVass::InputBodies> input;
+    EnumMemo::Key base;
     return vass.ctx_->memo().GetInternal(
         {s.iso, s.cell, service}, [&](EnumMemo::Internal* e) {
-          vass.FillInternal(cur, service, &input, e);
+          vass.FillInternal(cur, service, &base, e);
         });
   }
 
@@ -311,10 +313,9 @@ size_t ExpectBodiesMatchFreshEnumeration(const ArtifactSystem& system,
         for (size_t k = 0; k < fresh.size(); ++k) {
           const EnumMemo::InternalBody::Successor& got = body.successors[k];
           const InternalSuccessor& want = fresh[k];
-          EXPECT_EQ(got.step.iso.Id(pool),
-                    pool->InternNormalized(want.next.iso))
+          EXPECT_EQ(got.step.iso, pool->InternNormalized(want.next.iso))
               << where << ", successor " << k;
-          EXPECT_EQ(got.step.cell.Id(pool), pool->InternCell(want.next.cell))
+          EXPECT_EQ(got.step.cell, pool->InternCell(want.next.cell))
               << where << ", successor " << k;
           EXPECT_EQ(got.step.letter,
                     TaskVassTestPeer::Letter(*vass, want.next, svc))
@@ -330,7 +331,7 @@ size_t ExpectBodiesMatchFreshEnumeration(const ArtifactSystem& system,
             if (!b.retrieves) continue;
             EXPECT_EQ(a.retrieve_input_bound, b.retrieve_ts.input_bound)
                 << where;
-            EXPECT_EQ(a.retrieve_ts.Id(pool),
+            EXPECT_EQ(a.retrieve_ts,
                       pool->InternNormalized(b.retrieve_ts.type))
                 << where;
           }
@@ -577,6 +578,36 @@ TEST(EnumMemoTest, MissesAreDeterministic) {
     EXPECT_EQ(again.stats.enum_body_fills, first.stats.enum_body_fills)
         << w.name;
     EXPECT_EQ(again.stats.pooled_types, first.stats.pooled_types) << w.name;
+  }
+}
+
+TEST(EnumMemoTest, ProductStatesHaveTheirTasksScope) {
+  // In these generated specs, tasks with one variable layout reach
+  // canonically equal configurations. A state's pooled type (the
+  // representative its memo entries are filled from) must still be
+  // over its own task's scope.
+  for (uint64_t seed : {23, 39}) {
+    const StatusOr<GeneratedSpec> gen = GenerateSpec(seed);
+    ASSERT_TRUE(gen.ok()) << "seed " << seed;
+    StatusOr<ParsedSpec> spec = ParseSpec(gen->source);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    size_t checked = 0;
+    for (const auto& [name, property] : spec->properties) {
+      Harness h(spec->system, property);
+      for (size_t i = 0; i < h.oracle().queries().size(); ++i) {
+        const QueryRec q = h.oracle().queries()[i];
+        std::unique_ptr<TaskVass> vass = h.Product(q, h.context(q.task));
+        h.Explore(vass.get());
+        const VarScope* scope = &spec->system.task(q.task).vars();
+        for (int s = 0; s < vass->num_states(); ++s) {
+          EXPECT_EQ(vass->state_iso(s).scope(), scope)
+              << "seed " << seed << " " << name << ": query " << i
+              << " (task " << q.task << "), state " << s;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << "seed " << seed;
   }
 }
 

@@ -101,6 +101,43 @@ TEST(TypePoolTest, RenameRoundTripsToInternedId) {
   EXPECT_NE(pool.Intern(swapped), original);
 }
 
+TEST(TypePoolTest, CanonicallyEqualTypesOfTwoScopesGetDistinctIds) {
+  // Two tasks with the same variable layout: the canonical encoding
+  // names variables by index only, so it cannot tell their types apart.
+  Fixture f;
+  VarScope other;
+  other.AddVar("x", VarSort::kId);
+  other.AddVar("y", VarSort::kId);
+  PartialIsoType mine = f.Fresh();
+  ASSERT_TRUE(mine.AssertEq(mine.VarElement(f.x), mine.VarElement(f.y)));
+  PartialIsoType theirs(&f.schema, &other, 3);
+  ASSERT_TRUE(theirs.AssertEq(theirs.VarElement(f.x), theirs.VarElement(f.y)));
+  mine.Normalize();
+  theirs.Normalize();
+  ASSERT_TRUE(mine.CanonicalEquals(theirs));
+
+  TypePool pool;
+  const TypeId mine_id = pool.InternNormalized(mine);
+  const TypeId theirs_id = pool.InternNormalized(theirs);
+  EXPECT_NE(mine_id, theirs_id);
+  EXPECT_EQ(pool.type(mine_id).scope(), &f.scope);
+  EXPECT_EQ(pool.type(theirs_id).scope(), &other);
+  // Each scope keeps its own id.
+  EXPECT_EQ(pool.Intern(theirs), theirs_id);
+  EXPECT_EQ(pool.Intern(mine), mine_id);
+  EXPECT_EQ(pool.num_types(), 2u);
+
+  // The navigation depth is part of the identity too.
+  PartialIsoType shallow(&f.schema, &f.scope, 2);
+  ASSERT_TRUE(
+      shallow.AssertEq(shallow.VarElement(f.x), shallow.VarElement(f.y)));
+  shallow.Normalize();
+  ASSERT_TRUE(shallow.CanonicalEquals(mine));
+  const TypeId shallow_id = pool.InternNormalized(shallow);
+  EXPECT_NE(shallow_id, mine_id);
+  EXPECT_EQ(pool.type(shallow_id).max_depth(), 2);
+}
+
 /// Random type built from constraints sampled out of a generated
 /// database instance (data/generator): equalities, disequalities,
 /// anchors and constant tags drawn from the instance's values.
