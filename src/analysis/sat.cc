@@ -1,7 +1,6 @@
 #include "analysis/sat.h"
 
 #include <cstdint>
-#include <map>
 #include <utility>
 
 #include "arith/fourier_motzkin.h"
@@ -176,16 +175,14 @@ bool TheoryConsistent(const std::vector<const Condition*>& atoms,
   // with a constant or a numeric variable (numeric variables are never
   // null), and all numeric members of a class must be arithmetically
   // equal.
-  std::map<int, std::vector<int>> classes;
-  for (int e = 0; e < static_cast<int>(uf.size()); ++e) {
-    classes[uf.Find(e)].push_back(e);
-  }
-  for (const auto& [root, members] : classes) {
-    (void)root;
+  const int num_elems = static_cast<int>(uf.size());
+  for (int root = 0; root < num_elems; ++root) {
+    if (uf.Find(root) != root) continue;
     bool has_null = false;
+    bool has_numeric = false;
     const Rational* the_const = nullptr;
-    std::vector<int> numeric_vars;
-    for (int e : members) {
+    for (int e = 0; e < num_elems; ++e) {
+      if (uf.Find(e) != root) continue;
       if (e == null_elem) {
         has_null = true;
       } else if (e > null_elem) {
@@ -193,22 +190,23 @@ bool TheoryConsistent(const std::vector<const Condition*>& atoms,
         if (the_const != nullptr && !(*the_const == r)) return false;
         the_const = &r;
       } else if (sorts[e] == VarSort::kNumeric) {
-        numeric_vars.push_back(e);
+        has_numeric = true;
       }
     }
-    if (has_null && (the_const != nullptr || !numeric_vars.empty())) {
-      return false;
-    }
-    if (the_const != nullptr) {
-      for (int v : numeric_vars) {
-        system.Add(LinearExpr::Var(v) - LinearExpr::Constant(*the_const),
+    if (has_null && (the_const != nullptr || has_numeric)) return false;
+    // Members in ascending order: against the constant, or against the
+    // first numeric member.
+    int first_numeric = -1;
+    for (int e = 0; e < null_elem; ++e) {
+      if (uf.Find(e) != root || sorts[e] != VarSort::kNumeric) continue;
+      if (the_const != nullptr) {
+        system.Add(LinearExpr::Var(e) - LinearExpr::Constant(*the_const),
                    Relop::kEq);
-      }
-    } else {
-      for (size_t i = 1; i < numeric_vars.size(); ++i) {
-        system.Add(
-            LinearExpr::Var(numeric_vars[i]) - LinearExpr::Var(numeric_vars[0]),
-            Relop::kEq);
+      } else if (first_numeric == -1) {
+        first_numeric = e;
+      } else {
+        system.Add(LinearExpr::Var(e) - LinearExpr::Var(first_numeric),
+                   Relop::kEq);
       }
     }
   }

@@ -126,7 +126,8 @@ class BigInt {
 };
 
 static_assert(sizeof(BigInt) <= 32,
-              "BigInt must not grow: IsoElement embeds Rationals");
+              "BigInt must not grow: linear expressions and constant "
+              "tables store Rationals inline");
 
 }  // namespace has
 

@@ -13,10 +13,18 @@
 // Atoms of the task's services and of the property are decided eagerly
 // by the successor relation (core/successor.cc); canonicalization keys
 // types for interning, counters and memoization.
+//
+// The layout is flat: one table holds each element together with its
+// union-find parent and, on class representatives, the class tags;
+// disequalities and negative atoms are records in one int array, and
+// constants live in a table of distinct values that copies share.
+// Copying a type copies at most two contiguous arrays, and queries,
+// encodings and rebuilds allocate nothing beyond the type they return.
 #ifndef HAS_CORE_ISO_TYPE_H_
 #define HAS_CORE_ISO_TYPE_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,22 +42,26 @@ Truth TruthAnd(Truth a, Truth b);
 Truth TruthOr(Truth a, Truth b);
 Truth TruthNot(Truth a);
 
-/// An element of the type's universe.
+/// An element of the type's universe: a fixed-size record for any
+/// navigation depth. A navigation element x_R.w.A names its path by the
+/// element it extends (`prefix`: the element of x_R.w, or the variable
+/// element of x when w is empty) and its last attribute A; prefixes
+/// always precede their extensions in the type's element order.
 struct IsoElement {
   enum class Kind : uint8_t { kNull, kConst, kVar, kNav };
 
   Kind kind = Kind::kNull;
-  int var = -1;               ///< base variable (kVar/kNav)
+  /// kNav: some attribute on the path is numeric (the element holds a
+  /// number, not an ID).
+  bool numeric = false;
+  int depth = 0;                      ///< path length (kNav, >= 1)
+  int var = -1;                       ///< base variable (kVar/kNav)
   RelationId relation = kNoRelation;  ///< anchor relation of kNav roots
-  std::vector<AttrId> path;   ///< navigation path (kNav, non-empty)
-  Rational value;             ///< kConst
-
-  bool operator==(const IsoElement& o) const {
-    return kind == o.kind && var == o.var && relation == o.relation &&
-           path == o.path && value == o.value;
-  }
-  bool operator<(const IsoElement& o) const;
-  std::string ToString(const VarScope* scope) const;
+  int prefix = -1;                    ///< kNav: the element extended
+  AttrId attr = -1;                   ///< kNav: the path's last attribute
+  /// kNav: the relation the path's foreign keys lead to.
+  RelationId target = kNoRelation;
+  int value = -1;  ///< kConst: index into the type's constant table
 };
 
 /// Sort of an element or class.
@@ -59,9 +71,26 @@ struct IsoSort {
   RelationId relation = kNoRelation;  ///< for kId
 };
 
-/// Hash of a canonical encoding (the CanonicalEncode output pair);
-/// shared by PartialIsoType::CanonicalHash and the TypePool so the two
-/// can never drift apart.
+/// A canonical encoding (PartialIsoType::CanonicalEncode) plus the
+/// encoder's working buffers. Exact rational values are kept beside the
+/// int64 tokens because they do not embed into them. An encoding that
+/// is reused allocates nothing once its buffers have grown.
+struct CanonicalEncoding {
+  std::vector<int64_t> tokens;
+  std::vector<Rational> consts;
+
+  // --- encoder scratch ---------------------------------------------------
+  std::vector<int> order;  ///< element ids in canonical order
+  std::vector<int> label;  ///< canonical class label, by representative
+  std::vector<std::pair<int, int>> dis;
+  /// Negative atoms as (relation, labels...) records, and their
+  /// [begin, end) ranges in `neg_tokens`.
+  std::vector<int64_t> neg_tokens;
+  std::vector<std::pair<uint32_t, uint32_t>> negs;
+};
+
+/// Hash of a canonical encoding; shared by PartialIsoType::CanonicalHash
+/// and the TypePool so the two can never drift apart.
 size_t HashCanonicalEncoding(const std::vector<int64_t>& tokens,
                              const std::vector<Rational>& consts);
 
@@ -77,8 +106,6 @@ class PartialIsoType {
                  int max_depth);
 
   // --- element management ---------------------------------------------
-  /// Interns an element; returns its index.
-  int AddElement(const IsoElement& e);
   int NullElement();
   int ConstElement(const Rational& value);
   int VarElement(int var);
@@ -87,8 +114,8 @@ class PartialIsoType {
   /// would exceed the depth bound.
   int NavChild(int parent, AttrId attr);
 
-  int num_elements() const { return static_cast<int>(elements_.size()); }
-  const IsoElement& element(int e) const { return elements_[e]; }
+  int num_elements() const { return static_cast<int>(nodes_.size()); }
+  const IsoElement& element(int e) const { return nodes_[e].el; }
 
   // --- assertions (refinements); false = contradiction -----------------
   bool AssertEq(int a, int b);
@@ -128,7 +155,11 @@ class PartialIsoType {
 
   // --- structural operations -------------------------------------------
   /// Drops unconstrained navigation elements so that semantically equal
-  /// types canonicalize identically.
+  /// types canonicalize identically. An element is unconstrained when
+  /// it is not a variable, sits alone in its class, appears in no
+  /// disequality or negative atom, and has no navigation children left;
+  /// dropping one never constrains another, so the drop set is decided
+  /// in one pass (leaves first) and the type is rebuilt once.
   void Normalize();
 
   /// Flattens the union-find so every element points directly at its
@@ -144,12 +175,11 @@ class PartialIsoType {
   std::string Signature() const;
 
   /// Canonical integer encoding (same canonical element order and class
-  /// labelling as Signature, without materializing a string): equal
-  /// (tokens, consts) pairs iff equal Signature()s. Exact rational
-  /// values are appended to `consts` in canonical order because they do
-  /// not embed into int64.
-  void CanonicalEncode(std::vector<int64_t>* tokens,
-                       std::vector<Rational>* consts) const;
+  /// labelling as Signature, without materializing a string) into
+  /// `out->tokens` and `out->consts`, which are cleared first: equal
+  /// encodings iff equal Signature()s. Exact rational values go to
+  /// `consts` in canonical order.
+  void CanonicalEncode(CanonicalEncoding* out) const;
   /// Hash of the canonical encoding (HashCanonicalEncoding of the
   /// CanonicalEncode output); collisions are resolved by
   /// CanonicalEquals.
@@ -159,12 +189,12 @@ class PartialIsoType {
   bool CanonicalEquals(const PartialIsoType& other) const;
 
   /// Projection onto `vars` (keeping navigation up to `depth`):
-  /// existentially forgets everything else.
+  /// existentially forgets everything else. The result is normalized.
   PartialIsoType Project(const std::set<int>& vars, int depth) const;
 
-  /// Rebuilds with base variables renamed through `map` (elements whose
-  /// base variable is not in the map are dropped); the result lives in
-  /// scope `new_scope`.
+  /// Rebuilds with base variables renamed through `map`, which must be
+  /// injective (elements whose base variable is not in the map are
+  /// dropped); the result lives in scope `new_scope` and is normalized.
   PartialIsoType Rename(const std::map<int, int>& map,
                         const VarScope* new_scope) const;
 
@@ -185,37 +215,78 @@ class PartialIsoType {
  private:
   friend class IsoTypeTestPeer;
 
-  struct NegAtom {
-    RelationId relation = kNoRelation;
-    std::vector<int> args;  ///< element indices, relation attr order
+  /// One element plus its class data.
+  struct Node {
+    IsoElement el;
+    mutable int parent = 0;  // union-find (path compression)
+    // Class tags; meaningful on representatives only (moved on union).
+    RelationId anchor = kNoRelation;
+    int const_tag = -1;  ///< index into consts_
+    bool null_tag = false;
   };
+
+  /// Interns an element; returns its index.
+  int AddElement(const IsoElement& e);
+  /// Index of `value` in consts_, appending it on first sight.
+  int ConstIndex(const Rational& value);
+  const Rational& Const(int index) const { return (*consts_)[index]; }
+  /// The null / constant element, or -1 if the type has none.
+  int FindNull() const;
+  int FindConst(const Rational& value) const;
+  /// Canonical element order (IsoElement fields, then the path
+  /// lexicographically, then the constant's value).
+  bool ElementLess(int a, int b) const;
+  /// Lexicographic comparison of two navigation paths (<0, 0, >0).
+  int ComparePaths(int a, int b) const;
+  int CompareEqualDepth(int a, int b) const;
+  /// Writes element e's path, root first, to out[0, depth).
+  void WritePath(int e, int64_t* out) const;
+  std::string ElementString(int e) const;
+  const Rational* ConstTag(int e) const;
 
   int Find(int e) const;
   bool Union(int a, int b);
-  /// Copies the sub-structure selected by `keep` into a fresh type.
-  PartialIsoType Rebuild(const std::vector<bool>& keep) const;
+  /// Clears, among the elements `keep` selects, those Normalize would
+  /// drop from the type restricted to the selection.
+  void DropUnconstrained(uint8_t* keep) const;
+  /// Copies the elements `keep` selects, and every constraint among
+  /// them, into a fresh type over `scope`, renaming base variables
+  /// through `rename` (nullable; injective). A kept navigation element's
+  /// prefix must be kept too.
+  PartialIsoType Rebuild(const uint8_t* keep, const std::map<int, int>* rename,
+                         const VarScope* scope) const;
   /// Congruence + tag closure; false on contradiction.
   bool Close();
   /// Checks recorded disequalities and negative atoms; false if any is
   /// violated.
   bool CheckConstraints() const;
-  /// True iff a recorded negative atom is violated by the positives.
-  bool NegAtomViolated(const NegAtom& n) const;
-  std::vector<int> ClassMembers(int rep) const;
   /// Truth of R(args) from the positive facts only.
-  Truth EvalRelAtom(RelationId r, const std::vector<int>& arg_elems) const;
+  Truth EvalRelAtom(RelationId r, const int* args, int num_args) const;
+  /// Calls fn(tag, args, arity) for every constraint record, in order;
+  /// stops early when fn returns true, and returns whether it did.
+  template <typename Fn>
+  bool AnyConstraint(const Fn& fn) const;
+  /// The same over disequalities, as fn(a, b), and over negative atoms,
+  /// as fn(relation, args, arity).
+  template <typename Fn>
+  bool AnyDisequality(const Fn& fn) const;
+  template <typename Fn>
+  bool AnyNegAtom(const Fn& fn) const;
+  void AddConstraint(int tag, const int* args, int arity);
 
   const DatabaseSchema* schema_ = nullptr;
   const VarScope* scope_ = nullptr;
   int max_depth_ = 0;
-  std::vector<IsoElement> elements_;
-  mutable std::vector<int> parent_;  // union-find (path compression)
-  // Per-representative tags (moved on union).
-  std::map<int, RelationId> anchor_;
-  std::set<int> null_tag_;
-  std::map<int, Rational> const_tag_;
-  std::vector<std::pair<int, int>> disequalities_;  // element pairs
-  std::vector<NegAtom> neg_atoms_;
+  std::vector<Node> nodes_;
+  /// The distinct constant values, shared by a type and its copies and
+  /// never modified (ConstIndex extends a copy); null while there are
+  /// none.
+  std::shared_ptr<const std::vector<Rational>> consts_;
+  /// Disequalities and negative atoms, as flat records (tag, arity,
+  /// argument elements): a ≠ b is (kDisequality, 2, a, b), and ¬R(args)
+  /// is (R, arity, args in R's attribute order).
+  static constexpr int kDisequality = -2;  // relation ids are >= 0
+  std::vector<int> constraints_;
 };
 
 }  // namespace has

@@ -1,7 +1,7 @@
 #include "core/successor.h"
 
 #include <algorithm>
-#include <functional>
+#include <optional>
 
 #include "common/status.h"
 #include "model/independence.h"
@@ -215,8 +215,8 @@ LinearSystem TaskContext::NumericEqualities(const PartialIsoType& iso) const {
   return out;
 }
 
-Truth TaskContext::EvalSym(const Condition& cond,
-                           const SymbolicConfig& s) const {
+Truth TaskContext::EvalSym(const Condition& cond, const PartialIsoType& iso,
+                           const Cell& cell) const {
   switch (cond.kind()) {
     case CondKind::kTrue:
       return Truth::kTrue;
@@ -224,19 +224,19 @@ Truth TaskContext::EvalSym(const Condition& cond,
       return Truth::kFalse;
     case CondKind::kEq:
     case CondKind::kRel:
-      return s.iso.EvalAtom(cond);
+      return iso.EvalAtom(cond);
     case CondKind::kArith: {
       int value = 0;
       if (cond.constraint().expr.IsConstant()) {
         // Ground constraint: its constant's sign decides it.
         value = cond.constraint().expr.constant().sign();
       } else {
-        if (!cond.UsesArithmetic()) return s.iso.EvalAtom(cond);
+        if (!cond.UsesArithmetic()) return iso.EvalAtom(cond);
         if (basis_ == nullptr) return Truth::kUnknown;
         bool negated = false;
         int poly = basis_->Find(cond.constraint().expr, &negated);
-        if (poly == -1 || s.cell.size() <= poly) return Truth::kUnknown;
-        Sign sign = s.cell.sign(poly);
+        if (poly == -1 || cell.size() <= poly) return Truth::kUnknown;
+        Sign sign = cell.sign(poly);
         if (sign == kSignAny) return Truth::kUnknown;
         value = negated ? -sign : sign;
       }
@@ -251,12 +251,13 @@ Truth TaskContext::EvalSym(const Condition& cond,
       return Truth::kUnknown;
     }
     case CondKind::kNot:
-      return TruthNot(EvalSym(*cond.child(0), s));
+      return TruthNot(EvalSym(*cond.child(0), iso, cell));
     case CondKind::kAnd:
-      return TruthAnd(EvalSym(*cond.child(0), s),
-                      EvalSym(*cond.child(1), s));
+      return TruthAnd(EvalSym(*cond.child(0), iso, cell),
+                      EvalSym(*cond.child(1), iso, cell));
     case CondKind::kOr:
-      return TruthOr(EvalSym(*cond.child(0), s), EvalSym(*cond.child(1), s));
+      return TruthOr(EvalSym(*cond.child(0), iso, cell),
+                     EvalSym(*cond.child(1), iso, cell));
   }
   return Truth::kUnknown;
 }
@@ -329,70 +330,90 @@ const std::vector<Cell>& CellCompletions(const TaskContext& ctx, Cell partial,
 
 namespace {
 
-/// Shared decision DFS: refines `seed` until every equality atom of the
-/// context is decided, then (in arithmetic mode) completes the cell
-/// (CellCompletions), requiring `must_hold` (if any) to be definitely
-/// true at the leaves.
-void CompleteDecisions(const TaskContext& ctx, const SymbolicConfig& seed,
-                       const CondPtr& must_hold, bool* truncated,
-                       const std::function<void(SymbolicConfig&&)>& emit) {
-  const size_t max_branches = ctx.max_branches();
-  size_t branches = 0;
-  std::function<void(SymbolicConfig&)> rec = [&](SymbolicConfig& cur) {
-    if (++branches > max_branches) {
-      *truncated = true;
+/// Shared decision DFS: refines a configuration until every equality
+/// atom of the context is decided, then (in arithmetic mode) completes
+/// the cell (CellCompletions), requiring `must_hold` (if any) to be
+/// definitely true at the leaves. Each node owns the configuration it
+/// refines: a decision's first branch refines a copy, its last branch
+/// the node's own configuration in place, and a leaf hands it to `emit`.
+template <typename Emit>
+class DecisionSearch {
+ public:
+  DecisionSearch(const TaskContext& ctx, const CondPtr& must_hold,
+                 bool* truncated, const Emit& emit)
+      : ctx_(ctx), must_hold_(must_hold), truncated_(truncated), emit_(emit) {}
+
+  void Run(SymbolicConfig& cur) {
+    if (++branches_ > ctx_.max_branches()) {
+      *truncated_ = true;
       return;
     }
-    if (must_hold != nullptr &&
-        ctx.EvalSym(*must_hold, cur) == Truth::kFalse) {
+    if (must_hold_ != nullptr &&
+        ctx_.EvalSym(*must_hold_, cur) == Truth::kFalse) {
       return;
     }
     // Next undecided equality atom.
-    for (const CondPtr& atom : ctx.eq_atoms()) {
-      Truth t = cur.iso.EvalAtom(*atom);
-      if (t != Truth::kUnknown) continue;
-      for (bool value : {true, false}) {
+    for (const CondPtr& atom : ctx_.eq_atoms()) {
+      if (cur.iso.EvalAtom(*atom) != Truth::kUnknown) continue;
+      {
         SymbolicConfig branch = cur;
-        if (!branch.iso.DecideAtom(*atom, value)) continue;
-        rec(branch);
+        if (branch.iso.DecideAtom(*atom, true)) Run(branch);
       }
+      if (cur.iso.DecideAtom(*atom, false)) Run(cur);
       return;
     }
     // All equality atoms decided. Complete the cell (if arithmetic).
-    if (ctx.basis() == nullptr) {
-      if (must_hold != nullptr &&
-          ctx.EvalSym(*must_hold, cur) != Truth::kTrue) {
+    if (ctx_.basis() == nullptr) {
+      if (must_hold_ != nullptr &&
+          ctx_.EvalSym(*must_hold_, cur) != Truth::kTrue) {
         return;
       }
-      SymbolicConfig out = cur;
-      out.iso.Normalize();
-      emit(std::move(out));
+      cur.iso.Normalize();
+      emit_(std::move(cur));
       return;
     }
-    Cell partial(ctx.basis()->size());
+    Cell partial(ctx_.basis()->size());
     for (int p = 0; p < cur.cell.size() && p < partial.size(); ++p) {
       partial.set_sign(p, cur.cell.sign(p));
     }
     // The memo's lists never move, so the reference stays valid while
     // emit runs.
     const std::vector<Cell>& cells = CellCompletions(
-        ctx, std::move(partial), ctx.NumericEqualities(cur.iso));
+        ctx_, std::move(partial), ctx_.NumericEqualities(cur.iso));
+    // Every completion shares the normalized type; `must_hold` is
+    // decided on the type as refined.
+    std::optional<PartialIsoType> normalized;
     for (const Cell& cell : cells) {
-      if (++branches > max_branches) {
-        *truncated = true;
+      if (++branches_ > ctx_.max_branches()) {
+        *truncated_ = true;
         return;
       }
-      SymbolicConfig out{cur.iso, cell};
-      if (must_hold != nullptr &&
-          ctx.EvalSym(*must_hold, out) != Truth::kTrue) {
+      if (must_hold_ != nullptr &&
+          ctx_.EvalSym(*must_hold_, cur.iso, cell) != Truth::kTrue) {
         continue;
       }
-      out.iso.Normalize();
-      emit(std::move(out));
+      if (!normalized.has_value()) {
+        normalized.emplace(cur.iso);
+        normalized->Normalize();
+      }
+      emit_(SymbolicConfig{*normalized, cell});
     }
-  };
+  }
+
+ private:
+  const TaskContext& ctx_;
+  const CondPtr& must_hold_;
+  bool* truncated_;
+  const Emit& emit_;
+  size_t branches_ = 0;
+};
+
+template <typename Emit>
+void CompleteDecisions(const TaskContext& ctx, const SymbolicConfig& seed,
+                       const CondPtr& must_hold, bool* truncated,
+                       const Emit& emit) {
   SymbolicConfig start = seed;
-  rec(start);
+  DecisionSearch<Emit>(ctx, must_hold, truncated, emit).Run(start);
 }
 
 }  // namespace

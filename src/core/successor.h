@@ -160,7 +160,11 @@ class TaskContext {
   LinearSystem NumericEqualities(const PartialIsoType& iso) const;
 
   /// Two-valued-when-decided evaluation over both components.
-  Truth EvalSym(const Condition& cond, const SymbolicConfig& s) const;
+  Truth EvalSym(const Condition& cond, const PartialIsoType& iso,
+                const Cell& cell) const;
+  Truth EvalSym(const Condition& cond, const SymbolicConfig& s) const {
+    return EvalSym(cond, s.iso, s.cell);
+  }
 
   /// Canonical TS-type of relation `rel`: projection of the iso type
   /// onto x̄_in ∪ s̄_T,rel (Section 4.1), normalized. The product

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <tuple>
 
 #include "common/status.h"
 
@@ -22,8 +23,7 @@ TaskVass::TaskVass(const TaskContext* ctx,
       input_cell_(input_cell),
       oracle_(oracle),
       opening_filter_(opening_filter),
-      state_index_(0, StateIndexHash{&states_, &probe_},
-                   StateIndexEq{&states_, &probe_}) {
+      num_children_(ctx->task().children().size()) {
   buchi_ = &automata_->automaton(beta);
   ctx_->memo().Bind(pool_);
   for (TaskId child : ctx_->task().children()) {
@@ -34,12 +34,54 @@ TaskVass::TaskVass(const TaskContext* ctx,
   }
 }
 
+TaskVass::StateView TaskVass::View(int id) const {
+  if (id == kProbe) {
+    return StateView{&probe_, probe_stages_.data(), probe_ib_.data(),
+                     probe_ib_.data() + probe_ib_.size()};
+  }
+  const State& s = states_[static_cast<size_t>(id)];
+  return StateView{&s, stages(id), ib_store_.data() + s.ib_begin,
+                   ib_store_.data() + s.ib_end};
+}
+
+size_t TaskVass::HashState(int id) const {
+  const StateView v = View(id);
+  size_t seed = static_cast<size_t>(v.state->iso);
+  HashMix(&seed, v.state->cell);
+  HashCombine(&seed, v.state->service.Hash());
+  HashMix(&seed, v.state->q);
+  for (size_t c = 0; c < num_children_; ++c) {
+    HashMix(&seed, static_cast<int>(v.stages[c].kind));
+    HashMix(&seed, v.stages[c].outcome);
+    HashMix(&seed, v.stages[c].beta);
+  }
+  for (const int* b = v.ib_begin; b != v.ib_end; ++b) HashMix(&seed, *b);
+  return seed;
+}
+
+bool TaskVass::SameState(int a, int b) const {
+  const StateView x = View(a);
+  const StateView y = View(b);
+  return x.state->iso == y.state->iso && x.state->cell == y.state->cell &&
+         x.state->service == y.state->service && x.state->q == y.state->q &&
+         std::equal(x.stages, x.stages + num_children_, y.stages) &&
+         std::equal(x.ib_begin, x.ib_end, y.ib_begin, y.ib_end);
+}
+
 int TaskVass::InternProbe() {
-  auto it = state_index_.find(kProbe);
-  if (it != state_index_.end()) return *it;
+  const size_t hash = HashState(kProbe);
+  const int found = state_index_.Find(
+      hash, [this](int id) { return SameState(id, kProbe); });
+  if (found != -1) return found;
   int id = static_cast<int>(states_.size());
-  states_.push_back(probe_);
-  state_index_.insert(id);
+  State s = probe_;
+  s.ib_begin = static_cast<uint32_t>(ib_store_.size());
+  ib_store_.insert(ib_store_.end(), probe_ib_.begin(), probe_ib_.end());
+  s.ib_end = static_cast<uint32_t>(ib_store_.size());
+  states_.push_back(s);
+  stage_store_.insert(stage_store_.end(), probe_stages_.begin(),
+                      probe_stages_.end());
+  state_index_.Insert(hash, id);
   return id;
 }
 
@@ -227,8 +269,8 @@ std::vector<int> TaskVass::InitialStates() {
       probe_.cell = pool_->InternCell(config.cell);
       probe_.service = open_self;
       probe_.q = q;
-      probe_.stages.assign(ctx_->task().children().size(), ChildStage{});
-      probe_.ib_bits.clear();
+      probe_stages_.assign(num_children_, ChildStage{});
+      probe_ib_.clear();
       int id = InternProbe();
       // No edge enters an initial state (no transition opens the task
       // itself), so its record stays empty.
@@ -241,15 +283,26 @@ std::vector<int> TaskVass::InitialStates() {
   return out;
 }
 
-const std::vector<int>& TaskVass::BuchiSuccessors(
+std::pair<uint32_t, uint32_t> TaskVass::BuchiSuccessors(
     int q, const std::vector<bool>& letter) {
-  auto [it, fresh] = buchi_successors_.try_emplace(LetterKey{&letter, q});
-  if (fresh) {
+  size_t hash = std::hash<const void*>{}(&letter);
+  HashMix(&hash, q);
+  int id = q2_index_.Find(hash, [&](int i) {
+    return q2_lists_[static_cast<size_t>(i)].letter == &letter &&
+           q2_lists_[static_cast<size_t>(i)].q == q;
+  });
+  if (id == -1) {
+    Q2List list{&letter, q, static_cast<uint32_t>(q2_store_.size()), 0};
     for (int q2 : buchi_->successors(q)) {
-      if (buchi_->CompatibleWith(q2, letter)) it->second.push_back(q2);
+      if (buchi_->CompatibleWith(q2, letter)) q2_store_.push_back(q2);
     }
+    list.end = static_cast<uint32_t>(q2_store_.size());
+    id = static_cast<int>(q2_lists_.size());
+    q2_lists_.push_back(list);
+    q2_index_.Insert(hash, id);
   }
-  return it->second;
+  const Q2List& list = q2_lists_[static_cast<size_t>(id)];
+  return {list.begin, list.end};
 }
 
 TaskVass::PendingEdge* TaskVass::EmitPending(
@@ -262,7 +315,7 @@ TaskVass::PendingEdge* TaskVass::EmitPending(
   pe.service = service;
   pe.child_beta = child_beta;
   pe.note = note;
-  pe.q2s = &BuchiSuccessors(q, letter);
+  std::tie(pe.q2_begin, pe.q2_end) = BuchiSuccessors(q, letter);
   const auto ops = static_cast<uint32_t>(pending->set_ops.size());
   pe.set_ops_begin = ops;
   pe.set_ops_end = ops;
@@ -311,10 +364,11 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   };
   EnumMemo& memo = ctx_->memo();
 
+  const ChildStage* from_stages = stages(state);
   bool any_active = false;
-  for (const ChildStage& st : from.stages) {
-    if (st.kind == ChildStage::Kind::kActive ||
-        st.kind == ChildStage::Kind::kActiveBottom) {
+  for (size_t c = 0; c < num_children_; ++c) {
+    if (from_stages[c].kind == ChildStage::Kind::kActive ||
+        from_stages[c].kind == ChildStage::Kind::kActiveBottom) {
       any_active = true;
     }
   }
@@ -402,10 +456,10 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
               // overlap prepares.
               auto it =
                   ib_index_.find(RelTypeKey(eff.relation, op.retrieve_ts));
+              const int* ib_begin = ib_store_.data() + from.ib_begin;
+              const int* ib_end = ib_store_.data() + from.ib_end;
               bool in_set = it != ib_index_.end() &&
-                            std::find(from.ib_bits.begin(),
-                                      from.ib_bits.end(),
-                                      it->second) != from.ib_bits.end();
+                            std::find(ib_begin, ib_end, it->second) != ib_end;
               bool inserted_same = op.insert_input_bound &&
                                    op.insert_ts == op.retrieve_ts;
               if (!in_set && !inserted_same) {
@@ -458,7 +512,7 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   // is batched per child: one input interning covers every β_c, and
   // the product keeps the batch for the opening's later prepares.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (from.stages[c].kind != ChildStage::Kind::kInit) continue;
+    if (from_stages[c].kind != ChildStage::Kind::kInit) continue;
     const int ci = static_cast<int>(c);
     const EnumMemo::Opening& e = memo.GetOpening(
         {from.iso, from.cell, ci},
@@ -501,9 +555,9 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
 
   // (C) Close an active (returning) child.
   for (size_t c = 0; c < task.children().size(); ++c) {
-    if (from.stages[c].kind != ChildStage::Kind::kActive) continue;
+    if (from_stages[c].kind != ChildStage::Kind::kActive) continue;
     const int ci = static_cast<int>(c);
-    const OutcomeKey& o = outcome_keys_[from.stages[c].outcome];
+    const OutcomeKey& o = outcome_keys_[from_stages[c].outcome];
     const EnumMemo::Return& e = memo.GetReturn(
         {from.iso, from.cell, ci, o.iso, o.cell},
         [&](EnumMemo::Return* out) { FillReturn(cur(), ci, o, out); });
@@ -543,14 +597,16 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
   auto* pending = static_cast<PendingSuccessors*>(prepared.get());
   if (pending == nullptr) return;
   truncated_ = truncated_ || pending->truncated;
-  // Interning may grow `states_`, so the source state is read through
-  // copies.
-  from_stages_ = states_[state].stages;
-  from_ib_ = states_[state].ib_bits;
+  // Interning may grow the stores, so the source state is read by
+  // position.
+  const size_t from_stage_at = static_cast<size_t>(state) * num_children_;
+  const uint32_t from_ib_begin = states_[state].ib_begin;
+  const uint32_t from_ib_end = states_[state].ib_end;
   size_t max_edges = 0;
-  for (const PendingEdge& pe : pending->edges) max_edges += pe.q2s->size();
+  for (const PendingEdge& pe : pending->edges) {
+    max_edges += pe.q2_end - pe.q2_begin;
+  }
   out->reserve(out->size() + max_edges);
-  const size_t num_children = ctx_->task().children().size();
   const bool task_is_root = ctx_->task().is_root();
   int ample_committed = 0;
   bool cut = false;
@@ -562,8 +618,9 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     // across successors) matches the sequential enumeration, so
     // dimension numbering is reproducible.
     delta_.clear();
-    std::vector<int>& ib = probe_.ib_bits;
-    ib = from_ib_;
+    std::vector<int>& ib = probe_ib_;
+    ib.assign(ib_store_.begin() + from_ib_begin,
+              ib_store_.begin() + from_ib_end);
     bool feasible = true;
     for (uint32_t k = pe.set_ops_begin; k < pe.set_ops_end; ++k) {
       const PendingEdge::PendingSetOp& op = pending->set_ops[k];
@@ -593,11 +650,12 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
     }
     if (!feasible) continue;
     std::sort(ib.begin(), ib.end());
-    std::vector<ChildStage>& stages = probe_.stages;
+    std::vector<ChildStage>& stages = probe_stages_;
     if (pe.fresh_stages) {
-      stages.assign(num_children, ChildStage{});
+      stages.assign(num_children_, ChildStage{});
     } else {
-      stages = from_stages_;
+      stages.assign(stage_store_.begin() + from_stage_at,
+                    stage_store_.begin() + from_stage_at + num_children_);
     }
     if (!pe.fresh_stages && pe.stage_child >= 0) {
       int outcome = -1;
@@ -605,7 +663,7 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
       if (pe.stage_kind == ChildStage::Kind::kActive) {
         outcome = InternOutcome(pe.outcome_src);
       } else if (pe.stage_kind == ChildStage::Kind::kClosed) {
-        beta = from_stages_[pe.stage_child].beta;
+        beta = stage_store_[from_stage_at + pe.stage_child].beta;
       }
       stages[pe.stage_child] = ChildStage{pe.stage_kind, outcome, beta};
     }
@@ -617,8 +675,8 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
         task_is_root &&
         std::none_of(delta_.begin(), delta_.end(),
                      [](const auto& d) { return d.second < 0; });
-    for (int q2 : *pe.q2s) {
-      probe_.q = q2;
+    for (uint32_t k = pe.q2_begin; k < pe.q2_end; ++k) {
+      probe_.q = q2_store_[k];
       const int target = InternProbe();
       // The commit that creates a state writes its record; every later
       // edge into it did the same thing (see TransitionRecord).
@@ -652,13 +710,13 @@ void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
 void TaskVass::ReleaseScratch() {
   // Swapping with empty containers frees their storage (clear() keeps
   // capacity and bucket arrays).
-  decltype(buchi_successors_)().swap(buchi_successors_);
+  decltype(q2_lists_)().swap(q2_lists_);
+  q2_index_ = IdIndex();
+  decltype(q2_store_)().swap(q2_store_);
   decltype(child_batches_)().swap(child_batches_);
   spare_.reset();
   decltype(heads_)().swap(heads_);
   decltype(ample_)().swap(ample_);
-  decltype(from_stages_)().swap(from_stages_);
-  decltype(from_ib_)().swap(from_ib_);
   decltype(delta_)().swap(delta_);
 }
 
@@ -679,12 +737,11 @@ bool TaskVass::IsReturning(int state) const {
 }
 
 bool TaskVass::IsBlocking(int state) const {
-  const State& s = states_[state];
-  if (!buchi_->finite_accepting(s.q)) return false;
-  for (const ChildStage& st : s.stages) {
-    if (st.kind == ChildStage::Kind::kActiveBottom) return true;
-  }
-  return false;
+  if (!buchi_->finite_accepting(states_[state].q)) return false;
+  const ChildStage* st = stages(state);
+  return std::any_of(st, st + num_children_, [](const ChildStage& c) {
+    return c.kind == ChildStage::Kind::kActiveBottom;
+  });
 }
 
 bool TaskVass::IsBuchiAccepting(int state) const {

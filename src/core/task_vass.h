@@ -20,10 +20,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/hashing.h"
+#include "common/id_index.h"
 #include "core/successor.h"
 #include "core/type_pool.h"
 #include "hltl/assignments.h"
@@ -228,35 +228,35 @@ class TaskVass : public VassSystem {
  private:
   friend class TaskVassTestPeer;
 
+  /// A product state's fixed-size part. Its child stages (one per task
+  /// child) and its ib bits (the sorted ib-type ids set to 1) live in
+  /// the product's flat stores: stage_store_ at id * num_children_, and
+  /// ib_store_[ib_begin, ib_end).
   struct State {
     TypeId iso = kNoTypeId;
     CellId cell = kNoCellId;
     ServiceRef service;
     int q = -1;
-    std::vector<ChildStage> stages;       // parallel to task children
-    std::vector<int> ib_bits;             // sorted ib-type ids set to 1
-
-    bool operator==(const State& o) const {
-      return iso == o.iso && cell == o.cell && service == o.service &&
-             q == o.q && stages == o.stages && ib_bits == o.ib_bits;
-    }
+    uint32_t ib_begin = 0;
+    uint32_t ib_end = 0;
   };
 
-  struct StateHash {
-    size_t operator()(const State& s) const {
-      size_t seed = static_cast<size_t>(s.iso);
-      HashMix(&seed, s.cell);
-      HashCombine(&seed, s.service.Hash());
-      HashMix(&seed, s.q);
-      for (const ChildStage& st : s.stages) {
-        HashMix(&seed, static_cast<int>(st.kind));
-        HashMix(&seed, st.outcome);
-        HashMix(&seed, st.beta);
-      }
-      for (int b : s.ib_bits) HashMix(&seed, b);
-      return seed;
-    }
+  /// A state with its stages and ib bits, wherever they are stored (the
+  /// stores, or the probe's buffers).
+  struct StateView {
+    const State* state;
+    const ChildStage* stages;
+    const int* ib_begin;
+    const int* ib_end;
   };
+  /// The view of state `id`, or of the probe for kProbe.
+  StateView View(int id) const;
+  size_t HashState(int id) const;
+  bool SameState(int a, int b) const;
+  /// Child stages of state `state`, parallel to the task's children.
+  const ChildStage* stages(int state) const {
+    return stage_store_.data() + static_cast<size_t>(state) * num_children_;
+  }
 
   /// An interned child outcome: its pooled (type, cell).
   struct OutcomeKey {
@@ -275,8 +275,8 @@ class TaskVass : public VassSystem {
     }
   };
 
-  /// Id of the state held in `probe_`, copying it into `states_` only
-  /// when it is new.
+  /// Id of the state held in `probe_` (with `probe_stages_` and
+  /// `probe_ib_`), copying it into the stores only when it is new.
   int InternProbe();
   /// A (relation, TS-type) key: the SAME normalized projection arising
   /// for two different relations must map to two different counter
@@ -330,8 +330,10 @@ class TaskVass : public VassSystem {
     CellId next_cell = kNoCellId;
     ServiceRef service;
     Assignment child_beta = 0;
-    /// Compatible Büchi successors of from.q (BuchiSuccessors).
-    const std::vector<int>* q2s = nullptr;
+    /// Compatible Büchi successors of from.q (BuchiSuccessors):
+    /// q2_store_[q2_begin, q2_end).
+    uint32_t q2_begin = 0;
+    uint32_t q2_end = 0;
     /// Artifact-relation bookkeeping ((A) transitions), one entry per
     /// relation the service updates (ascending relation index),
     /// resolved to counter dimensions / ib bits at commit time.
@@ -370,11 +372,11 @@ class TaskVass : public VassSystem {
     int ample_pending = 0;
   };
 
-  /// The Büchi successors of `q` compatible with `letter`. Letters are
-  /// memo-owned and never move, so the list is keyed by the letter's
-  /// address; it lives until ReleaseScratch.
-  const std::vector<int>& BuchiSuccessors(int q,
-                                          const std::vector<bool>& letter);
+  /// The Büchi successors of `q` compatible with `letter`, as a range
+  /// of q2_store_. Letters are memo-owned and never move, so the range
+  /// is keyed by the letter's address; it lives until ReleaseScratch.
+  std::pair<uint32_t, uint32_t> BuchiSuccessors(
+      int q, const std::vector<bool>& letter);
 
   /// Appends a PendingEdge for the transition from Büchi state `q` into
   /// (`next_iso`, `next_cell`) reading `letter`; the caller fills in the
@@ -397,30 +399,19 @@ class TaskVass : public VassSystem {
   const Condition* opening_filter_;
   const BuchiAutomaton* buchi_ = nullptr;
 
-  /// The state index keys by id and hashes/compares through states_,
-  /// so each State (with its stages/ib_bits vectors) is stored once.
-  /// The id kProbe stands for `probe_`, the candidate being looked up.
+  /// The state index holds ids and hashes/compares through the stores,
+  /// so each state is stored once. The id kProbe stands for the probe,
+  /// the candidate being looked up.
   static constexpr int kProbe = -1;
-  struct StateIndexHash {
-    const std::vector<State>* states;
-    const State* probe;
-    size_t operator()(int id) const {
-      return StateHash{}(id == kProbe ? *probe
-                                      : (*states)[static_cast<size_t>(id)]);
-    }
-  };
-  struct StateIndexEq {
-    const std::vector<State>* states;
-    const State* probe;
-    bool operator()(int a, int b) const {
-      return (a == kProbe ? *probe : (*states)[static_cast<size_t>(a)]) ==
-             (b == kProbe ? *probe : (*states)[static_cast<size_t>(b)]);
-    }
-  };
 
+  size_t num_children_ = 0;
   std::vector<State> states_;
+  std::vector<ChildStage> stage_store_;
+  std::vector<int> ib_store_;
   State probe_;
-  std::unordered_set<int, StateIndexHash, StateIndexEq> state_index_;
+  std::vector<ChildStage> probe_stages_;
+  std::vector<int> probe_ib_;
+  IdIndex state_index_;
   /// Dimension / ib-bit registries, keyed by RelTypeKey(relation, ts).
   std::vector<std::pair<int, TypeId>> dim_types_;
   std::unordered_map<uint64_t, int> dim_index_;
@@ -448,23 +439,17 @@ class TaskVass : public VassSystem {
   std::string close_self_note_ = "close self";
 
   // --- successor scratch (ReleaseScratch frees it) -----------------------
-  /// BuchiSuccessors' lists, keyed by (letter address, Büchi state).
-  struct LetterKey {
+  /// BuchiSuccessors' lists: one per (letter address, Büchi state),
+  /// indexed by q2_index_, each a range of q2_store_.
+  struct Q2List {
     const std::vector<bool>* letter = nullptr;
     int q = -1;
-    bool operator==(const LetterKey& o) const {
-      return letter == o.letter && q == o.q;
-    }
+    uint32_t begin = 0;
+    uint32_t end = 0;
   };
-  struct LetterKeyHash {
-    size_t operator()(const LetterKey& k) const {
-      size_t seed = std::hash<const void*>{}(k.letter);
-      HashMix(&seed, k.q);
-      return seed;
-    }
-  };
-  std::unordered_map<LetterKey, std::vector<int>, LetterKeyHash>
-      buchi_successors_;
+  std::vector<Q2List> q2_lists_;
+  IdIndex q2_index_;
+  std::vector<int> q2_store_;
   /// The oracle's batched answers per opening memo entry: the entry
   /// fixes the child, its input and the number of assignments, and the
   /// oracle's answers never change.
@@ -475,10 +460,7 @@ class TaskVass : public VassSystem {
   /// Prepare's per-service memo heads and ample services.
   std::vector<const EnumMemo::Internal*> heads_;
   std::vector<int> ample_;
-  /// Commit's copies of the source state's stages and ib bits (`states_`
-  /// may grow during the commit), and the delta being built.
-  std::vector<ChildStage> from_stages_;
-  std::vector<int> from_ib_;
+  /// The delta the commit is building.
   Delta delta_;
 };
 

@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arith/cell.h"
+#include "common/id_index.h"
 #include "core/iso_type.h"
 
 namespace has {
@@ -114,15 +114,17 @@ class TypePool {
   }
 
  private:
-  /// One hash bucket entry: the issued id plus the scope, depth and
-  /// canonical encoding probe comparisons run against (kept beside the
-  /// id so collisions resolve without reading the pooled instance).
+  /// What a probe compares against, by id: the scope, depth and
+  /// canonical encoding of the pooled type (kept beside the id so
+  /// collisions resolve without reading the pooled instance). The
+  /// encoding is a range of the pool-wide token / constant stores.
   struct TypeEntry {
-    TypeId id;
-    const VarScope* scope;
-    int max_depth;
-    std::vector<int64_t> tokens;
-    std::vector<Rational> consts;
+    const VarScope* scope = nullptr;
+    int max_depth = 0;
+    uint32_t tokens_begin = 0;
+    uint32_t tokens_end = 0;
+    uint32_t consts_begin = 0;
+    uint32_t consts_end = 0;
   };
 
   /// Shared lookup/insert; `owned` (nullable) is moved into the arena
@@ -131,9 +133,14 @@ class TypePool {
 
   ChunkedArena<PartialIsoType> types_;
   ChunkedArena<Cell> cells_;
+  std::vector<TypeEntry> type_entries_;  ///< indexed by TypeId
+  std::vector<int64_t> token_store_;
+  std::vector<Rational> const_store_;
   /// Canonical hash -> the types / cells interned under it.
-  std::unordered_map<size_t, std::vector<TypeEntry>> type_buckets_;
-  std::unordered_map<size_t, std::vector<CellId>> cell_buckets_;
+  IdIndex type_index_;
+  IdIndex cell_index_;
+  /// The probe's encoding; only a miss copies it into the stores.
+  CanonicalEncoding scratch_;
 
   size_t iso_hits_ = 0;
   size_t cell_hits_ = 0;

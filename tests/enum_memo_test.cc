@@ -35,6 +35,8 @@ class TaskVassTestPeer {
   /// child outcomes and ib-bit registry) from `from` into `to`.
   static void CopyPrepareInputs(const TaskVass& from, TaskVass* to) {
     to->states_ = from.states_;
+    to->stage_store_ = from.stage_store_;
+    to->ib_store_ = from.ib_store_;
     to->outcome_keys_ = from.outcome_keys_;
     to->ib_types_ = from.ib_types_;
     to->ib_index_ = from.ib_index_;
@@ -42,7 +44,8 @@ class TaskVassTestPeer {
 
   /// Every field of a prepared successor list, in order; the successor
   /// list, set ops and note by their contents, not their addresses.
-  static std::string Describe(const VassSystem::Prepared& prepared) {
+  static std::string Describe(const TaskVass& vass,
+                              const VassSystem::Prepared& prepared) {
     const auto& p = static_cast<const TaskVass::PendingSuccessors&>(prepared);
     std::ostringstream out;
     out << "truncated " << p.truncated << " ample " << p.ample_pending << "\n";
@@ -50,7 +53,9 @@ class TaskVassTestPeer {
       out << "to " << e.next_iso << "/" << e.next_cell << " service "
           << static_cast<int>(e.service.kind) << ":" << e.service.task << ":"
           << e.service.index << " beta " << e.child_beta << " q2s";
-      for (int q : *e.q2s) out << " " << q;
+      for (uint32_t k = e.q2_begin; k < e.q2_end; ++k) {
+        out << " " << vass.q2_store_[k];
+      }
       for (uint32_t k = e.set_ops_begin; k < e.set_ops_end; ++k) {
         const TaskVass::PendingEdge::PendingSetOp& op = p.set_ops[k];
         out << " op " << op.relation << ":" << op.inserts
@@ -103,7 +108,9 @@ class TaskVassTestPeer {
   static std::vector<int> ConfigKey(const TaskVass& vass, int state) {
     const TaskVass::State& s = vass.states_[static_cast<size_t>(state)];
     std::vector<int> key{s.iso, s.cell};
-    for (const ChildStage& st : s.stages) {
+    const ChildStage* stages = vass.stages(state);
+    for (size_t c = 0; c < vass.num_children_; ++c) {
+      const ChildStage& st = stages[c];
       key.push_back(static_cast<int>(st.kind));
       if (st.kind == ChildStage::Kind::kActive) {
         const TaskVass::OutcomeKey& o =
@@ -261,9 +268,10 @@ size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
       std::unique_ptr<TaskVass> warm_fresh = h.Product(q, h.context(q.task));
       TaskVassTestPeer::CopyPrepareInputs(*warm, warm_fresh.get());
       const std::string want =
-          TaskVassTestPeer::Describe(*cold->PrepareSuccessors(s));
+          TaskVassTestPeer::Describe(*cold, *cold->PrepareSuccessors(s));
       const std::string got =
-          TaskVassTestPeer::Describe(*warm_fresh->PrepareSuccessors(s));
+          TaskVassTestPeer::Describe(*warm_fresh,
+                                     *warm_fresh->PrepareSuccessors(s));
       EXPECT_EQ(got, want) << what << ": query " << i << " (task " << q.task
                            << ", beta " << q.beta << "), state " << s;
       ++compared;

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/iso_type.h"
+#include "core/type_pool.h"
 
 namespace has {
+
+/// Reads a type's union-find.
+class IsoTypeTestPeer {
+ public:
+  static int Find(const PartialIsoType& t, int e) { return t.Find(e); }
+};
+
 namespace {
 
 struct Fixture {
@@ -176,6 +186,182 @@ TEST(IsoTypeTest, NormalizeDropsUnconstrainedNav) {
   int before = t.num_elements();
   t.Normalize();
   EXPECT_LT(t.num_elements(), before);
+}
+
+/// A cyclic schema: N's attributes `next` and `prev` both reference N.
+struct CyclicFixture {
+  DatabaseSchema schema;
+  VarScope scope;
+  RelationId n;
+  AttrId next, prev;
+  int x, y, z;
+
+  CyclicFixture() {
+    n = schema.AddRelation("N");
+    next = schema.relation(n).AddForeignKey("next", n);
+    prev = schema.relation(n).AddForeignKey("prev", n);
+    x = scope.AddVar("x", VarSort::kId);
+    y = scope.AddVar("y", VarSort::kId);
+    z = scope.AddVar("z", VarSort::kId);
+  }
+
+  PartialIsoType Fresh(int depth) {
+    return PartialIsoType(&schema, &scope, depth);
+  }
+};
+
+TEST(IsoTypeTest, NormalizeDropsAChainLeafFirst) {
+  // x.next.next is unconstrained, so it goes; that leaves x.next
+  // without children, so it goes too. The result is the type that
+  // never had either element.
+  CyclicFixture f;
+  PartialIsoType t = f.Fresh(3);
+  const int ex = t.VarElement(f.x);
+  ASSERT_TRUE(t.AssertAnchor(ex, f.n));
+  const int xa = t.NavChild(ex, f.next);
+  ASSERT_NE(xa, -1);
+  ASSERT_NE(t.NavChild(xa, f.next), -1);
+  ASSERT_EQ(t.num_elements(), 3);
+  t.Normalize();
+  EXPECT_EQ(t.num_elements(), 1);
+
+  PartialIsoType never = f.Fresh(3);
+  ASSERT_TRUE(never.AssertAnchor(never.VarElement(f.x), f.n));
+  never.Normalize();
+  EXPECT_EQ(t.Signature(), never.Signature());
+}
+
+TEST(IsoTypeTest, NormalizeKeepsAPinnedChain) {
+  // The leaf sits in a class with y, so the whole chain stays.
+  CyclicFixture f;
+  PartialIsoType t = f.Fresh(3);
+  const int ex = t.VarElement(f.x);
+  ASSERT_TRUE(t.AssertAnchor(ex, f.n));
+  const int leaf = t.NavChild(t.NavChild(ex, f.next), f.prev);
+  ASSERT_NE(leaf, -1);
+  ASSERT_TRUE(t.AssertEq(leaf, t.VarElement(f.y)));
+  const std::string before = t.Signature();
+  t.Normalize();
+  EXPECT_EQ(t.num_elements(), 4);
+  EXPECT_EQ(t.Signature(), before);
+}
+
+/// A type over N with navigation paths up to depth 8: x.next^8 equals
+/// y, x.prev.next is disequal to z, and ¬N(x.prev, ...) is recorded.
+PartialIsoType DeepType(CyclicFixture* f, bool reversed) {
+  PartialIsoType t = f->Fresh(8);
+  const int ex = t.VarElement(f->x);
+  const int ey = t.VarElement(f->y);
+  const int ez = t.VarElement(f->z);
+  EXPECT_TRUE(t.AssertAnchor(ex, f->n));
+  // The two branches in either creation order, so that element indices
+  // differ between the two builds.
+  int deep = -1;
+  int side = -1;
+  for (int branch : reversed ? std::vector<int>{1, 0}
+                             : std::vector<int>{0, 1}) {
+    if (branch == 0) {
+      deep = ex;
+      for (int d = 0; d < 8; ++d) deep = t.NavChild(deep, f->next);
+    } else {
+      side = t.NavChild(t.NavChild(ex, f->prev), f->next);
+    }
+  }
+  EXPECT_NE(deep, -1);
+  EXPECT_NE(side, -1);
+  EXPECT_EQ(t.NavChild(deep, f->next), -1);  // beyond the depth bound
+  EXPECT_TRUE(t.AssertEq(deep, ey));
+  EXPECT_TRUE(t.AssertNeq(side, ez));
+  EXPECT_TRUE(t.DecideAtom(*Condition::Rel(f->n, {f->z, f->x, f->y}), false));
+  t.Normalize();
+  return t;
+}
+
+TEST(IsoTypeTest, DeepPathsSurviveEveryOperation) {
+  CyclicFixture f;
+  const PartialIsoType t = DeepType(&f, /*reversed=*/false);
+  const std::string sig = t.Signature();
+  // 3 variables, 8 + 2 navigation elements.
+  EXPECT_EQ(t.num_elements(), 13);
+  EXPECT_EQ(DeepType(&f, /*reversed=*/true).Signature(), sig);
+
+  PartialIsoType copy = t;
+  EXPECT_EQ(copy.Signature(), sig);
+  copy.Normalize();
+  EXPECT_EQ(copy.Signature(), sig);
+  EXPECT_EQ(t.Project({f.x, f.y, f.z}, 8).Signature(), sig);
+  // One level shallower drops x.next^8 and with it y's only tie to x.
+  EXPECT_NE(t.Project({f.x, f.y, f.z}, 7).Signature(), sig);
+
+  VarScope other;
+  std::map<int, int> identity;
+  for (int v : {f.x, f.y, f.z}) {
+    identity[v] = other.AddVar(f.scope.var(v).name, VarSort::kId);
+  }
+  EXPECT_EQ(t.Rename(identity, &other).Signature(), sig);
+
+  PartialIsoType merged = f.Fresh(8);
+  ASSERT_TRUE(merged.MergeFrom(t));
+  merged.Normalize();
+  EXPECT_EQ(merged.Signature(), sig);
+
+  TypePool pool;
+  const TypeId id = pool.Intern(t);
+  EXPECT_EQ(pool.type(id).Signature(), sig);
+  EXPECT_EQ(pool.InternNormalized(DeepType(&f, /*reversed=*/true)), id);
+  EXPECT_EQ(pool.InternNormalized(copy), id);
+}
+
+TEST(IsoTypeTest, TagsSurviveOnNonMinimalRepresentatives) {
+  Fixture f;
+  PartialIsoType t = f.Fresh();
+  const int ex = t.VarElement(f.x);
+  const int ey = t.VarElement(f.y);
+  const int en = t.VarElement(f.n);
+  // Union merges the second argument's class into the first's, so y
+  // (not x, the lower index) represents {x, y}.
+  ASSERT_TRUE(t.AssertEq(ey, ex));
+  ASSERT_TRUE(t.AssertAnchor(ex, f.r));
+  ASSERT_EQ(IsoTypeTestPeer::Find(t, ex), ey);
+  // The constant 7 represents {n, 7}.
+  ASSERT_TRUE(t.AssertEq(t.ConstElement(Rational(7)), en));
+  ASSERT_NE(IsoTypeTestPeer::Find(t, en), en);
+  const std::string sig = t.Signature();
+
+  auto expect_tags = [&](const PartialIsoType& u, const std::string& what) {
+    const int ux = u.LookupVar(f.x);
+    const int un = u.LookupVar(f.n);
+    ASSERT_NE(ux, -1) << what;
+    ASSERT_NE(un, -1) << what;
+    EXPECT_EQ(u.AnchorOf(ux), std::optional<RelationId>(f.r)) << what;
+    EXPECT_EQ(u.AnchorOf(u.LookupVar(f.y)), std::optional<RelationId>(f.r))
+        << what;
+    EXPECT_EQ(u.ConstOf(un), std::optional<Rational>(Rational(7))) << what;
+    EXPECT_EQ(u.Signature(), sig) << what;
+  };
+  expect_tags(PartialIsoType(t), "copy");
+  expect_tags(t.Project({f.x, f.y, f.n}, 3), "projection");
+  PartialIsoType merged = f.Fresh();
+  ASSERT_TRUE(merged.MergeFrom(t));
+  expect_tags(merged, "merge");
+
+  // A null tag on a non-minimal representative.
+  PartialIsoType u = f.Fresh();
+  const int ux = u.VarElement(f.x);
+  const int uy = u.VarElement(f.y);
+  ASSERT_TRUE(u.AssertEq(uy, ux));
+  ASSERT_TRUE(u.AssertEq(uy, u.NullElement()));
+  ASSERT_EQ(IsoTypeTestPeer::Find(u, ux), uy);
+  for (const PartialIsoType& w :
+       {PartialIsoType(u), u.Project({f.x, f.y}, 3)}) {
+    EXPECT_TRUE(w.VarIsNull(f.x));
+    EXPECT_TRUE(w.VarIsNull(f.y));
+    EXPECT_EQ(w.Signature(), u.Signature());
+  }
+  PartialIsoType merged_null = f.Fresh();
+  ASSERT_TRUE(merged_null.MergeFrom(u));
+  EXPECT_TRUE(merged_null.VarIsNull(f.x));
+  EXPECT_EQ(merged_null.Signature(), u.Signature());
 }
 
 }  // namespace

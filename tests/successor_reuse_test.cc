@@ -7,9 +7,10 @@
 // reverse order, each interleaved with another state's outstanding
 // prepare and, once per product, with a whole nested exploration of
 // another query's product. A counting operator new bounds what a warm
-// re-run allocates. A VIOLATED root product is cut once it reaches a
-// blocking state (core/task_vass.h) and re-runs to nothing, so re-runs
-// cover child products and the roots of HOLDS properties.
+// re-run allocates, and what one warm Verify call allocates. A VIOLATED
+// root product is cut once it reaches a blocking state
+// (core/task_vass.h) and re-runs to nothing, so re-runs cover child
+// products and the roots of HOLDS properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 
 #include "core/rt_relation.h"
 #include "core/verifier.h"
+#include "fuzz/generator.h"
+#include "spec/parser.h"
 #include "vass/karp_miller.h"
 #include "workloads.h"
 
@@ -337,18 +340,45 @@ TEST(SuccessorReuseTest, WarmRerunAllocatesOnlyOutputsAndDeltas) {
   EXPECT_LE(allocs, ceiling);
   std::printf("warm re-run: %zu allocations for %zu edges (ceiling %zu)\n",
               allocs, edges, ceiling);
+}
 
-  // For the record: allocations of one warm Verify call on the deep
-  // family's own (VIOLATED) property.
+/// Heap blocks one warm Verify call of `property` allocates.
+size_t AllocsPerVerify(const ArtifactSystem& system,
+                       const HltlProperty& property,
+                       const VerifierOptions& options) {
+  const VerifyResult warmup = Verify(system, property, options);
+  VerifyResult result;
+  const size_t allocs =
+      CountAllocs([&] { result = Verify(system, property, options); });
+  EXPECT_EQ(result.verdict, warmup.verdict);
+  return allocs;
+}
+
+TEST(SuccessorReuseTest, VerifyAllocationCeilings) {
+  // The deep family's own (VIOLATED) property: 17,724 allocations
+  // before the symbolic types and product states were made flat.
   const bench::Workload deep =
       bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
-  VerifyResult warmup = Verify(deep.system, deep.property);
-  VerifyResult result;
-  const size_t per_verify =
-      CountAllocs([&] { result = Verify(deep.system, deep.property); });
-  EXPECT_EQ(result.verdict, warmup.verdict);
+  const size_t deep_allocs =
+      AllocsPerVerify(deep.system, deep.property, VerifierOptions{});
+  EXPECT_LE(deep_allocs, 8000u);
   std::printf("allocations per Verify (deep, depth 4, size 3): %zu\n",
-              per_verify);
+              deep_allocs);
+
+  // The slowest generated-corpus item, at the corpus's node budget:
+  // 83,412 allocations before; the ceiling is half of that.
+  const StatusOr<GeneratedSpec> gen = GenerateSpec(115);
+  ASSERT_TRUE(gen.ok());
+  StatusOr<ParsedSpec> parsed = ParseSpec(gen->source);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_FALSE(parsed->properties.empty());
+  VerifierOptions options;
+  options.max_cov_nodes = 1 << 12;
+  const size_t gen_allocs = AllocsPerVerify(
+      parsed->system, parsed->properties[0].second, options);
+  EXPECT_LE(gen_allocs, 41706u);
+  std::printf("allocations per Verify (GenerateSpec(115) p0): %zu\n",
+              gen_allocs);
 }
 
 }  // namespace

@@ -33,8 +33,7 @@ namespace has {
 class TaskVassTestPeer {
  public:
   static const ChildStage& Stage(const TaskVass& vass, int state, int child) {
-    return vass.states_[static_cast<size_t>(state)]
-        .stages[static_cast<size_t>(child)];
+    return vass.stages(state)[child];
   }
   /// The pooled (type, cell) of outcome `id`.
   static std::pair<TypeId, CellId> Outcome(const TaskVass& vass, int id) {
