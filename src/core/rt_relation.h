@@ -73,7 +73,7 @@ struct RtStats {
   /// core/successor.h), summed over the engine's tasks: entries filled,
   /// one per distinct (configuration, service / child / child outcome)
   /// key and so deterministic; and lookups an already-filled entry
-  /// answered, deterministic too: each exploration prepares each product
+  /// answered, deterministic too: each exploration expands each product
   /// state once.
   size_t enum_memo_misses = 0;
   size_t enum_memo_hits = 0;

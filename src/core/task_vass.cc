@@ -1,8 +1,9 @@
 #include "core/task_vass.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
-#include <tuple>
+#include <utility>
 
 #include "common/status.h"
 
@@ -305,55 +306,62 @@ std::pair<uint32_t, uint32_t> TaskVass::BuchiSuccessors(
   return {list.begin, list.end};
 }
 
-TaskVass::PendingEdge* TaskVass::EmitPending(
-    int q, TypeId next_iso, CellId next_cell, const std::vector<bool>& letter,
-    const ServiceRef& service, Assignment child_beta, const std::string* note,
-    PendingSuccessors* pending) {
-  PendingEdge& pe = pending->edges.emplace_back();
-  pe.next_iso = next_iso;
-  pe.next_cell = next_cell;
-  pe.service = service;
-  pe.child_beta = child_beta;
-  pe.note = note;
-  std::tie(pe.q2_begin, pe.q2_end) = BuchiSuccessors(q, letter);
-  const auto ops = static_cast<uint32_t>(pending->set_ops.size());
-  pe.set_ops_begin = ops;
-  pe.set_ops_end = ops;
-  return &pe;
+void TaskVass::Emit(int q, TypeId next_iso, CellId next_cell,
+                    const std::vector<bool>& letter,
+                    const TransitionRecord& record) {
+  probe_.iso = next_iso;
+  probe_.cell = next_cell;
+  probe_.service = record.service;
+  // An edge with no negative delta is enabled at every marking.
+  const bool can_cut =
+      ctx_->task().is_root() &&
+      std::none_of(delta_.begin(), delta_.end(),
+                   [](const auto& d) { return d.second < 0; });
+  const auto [begin, end] = BuchiSuccessors(q, letter);
+  for (uint32_t k = begin; k < end; ++k) {
+    probe_.q = q2_store_[k];
+    const int target = InternProbe();
+    // The edge that creates a state writes its record; every later edge
+    // into it did the same thing (see TransitionRecord).
+    if (static_cast<size_t>(target) == records_.size()) {
+      records_.push_back(record);
+    }
+    edges_.push_back(VassEdge{target, delta_, target});
+    // The root cut: the explorer follows such an edge at the node it is
+    // expanding, so a node of the blocking state exists.
+    if (can_cut && IsBlocking(target)) root_decided_ = true;
+  }
 }
 
-std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
-    int state) {
-  std::unique_ptr<PendingSuccessors> pending = std::move(spare_);
-  if (pending == nullptr) {
-    pending = std::make_unique<PendingSuccessors>();
-  } else {
-    pending->edges.clear();
-    pending->set_ops.clear();
-    pending->truncated = false;
-    pending->ample_pending = 0;
-  }
-  // Prepares only read `states_` (child queries build other products),
-  // so the reference stays valid.
-  const State& from = states_[state];
+int TaskVass::BuildSuccessors(int state) {
+  // Interning grows the stores, so the source state is copied and its
+  // stages and ib bits are read by position.
+  const State from = states_[state];
+  const size_t from_stages = static_cast<size_t>(state) * num_children_;
+  // Starts a step with no delta and the state's ib bits.
+  const auto reset = [&] {
+    delta_.clear();
+    probe_ib_.assign(ib_store_.begin() + from.ib_begin,
+                     ib_store_.begin() + from.ib_end);
+  };
   const Task& task = ctx_->task();
   // The root cut (root_decided_): a blocking root state asked to expand
   // has a live node, so ⊥ is reachable and the root query is decided;
   // from then on the root product emits nothing.
   if (task.is_root()) {
     root_decided_ = root_decided_ || IsBlocking(state);
-    if (root_decided_) return pending;
+    if (root_decided_) return 0;
   }
   // Returned states are absorbing.
   if (from.service.kind == ServiceRef::Kind::kClosing &&
       from.service.task == ctx_->task_id()) {
-    return pending;
+    return 0;
   }
   // Steps (A)–(D) are read from the task's enumeration memo, keyed by
   // the state's configuration (an internal step's successors by its
   // input base); the configuration itself is materialized only to fill
   // entries. What varies per product state — Büchi compatibility from
-  // `q`, the ib-bit precheck, the child stages — is recomputed here.
+  // `q`, the ib bits, the child stages — is resolved here.
   std::optional<SymbolicConfig> cur_storage;
   const auto cur = [&]() -> const SymbolicConfig& {
     if (!cur_storage.has_value()) {
@@ -364,45 +372,27 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
   };
   EnumMemo& memo = ctx_->memo();
 
-  const ChildStage* from_stages = stages(state);
-  bool any_active = false;
-  for (size_t c = 0; c < num_children_; ++c) {
-    if (from_stages[c].kind == ChildStage::Kind::kActive ||
-        from_stages[c].kind == ChildStage::Kind::kActiveBottom) {
-      any_active = true;
-    }
-  }
+  const bool any_active = std::any_of(
+      stages(state), stages(state) + num_children_, [](const ChildStage& c) {
+        return c.kind == ChildStage::Kind::kActive ||
+               c.kind == ChildStage::Kind::kActiveBottom;
+      });
 
+  int ample = 0;
   // (A) Internal services: all subtasks must have returned
   // (restriction 4).
   if (!any_active) {
-    // Partial-order reduction: the ample set collects every statically
-    // eligible service (insert-only, unobserved, X-free skeletons —
-    // TaskContext::PorServiceEligible) that is enabled AND whose
-    // post-condition already holds, so its successor set contains the
-    // IDENTITY STUTTER step: same iso/cell, marking bumped by the
-    // insert deltas only. That step is the whole soundness argument —
-    // from its target (same configuration, at least as many tokens)
-    // every skipped transition remains enabled with a covering outcome,
-    // because internal services resample all non-input variables from
-    // the same input projection and inserts only ever ADD counters. So
-    // the ample prefix is ONE stutter edge per eligible service
-    // (ascending service index), each constructed directly
-    // (EnumerateInternal would bury it in the service's full cell
-    // fan-out); the committed prefix length is what AmplePrefix(state)
-    // reports, and the explorer expands only that prefix while at least
-    // one prefix edge makes progress — reaches a FRESH node
-    // (vass/karp_miller.cc). Keeping all eligible stutters matters:
-    // once one service's counters saturate to ω its stutter stops
-    // being fresh, and the remaining services' diagonals must keep the
-    // reduction alive. The full service list follows in natural order —
-    // ample services included — so a revert expands the state exactly
-    // as a POR-off build would (plus duplicate stutter edges that fold
-    // into their own nodes). States entered by an observed service
-    // expand fully — the stutter must not sit on a letter the property
-    // can see. Everything read here is part of the state's
-    // configuration, so the choice is a pure function of the state
-    // (the root cut aside: a cut root product emits nothing).
+    // Partial-order reduction (docs/ARCHITECTURE.md, "The ample prefix:
+    // identity stutters"): every POR-eligible service that is enabled
+    // and whose post-condition already holds adds one identity stutter
+    // edge (same iso/cell, insert deltas only), built directly, in
+    // ascending service order; the explorer expands only that prefix
+    // while one of its edges makes progress. All eligible stutters are
+    // kept, since once one service's counters saturate to ω the others
+    // must keep the reduction alive. The full service list follows,
+    // ample services included, so a revert expands the state as a
+    // POR-off build would. States entered by an observed service expand
+    // fully. The choice is a pure function of the state.
     const int num_services = static_cast<int>(task.services().size());
     heads_.resize(static_cast<size_t>(num_services));
     EnumMemo::Key base;  // the input base's ids, set by the first fill
@@ -411,118 +401,113 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           {from.iso, from.cell, i},
           [&](EnumMemo::Internal* e) { FillInternal(cur(), i, &base, e); });
     }
-    ample_.clear();
-    if (ctx_->options().por && !ctx_->PorServiceIsProp(from.service)) {
-      for (int i = 0; i < num_services; ++i) {
-        if (ctx_->PorServiceEligible(i) && heads_[i]->pre &&
-            heads_[i]->post) {
-          ample_.push_back(i);
-        }
+    probe_stages_.assign(num_children_, ChildStage{});
+    // Adds service `e`'s insert into `rel` to the step's delta or ib
+    // bits. The inserted TS-type is the per-relation projection of the
+    // CURRENT state, the same for every successor.
+    const auto insert = [&](const EnumMemo::Internal& e, int rel) {
+      const TypeId ts = e.insert_ts[rel];
+      if (e.insert_input_bound[rel] == 0) {
+        delta_.emplace_back(DimOf(rel, ts), 1);
+        return;
       }
-    }
-    // Emits every successor of service `i`.
-    auto emit_service = [&](int i) {
-      const EnumMemo::Internal& e = *heads_[i];
-      if (!e.pre) return;
-      const InternalService& svc = task.service(i);
-      const EnumMemo::InternalBody& body = *e.body;
-      pending->truncated = pending->truncated || body.truncated;
-      std::vector<PendingEdge::PendingSetOp>& ops = pending->set_ops;
-      for (const EnumMemo::InternalBody::Successor& s : body.successors) {
-        const size_t ops_begin = ops.size();
-        bool feasible = true;
-        for (const EnumMemo::InternalBody::SetOp& eff : s.set_ops) {
-          PendingEdge::PendingSetOp& op = ops.emplace_back();
-          op.relation = eff.relation;
-          op.inserts = eff.inserts;
-          if (eff.inserts) {
-            op.insert_input_bound = e.insert_input_bound[eff.relation] != 0;
-            // The inserted TS-type is the per-relation projection of
-            // the CURRENT state, the same for every successor.
-            op.insert_ts = e.insert_ts[eff.relation];
-          }
-          if (eff.retrieves) {
-            op.retrieves = true;
-            op.retrieve_input_bound = eff.retrieve_input_bound;
-            op.retrieve_ts = eff.retrieve_ts;
-            if (eff.retrieve_input_bound) {
-              // Read-only feasibility precheck (ib-bit ALLOCATION stays
-              // in the commit): the retrieve can only succeed when the
-              // (relation, type) bit is already in the state's set, or
-              // when this same transition inserts the identical TS type
-              // into the same relation. Skipping here saves the Büchi
-              // work for successors the commit would drop anyway.
-              // ib_index_ is only mutated by commits, which never
-              // overlap prepares.
-              auto it =
-                  ib_index_.find(RelTypeKey(eff.relation, op.retrieve_ts));
-              const int* ib_begin = ib_store_.data() + from.ib_begin;
-              const int* ib_end = ib_store_.data() + from.ib_end;
-              bool in_set = it != ib_index_.end() &&
-                            std::find(ib_begin, ib_end, it->second) != ib_end;
-              bool inserted_same = op.insert_input_bound &&
-                                   op.insert_ts == op.retrieve_ts;
-              if (!in_set && !inserted_same) {
-                feasible = false;
-                break;
-              }
-            }
-          }
-        }
-        if (!feasible) {
-          ops.resize(ops_begin);
-          continue;
-        }
-        const auto ops_end = static_cast<uint32_t>(ops.size());
-        PendingEdge* pe = EmitPending(
-            from.q, s.step.iso, s.step.cell, s.step.letter,
-            ServiceRef::Internal(ctx_->task_id(), i), 0, &svc.name,
-            pending.get());
-        pe->fresh_stages = true;
-        pe->set_ops_begin = static_cast<uint32_t>(ops_begin);
-        pe->set_ops_end = ops_end;
+      const int id = IbIdOf(rel, ts);
+      if (std::find(probe_ib_.begin(), probe_ib_.end(), id) ==
+          probe_ib_.end()) {
+        probe_ib_.push_back(id);
       }
     };
-    for (int a : ample_) {
-      const EnumMemo::Internal& e = *heads_[a];
-      const InternalService& svc = task.service(a);
-      PendingEdge* pe = EmitPending(
-          from.q, from.iso, from.cell, e.stutter_letter,
-          ServiceRef::Internal(ctx_->task_id(), a), 0, &svc.name,
-          pending.get());
-      pe->fresh_stages = true;
-      for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
-        if (!svc.InsertsInto(rel)) continue;
-        PendingEdge::PendingSetOp& op = pending->set_ops.emplace_back();
-        op.relation = rel;
-        op.inserts = true;
-        op.insert_input_bound = e.insert_input_bound[rel] != 0;
-        op.insert_ts = e.insert_ts[rel];
+    const bool por =
+        ctx_->options().por && !ctx_->PorServiceIsProp(from.service);
+    for (int i = 0; i < num_services; ++i) {
+      const EnumMemo::Internal& e = *heads_[i];
+      if (!por || !ctx_->PorServiceEligible(i) || !e.pre || !e.post) {
+        continue;
       }
-      pe->set_ops_end = static_cast<uint32_t>(pending->set_ops.size());
+      const InternalService& svc = task.service(i);
+      reset();
+      for (int rel = 0; rel < ctx_->num_set_relations(); ++rel) {
+        if (svc.InsertsInto(rel)) insert(e, rel);
+      }
+      std::sort(probe_ib_.begin(), probe_ib_.end());
+      Emit(from.q, from.iso, from.cell, e.stutter_letter,
+           TransitionRecord{ServiceRef::Internal(ctx_->task_id(), i), {}, -1,
+                            svc.name});
     }
-    // If no Büchi successor is compatible with the stutter letter the
-    // prefix commits zero edges and AmplePrefix stays 0 — the state
-    // expands fully.
-    pending->ample_pending = static_cast<int>(pending->edges.size());
-    for (int i = 0; i < num_services; ++i) emit_service(i);
+    // If no Büchi successor is compatible with the stutter letters the
+    // prefix is empty and AmplePrefix stays 0 — the state expands fully.
+    ample = static_cast<int>(edges_.size());
+    for (int i = 0; i < num_services; ++i) {
+      const EnumMemo::Internal& e = *heads_[i];
+      if (!e.pre) continue;
+      const InternalService& svc = task.service(i);
+      const TransitionRecord record{ServiceRef::Internal(ctx_->task_id(), i),
+                                    {}, -1, svc.name};
+      truncated_ = truncated_ || e.body->truncated;
+      for (const EnumMemo::InternalBody::Successor& s : e.body->successors) {
+        reset();
+        // An input-bound retrieve only succeeds when its (relation,
+        // type) bit is in the state's set, or when this same step
+        // inserts the identical TS type into the same relation. A step
+        // that fails it is dropped before any counter dimension or ib
+        // bit is allocated for it.
+        const auto infeasible = [&](const EnumMemo::InternalBody::SetOp& op) {
+          if (!op.retrieves || !op.retrieve_input_bound ||
+              (op.inserts && e.insert_input_bound[op.relation] != 0 &&
+               e.insert_ts[op.relation] == op.retrieve_ts)) {
+            return false;
+          }
+          auto it = ib_index_.find(RelTypeKey(op.relation, op.retrieve_ts));
+          return it == ib_index_.end() ||
+                 std::find(probe_ib_.begin(), probe_ib_.end(), it->second) ==
+                     probe_ib_.end();
+        };
+        if (std::any_of(s.set_ops.begin(), s.set_ops.end(), infeasible)) {
+          continue;
+        }
+        // Allocation order (ascending relation index per step, inserts
+        // before retrieves within a relation, steps in emission order)
+        // makes dimension numbering reproducible.
+        for (const EnumMemo::InternalBody::SetOp& op : s.set_ops) {
+          if (op.inserts) insert(e, op.relation);
+          if (!op.retrieves) continue;
+          if (op.retrieve_input_bound) {
+            auto it = std::find(probe_ib_.begin(), probe_ib_.end(),
+                                IbIdOf(op.relation, op.retrieve_ts));
+            HAS_CHECK(it != probe_ib_.end());  // checked feasible above
+            probe_ib_.erase(it);
+          } else {
+            delta_.emplace_back(DimOf(op.relation, op.retrieve_ts), -1);
+          }
+        }
+        std::sort(probe_ib_.begin(), probe_ib_.end());
+        Emit(from.q, s.step.iso, s.step.cell, s.step.letter, record);
+      }
+    }
   }
+
+  // (B)–(D) keep the state's ib bits, change no counter and rewrite at
+  // most one child's stage.
+  reset();
+  probe_stages_.assign(stage_store_.begin() + from_stages,
+                       stage_store_.begin() + from_stages + num_children_);
 
   // (B) Open a child (at most once per segment). The oracle round-trip
   // is batched per child: one input interning covers every β_c, and
-  // the product keeps the batch for the opening's later prepares.
-  for (size_t c = 0; c < task.children().size(); ++c) {
-    if (from_stages[c].kind != ChildStage::Kind::kInit) continue;
+  // the product keeps the batch for the opening's later passes.
+  for (size_t c = 0; c < num_children_; ++c) {
+    const ChildStage stage = probe_stages_[c];
+    if (stage.kind != ChildStage::Kind::kInit) continue;
     const int ci = static_cast<int>(c);
     const EnumMemo::Opening& e = memo.GetOpening(
         {from.iso, from.cell, ci},
         [&](EnumMemo::Opening* out) { FillOpening(cur(), ci, out); });
     if (!e.enabled) continue;
-    TaskId child_id = task.children()[c];
+    const ServiceRef open = ServiceRef::Opening(task.children()[c]);
     auto [slot, fresh] = child_batches_.try_emplace(&e);
     if (fresh) {
       slot->second =
-          oracle_->QueryAll(child_id, e.child_iso, e.child_cell,
+          oracle_->QueryAll(open.task, e.child_iso, e.child_cell,
                             static_cast<Assignment>(e.letters.size()));
     }
     const RtOracle::BatchedChildResult& batch = slot->second;
@@ -530,51 +515,45 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
          ++bc) {
       const ChildResult& result = *batch.results[bc];
       for (size_t oi = 0; oi < result.returning.size(); ++oi) {
-        PendingEdge* pe =
-            EmitPending(from.q, from.iso, from.cell, e.letters[bc],
-                        ServiceRef::Opening(child_id), bc, &open_notes_[c],
-                        pending.get());
-        pe->stage_child = ci;
-        pe->stage_kind = ChildStage::Kind::kActive;
-        pe->outcome_src = &result.returning[oi];
-        pe->child_key = batch.keys[bc];
-        pe->child_result_index = static_cast<int>(oi);
+        probe_stages_[c] = ChildStage{ChildStage::Kind::kActive,
+                                      InternOutcome(&result.returning[oi]),
+                                      bc};
+        Emit(from.q, from.iso, from.cell, e.letters[bc],
+             TransitionRecord{open, batch.keys[bc], static_cast<int>(oi),
+                              open_notes_[c]});
       }
       if (result.has_bottom) {
-        PendingEdge* pe = EmitPending(
-            from.q, from.iso, from.cell, e.letters[bc],
-            ServiceRef::Opening(child_id), bc, &open_bottom_notes_[c],
-            pending.get());
-        pe->stage_child = ci;
-        pe->stage_kind = ChildStage::Kind::kActiveBottom;
-        pe->child_key = batch.keys[bc];
-        pe->child_result_index = -1;
+        probe_stages_[c] = ChildStage{ChildStage::Kind::kActiveBottom, -1, bc};
+        Emit(from.q, from.iso, from.cell, e.letters[bc],
+             TransitionRecord{open, batch.keys[bc], -1,
+                              open_bottom_notes_[c]});
       }
     }
+    probe_stages_[c] = stage;
   }
 
   // (C) Close an active (returning) child.
-  for (size_t c = 0; c < task.children().size(); ++c) {
-    if (from_stages[c].kind != ChildStage::Kind::kActive) continue;
+  for (size_t c = 0; c < num_children_; ++c) {
+    const ChildStage stage = probe_stages_[c];
+    if (stage.kind != ChildStage::Kind::kActive) continue;
     const int ci = static_cast<int>(c);
-    const OutcomeKey& o = outcome_keys_[from_stages[c].outcome];
+    const OutcomeKey o = outcome_keys_[stage.outcome];
     const EnumMemo::Return& e = memo.GetReturn(
         {from.iso, from.cell, ci, o.iso, o.cell},
         [&](EnumMemo::Return* out) { FillReturn(cur(), ci, o, out); });
-    pending->truncated = pending->truncated || e.truncated;
-    TaskId child_id = task.children()[c];
+    truncated_ = truncated_ || e.truncated;
+    const TransitionRecord record{ServiceRef::Closing(task.children()[c]),
+                                  {}, -1, close_notes_[c]};
+    probe_stages_[c] = ChildStage{ChildStage::Kind::kClosed, -1, stage.beta};
     for (const EnumMemo::Step& s : e.steps) {
-      PendingEdge* pe = EmitPending(from.q, s.iso, s.cell, s.letter,
-                                    ServiceRef::Closing(child_id), 0,
-                                    &close_notes_[c], pending.get());
-      pe->stage_child = ci;
-      pe->stage_kind = ChildStage::Kind::kClosed;
+      Emit(from.q, s.iso, s.cell, s.letter, record);
     }
+    probe_stages_[c] = stage;
   }
 
   // (D) Close this task (terminal returning segment: every opened child
   // has returned).
-  if (!any_active && !ctx_->task().is_root()) {
+  if (!any_active && !task.is_root()) {
     const ServiceRef close_self = ServiceRef::Closing(ctx_->task_id());
     const EnumMemo::CloseSelf& e = memo.GetCloseSelf(
         {from.iso, from.cell}, [&](EnumMemo::CloseSelf* out) {
@@ -585,126 +564,48 @@ std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
           }
         });
     if (e.enabled) {
-      EmitPending(from.q, from.iso, from.cell, e.letter, close_self, 0,
-                  &close_self_note_, pending.get());
+      Emit(from.q, from.iso, from.cell, e.letter,
+           TransitionRecord{close_self, {}, -1, close_self_note_});
     }
   }
-  return pending;
+  return ample;
 }
 
-void TaskVass::CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
-                                std::vector<VassEdge>* out) {
-  auto* pending = static_cast<PendingSuccessors*>(prepared.get());
-  if (pending == nullptr) return;
-  truncated_ = truncated_ || pending->truncated;
-  // Interning may grow the stores, so the source state is read by
-  // position.
-  const size_t from_stage_at = static_cast<size_t>(state) * num_children_;
-  const uint32_t from_ib_begin = states_[state].ib_begin;
-  const uint32_t from_ib_end = states_[state].ib_end;
-  size_t max_edges = 0;
-  for (const PendingEdge& pe : pending->edges) {
-    max_edges += pe.q2_end - pe.q2_begin;
-  }
-  out->reserve(out->size() + max_edges);
-  const bool task_is_root = ctx_->task().is_root();
-  int ample_committed = 0;
-  bool cut = false;
-  for (size_t pi = 0; pi < pending->edges.size(); ++pi) {
-    const PendingEdge& pe = pending->edges[pi];
-    // Resolve artifact-relation bookkeeping to counter dimensions / ib
-    // bits. Allocation order (ascending relation index per edge,
-    // inserts before retrieves within a relation, pending-edge order
-    // across successors) matches the sequential enumeration, so
-    // dimension numbering is reproducible.
-    delta_.clear();
-    std::vector<int>& ib = probe_ib_;
-    ib.assign(ib_store_.begin() + from_ib_begin,
-              ib_store_.begin() + from_ib_end);
-    bool feasible = true;
-    for (uint32_t k = pe.set_ops_begin; k < pe.set_ops_end; ++k) {
-      const PendingEdge::PendingSetOp& op = pending->set_ops[k];
-      if (op.inserts) {
-        if (op.insert_input_bound) {
-          int id = IbIdOf(op.relation, op.insert_ts);
-          if (std::find(ib.begin(), ib.end(), id) == ib.end()) {
-            ib.push_back(id);
-          }
-        } else {
-          delta_.emplace_back(DimOf(op.relation, op.insert_ts), 1);
-        }
-      }
-      if (op.retrieves) {
-        if (op.retrieve_input_bound) {
-          int id = IbIdOf(op.relation, op.retrieve_ts);
-          auto it = std::find(ib.begin(), ib.end(), id);
-          if (it == ib.end()) {
-            feasible = false;  // nothing of this type in the relation
-            break;
-          }
-          ib.erase(it);
-        } else {
-          delta_.emplace_back(DimOf(op.relation, op.retrieve_ts), -1);
-        }
-      }
-    }
-    if (!feasible) continue;
-    std::sort(ib.begin(), ib.end());
-    std::vector<ChildStage>& stages = probe_stages_;
-    if (pe.fresh_stages) {
-      stages.assign(num_children_, ChildStage{});
-    } else {
-      stages.assign(stage_store_.begin() + from_stage_at,
-                    stage_store_.begin() + from_stage_at + num_children_);
-    }
-    if (!pe.fresh_stages && pe.stage_child >= 0) {
-      int outcome = -1;
-      Assignment beta = pe.child_beta;
-      if (pe.stage_kind == ChildStage::Kind::kActive) {
-        outcome = InternOutcome(pe.outcome_src);
-      } else if (pe.stage_kind == ChildStage::Kind::kClosed) {
-        beta = stage_store_[from_stage_at + pe.stage_child].beta;
-      }
-      stages[pe.stage_child] = ChildStage{pe.stage_kind, outcome, beta};
-    }
-    probe_.iso = pe.next_iso;
-    probe_.cell = pe.next_cell;
-    probe_.service = pe.service;
-    // An edge with no negative delta is enabled at every marking.
-    const bool can_cut =
-        task_is_root &&
-        std::none_of(delta_.begin(), delta_.end(),
-                     [](const auto& d) { return d.second < 0; });
-    for (uint32_t k = pe.q2_begin; k < pe.q2_end; ++k) {
-      probe_.q = q2_store_[k];
-      const int target = InternProbe();
-      // The commit that creates a state writes its record; every later
-      // edge into it did the same thing (see TransitionRecord).
-      if (static_cast<size_t>(target) == records_.size()) {
-        records_.push_back(TransitionRecord{pe.service, pe.child_key,
-                                            pe.child_result_index, *pe.note});
-      }
-      out->push_back(VassEdge{target, delta_, target});
-      if (pi < static_cast<size_t>(pending->ample_pending)) {
-        ++ample_committed;
-      }
-      // The root cut: the explorer follows such an edge into a blocking
-      // state at the node it is expanding (the commit records no ample
-      // prefix), so a node of the blocking state exists and the root
-      // query is decided.
-      if (can_cut && IsBlocking(target)) cut = true;
-    }
-  }
-  root_decided_ = root_decided_ || cut;
-  // Record the ample-prefix length for AmplePrefix. Until the root cut
-  // the ample choice and its successor set are pure functions of the
-  // configuration.
+void TaskVass::Successors(int state, std::vector<VassEdge>* out) {
+  edges_.clear();
+  const int ample = BuildSuccessors(state);
+  // Until the root cut the ample choice and its successor set are pure
+  // functions of the configuration; the pass that cuts records 0.
   if (ample_prefix_.size() < states_.size()) {
     ample_prefix_.resize(states_.size(), 0);
   }
-  ample_prefix_[static_cast<size_t>(state)] = cut ? 0 : ample_committed;
-  prepared.release();
-  spare_.reset(pending);
+  ample_prefix_[static_cast<size_t>(state)] = root_decided_ ? 0 : ample;
+  out->reserve(out->size() + edges_.size());
+  std::move(edges_.begin(), edges_.end(), std::back_inserter(*out));
+}
+
+namespace {
+
+/// A successor list between PrepareSuccessors and CommitSuccessors.
+struct PreparedList : VassSystem::Prepared {
+  std::vector<VassEdge> edges;
+};
+
+}  // namespace
+
+std::unique_ptr<VassSystem::Prepared> TaskVass::PrepareSuccessors(
+    int state) {
+  auto prepared = std::make_unique<PreparedList>();
+  Successors(state, &prepared->edges);
+  return prepared;
+}
+
+void TaskVass::CommitSuccessors(int /*state*/,
+                                std::unique_ptr<Prepared> prepared,
+                                std::vector<VassEdge>* out) {
+  std::vector<VassEdge>& edges = static_cast<PreparedList&>(*prepared).edges;
+  out->insert(out->end(), std::make_move_iterator(edges.begin()),
+              std::make_move_iterator(edges.end()));
 }
 
 void TaskVass::ReleaseScratch() {
@@ -714,14 +615,9 @@ void TaskVass::ReleaseScratch() {
   q2_index_ = IdIndex();
   decltype(q2_store_)().swap(q2_store_);
   decltype(child_batches_)().swap(child_batches_);
-  spare_.reset();
   decltype(heads_)().swap(heads_);
-  decltype(ample_)().swap(ample_);
   decltype(delta_)().swap(delta_);
-}
-
-void TaskVass::Successors(int state, std::vector<VassEdge>* out) {
-  CommitSuccessors(state, PrepareSuccessors(state), out);
+  decltype(edges_)().swap(edges_);
 }
 
 int TaskVass::AmplePrefix(int state) const {

@@ -148,56 +148,42 @@ class TaskVass : public VassSystem {
            PropertyAutomata* automata, TypePool* pool, Assignment beta,
            PartialIsoType input_iso, Cell input_cell, RtOracle* oracle,
            const Condition* opening_filter);
-  /// Records and pending edges point into the product's note strings.
+  /// Records point into the product's note strings.
   TaskVass(const TaskVass&) = delete;
   TaskVass& operator=(const TaskVass&) = delete;
 
   /// Builds and interns the initial states; returns their ids.
   std::vector<int> InitialStates();
 
-  /// Equivalent to CommitSuccessors(state, PrepareSuccessors(state)).
-  /// Empty for every state once the root product is cut.
+  /// Appends `state`'s successors in one pass: (A) the ample stutters
+  /// and every internal service in ascending order, (B) child openings,
+  /// (C) child returns and (D) closing the task. Each step's delta, ib
+  /// bits, child stages and target state are resolved as it is emitted;
+  /// a step whose input-bound retrieve finds nothing is dropped before
+  /// anything is allocated for it. The root cut is set when the pass
+  /// emits an edge with no negative delta into a blocking state (such
+  /// an edge is enabled at every marking; the pass then records
+  /// AmplePrefix 0, so the explorer cannot defer it), or when it is
+  /// asked to expand a blocking state (the explorer only expands states
+  /// that have a node); after the cut no state has successors. A warm
+  /// call allocates only the growth of `out` and the non-empty deltas.
   void Successors(int state, std::vector<VassEdge>* out) override;
-
-  // --- successor computation in two steps --------------------------------
-  // Prepare runs the expensive symbolic work (successor enumeration,
-  // condition evaluation, child-oracle queries, pool interning) and
-  // only reads product state, apart from the root cut. Commit applies
-  // the cheap mutations (state/dimension/ib-bit/outcome interning, and
-  // a new state's record). Successors runs both; they are public so
-  // profilers can time them separately.
-  //
-  // The root cut (root products only) is set by either step:
-  //  - Commit sets it when it emits an edge into a blocking state whose
-  //    delta has no negative entry, and then records AmplePrefix(state)
-  //    = 0. Such an edge is enabled at every marking and cannot be
-  //    deferred, so the explorer materializes a node of the blocking
-  //    state (a new node, or a cover-edge into a same-state dominator).
-  //  - Prepare sets it when asked to expand a blocking state: the
-  //    explorer only expands states that have a node. Every edge into
-  //    a blocking state opens or closes a child and has an empty delta,
-  //    so today the commit rule fires first; this fallback keeps the
-  //    cut sound for an edge the commit rule passes over.
-  // After the cut, Prepare returns no edges for any state.
-  //
-  // Commit hands the Prepared object back to the product, and the next
-  // Prepare reuses it (and its buffers' capacity), so a warm
-  // Successors call allocates only the output list and the non-empty
-  // deltas. Several prepared objects may be outstanding at once.
+  /// Successors split in two, so that a profiler can time the pass and
+  /// the hand-over apart: Prepare runs the whole pass into a Prepared
+  /// list, and Commit appends that list to `out`. Several prepared
+  /// lists may be outstanding at once.
   std::unique_ptr<Prepared> PrepareSuccessors(int state);
   void CommitSuccessors(int state, std::unique_ptr<Prepared> prepared,
                         std::vector<VassEdge>* out);
   /// Frees the successor scratch (the Büchi successor lists, the cached
-  /// child-query batches, the spare Prepared and the commit buffers).
-  /// The engine calls it once the product's exploration is built; a
-  /// later Successors call rebuilds what it needs. Must not be called
-  /// while a Prepared object is outstanding.
+  /// child-query batches and the pass's buffers). The engine calls it
+  /// once the product's exploration is built; a later Successors call
+  /// rebuilds what it needs.
   void ReleaseScratch();
-  /// Committed length of `state`'s ample prefix (0 = no reduction): the
-  /// leading edges produced by the ample service selected in
-  /// PrepareSuccessors. Written only inside the commit; a pure function
+  /// Length of `state`'s ample prefix (0 = no reduction): the leading
+  /// ample stutter edges of its last Successors pass. A pure function
   /// of the state's configuration, except that the root product's
-  /// cutting commit records 0.
+  /// cutting pass records 0.
   int AmplePrefix(int state) const override;
 
   // --- state inspection (used by the RT computation) -------------------
@@ -318,74 +304,21 @@ class TaskVass : public VassSystem {
   void FillReturn(const SymbolicConfig& cur, int child,
                   const OutcomeKey& outcome, EnumMemo::Return* entry) const;
 
-  /// One prepared (not yet committed) product transition: the target
-  /// configuration is already pool-interned and the Büchi-compatible
-  /// successor states of the memoized letter are precomputed; everything
-  /// that allocates product-local ids (counter dimensions, ib bits,
-  /// outcomes, states) is deferred to the commit. An edge owns
-  /// no heap memory: its successor list and note point into the
-  /// product, its set ops into the PendingSuccessors.
-  struct PendingEdge {
-    TypeId next_iso = kNoTypeId;
-    CellId next_cell = kNoCellId;
-    ServiceRef service;
-    Assignment child_beta = 0;
-    /// Compatible Büchi successors of from.q (BuchiSuccessors):
-    /// q2_store_[q2_begin, q2_end).
-    uint32_t q2_begin = 0;
-    uint32_t q2_end = 0;
-    /// Artifact-relation bookkeeping ((A) transitions), one entry per
-    /// relation the service updates (ascending relation index),
-    /// resolved to counter dimensions / ib bits at commit time.
-    struct PendingSetOp {
-      int relation = 0;
-      bool inserts = false;
-      bool insert_input_bound = false;
-      TypeId insert_ts = kNoTypeId;
-      bool retrieves = false;
-      bool retrieve_input_bound = false;
-      TypeId retrieve_ts = kNoTypeId;
-    };
-    /// The edge's set ops: PendingSuccessors::set_ops[begin, end).
-    uint32_t set_ops_begin = 0;
-    uint32_t set_ops_end = 0;
-    /// Child-stage rewrite: (A) resets all stages, (B)/(C) rewrite one
-    /// child's stage; a kActive outcome is interned at commit from
-    /// `outcome_src` (a pointer into the oracle's immutable result).
-    bool fresh_stages = false;
-    int stage_child = -1;
-    ChildStage::Kind stage_kind = ChildStage::Kind::kInit;
-    const ChildOutcome* outcome_src = nullptr;
-    /// The rest of the TransitionRecord a new target state gets; the
-    /// note is one of the product's note strings or a service name.
-    RtQueryKey child_key;
-    int child_result_index = -1;
-    const std::string* note = nullptr;
-  };
-  struct PendingSuccessors : Prepared {
-    std::vector<PendingEdge> edges;
-    std::vector<PendingEdge::PendingSetOp> set_ops;  ///< all edges' ops
-    bool truncated = false;
-    /// Count of LEADING edges that are ample identity stutters, one
-    /// per eligible service (0 = no ample set selected — the state
-    /// expands fully).
-    int ample_pending = 0;
-  };
-
   /// The Büchi successors of `q` compatible with `letter`, as a range
   /// of q2_store_. Letters are memo-owned and never move, so the range
   /// is keyed by the letter's address; it lives until ReleaseScratch.
   std::pair<uint32_t, uint32_t> BuchiSuccessors(
       int q, const std::vector<bool>& letter);
 
-  /// Appends a PendingEdge for the transition from Büchi state `q` into
-  /// (`next_iso`, `next_cell`) reading `letter`; the caller fills in the
-  /// transition-specific bookkeeping on the returned edge.
-  PendingEdge* EmitPending(int q, TypeId next_iso, CellId next_cell,
-                           const std::vector<bool>& letter,
-                           const ServiceRef& service, Assignment child_beta,
-                           const std::string* note,
-                           PendingSuccessors* pending);
+  /// Appends to edges_ one edge per Büchi successor of `q` compatible
+  /// with `letter`, into (`next_iso`, `next_cell`) with the probe's
+  /// stages and ib bits and the delta delta_; a new target state gets
+  /// `record`.
+  void Emit(int q, TypeId next_iso, CellId next_cell,
+            const std::vector<bool>& letter, const TransitionRecord& record);
+  /// Successors' pass: fills edges_ with `state`'s successors and
+  /// returns the length of their ample prefix.
+  int BuildSuccessors(int state);
 
   const TaskContext* ctx_;
   const std::map<TaskId, const TaskContext*>* child_ctxs_;
@@ -422,12 +355,12 @@ class TaskVass : public VassSystem {
   std::unordered_map<const ChildOutcome*, int> outcome_by_src_;
   /// Indexed by state id (record(); parallel to states_).
   std::vector<TransitionRecord> records_;
-  /// Per-state committed ample-prefix length (AmplePrefix); indexed by
-  /// state id, lazily grown in CommitSuccessors.
+  /// Per-state ample-prefix length (AmplePrefix); indexed by state id,
+  /// lazily grown in Successors.
   std::vector<int> ample_prefix_;
   bool truncated_ = false;
   /// The root cut: set once a root product knows a blocking state has a
-  /// node in the explorer's graph (see PrepareSuccessors). Never set in
+  /// node in the explorer's graph (see Successors). Never set in
   /// a child product.
   bool root_decided_ = false;
 
@@ -455,13 +388,11 @@ class TaskVass : public VassSystem {
   /// oracle's answers never change.
   std::unordered_map<const EnumMemo::Opening*, RtOracle::BatchedChildResult>
       child_batches_;
-  /// The Prepared object the last commit handed back.
-  std::unique_ptr<PendingSuccessors> spare_;
-  /// Prepare's per-service memo heads and ample services.
+  /// The pass's per-service memo heads, the delta of the step it is
+  /// emitting, and the edges it has built.
   std::vector<const EnumMemo::Internal*> heads_;
-  std::vector<int> ample_;
-  /// The delta the commit is building.
   Delta delta_;
+  std::vector<VassEdge> edges_;
 };
 
 }  // namespace has

@@ -93,6 +93,18 @@ class Parser {
         StrCat("line ", Peek().line, ": ", message));
   }
 
+  // --- nesting ------------------------------------------------------------
+  /// Opens one more level of nesting (see kMaxSpecNesting). Errors
+  /// abandon the whole parse, so only successful paths close levels.
+  Status Enter() {
+    if (depth_ == kMaxSpecNesting) {
+      return Error(StrCat("nesting deeper than ", kMaxSpecNesting));
+    }
+    ++depth_;
+    return Status::Ok();
+  }
+  void Leave() { --depth_; }
+
   // --- schema -------------------------------------------------------------
   Status ParseRelation(ArtifactSystem* system) {
     HAS_RETURN_IF_ERROR(ExpectIdent("relation"));
@@ -306,7 +318,9 @@ class Parser {
         }
         task.AddInternalService(std::move(svc));
       } else if (PeekIdent("task")) {
+        HAS_RETURN_IF_ERROR(Enter());
         HAS_RETURN_IF_ERROR(ParseTask(system, id));
+        Leave();
       } else {
         return Error(StrCat("unexpected '", Peek().text, "' in task body"));
       }
@@ -349,33 +363,45 @@ class Parser {
   // --- conditions ----------------------------------------------------------
   StatusOr<CondPtr> ParseCond() { return ParseOr(); }
 
+  // A chain `a || b || c` builds a left-deep tree, so each operator
+  // opens a level until the chain ends (likewise for && and the HLTL
+  // chains).
   StatusOr<CondPtr> ParseOr() {
+    const int depth = depth_;
     HAS_ASSIGN_OR_RETURN(CondPtr lhs, ParseAnd());
     while (Consume(TokKind::kOr)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(CondPtr rhs, ParseAnd());
       lhs = Condition::Or(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   StatusOr<CondPtr> ParseAnd() {
+    const int depth = depth_;
     HAS_ASSIGN_OR_RETURN(CondPtr lhs, ParseNot());
     while (Consume(TokKind::kAnd)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(CondPtr rhs, ParseNot());
       lhs = Condition::And(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   StatusOr<CondPtr> ParseNot() {
     if (Consume(TokKind::kNot)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(CondPtr inner, ParseNot());
+      Leave();
       return Condition::Not(std::move(inner));
     }
-    if (Peek().kind == TokKind::kLParen) {
-      Next();
+    if (Consume(TokKind::kLParen)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(CondPtr inner, ParseCond());
       HAS_RETURN_IF_ERROR(Expect(TokKind::kRParen));
+      Leave();
       return inner;
     }
     return ParseAtom();
@@ -431,7 +457,9 @@ class Parser {
 
   StatusOr<BoundTerm> ParseProduct() {
     if (Consume(TokKind::kMinus)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(BoundTerm inner, ParseProduct());
+      Leave();
       return NegateTerm(inner);
     }
     if (ConsumeIdent("null")) return BoundTerm::MakeNull();
@@ -497,69 +525,79 @@ class Parser {
   StatusOr<LtlPtr> ParseHltlImplies() {
     HAS_ASSIGN_OR_RETURN(LtlPtr lhs, ParseHltlOr());
     if (Consume(TokKind::kArrow)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr rhs, ParseHltlImplies());
+      Leave();
       return LtlFormula::Implies(std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
   StatusOr<LtlPtr> ParseHltlOr() {
+    const int depth = depth_;
     HAS_ASSIGN_OR_RETURN(LtlPtr lhs, ParseHltlAnd());
     while (Consume(TokKind::kOr)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr rhs, ParseHltlAnd());
       lhs = LtlFormula::Or(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   StatusOr<LtlPtr> ParseHltlAnd() {
+    const int depth = depth_;
     HAS_ASSIGN_OR_RETURN(LtlPtr lhs, ParseHltlUntil());
     while (Consume(TokKind::kAnd)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr rhs, ParseHltlUntil());
       lhs = LtlFormula::And(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   StatusOr<LtlPtr> ParseHltlUntil() {
+    const int depth = depth_;
     HAS_ASSIGN_OR_RETURN(LtlPtr lhs, ParseHltlUnary());
     while (PeekIdent("U")) {
       Next();
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr rhs, ParseHltlUnary());
       lhs = LtlFormula::Until(std::move(lhs), std::move(rhs));
     }
+    depth_ = depth;
     return lhs;
   }
 
   StatusOr<LtlPtr> ParseHltlUnary() {
+    using Unary = LtlPtr (*)(LtlPtr);
+    Unary op = nullptr;
     if (Consume(TokKind::kNot)) {
-      HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlUnary());
-      return LtlFormula::Not(std::move(inner));
+      op = &LtlFormula::Not;
+    } else if (ConsumeIdent("G")) {
+      op = &LtlFormula::Always;
+    } else if (ConsumeIdent("F")) {
+      op = &LtlFormula::Eventually;
+    } else if (ConsumeIdent("X")) {
+      op = &LtlFormula::Next;
+    } else {
+      return ParseHltlPrimary();
     }
-    if (PeekIdent("G")) {
-      Next();
-      HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlUnary());
-      return LtlFormula::Always(std::move(inner));
-    }
-    if (PeekIdent("F")) {
-      Next();
-      HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlUnary());
-      return LtlFormula::Eventually(std::move(inner));
-    }
-    if (PeekIdent("X")) {
-      Next();
-      HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlUnary());
-      return LtlFormula::Next(std::move(inner));
-    }
-    return ParseHltlPrimary();
+    HAS_RETURN_IF_ERROR(Enter());
+    HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlUnary());
+    Leave();
+    return op(std::move(inner));
   }
 
   StatusOr<LtlPtr> ParseHltlPrimary() {
     if (ConsumeIdent("true")) return LtlFormula::True();
     if (ConsumeIdent("false")) return LtlFormula::False();
     if (Consume(TokKind::kLParen)) {
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr inner, ParseHltlImplies());
       HAS_RETURN_IF_ERROR(Expect(TokKind::kRParen));
+      Leave();
       return inner;
     }
     if (Consume(TokKind::kLBrace)) {
@@ -628,7 +666,9 @@ class Parser {
       if (child == kNoTask) return Error("unknown task in [φ]@Task");
       current_task_ = child;
       current_props_ = {};
+      HAS_RETURN_IF_ERROR(Enter());
       HAS_ASSIGN_OR_RETURN(LtlPtr body, ParseHltlImplies());
+      Leave();
       HAS_RETURN_IF_ERROR(Expect(TokKind::kRBracket));
       HAS_RETURN_IF_ERROR(Expect(TokKind::kAt));
       HAS_RETURN_IF_ERROR(Expect(TokKind::kIdent));  // the task name
@@ -647,6 +687,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< open nesting levels (Enter)
   SpecLocations* locs_ = nullptr;
   const VarScope* scope_ = nullptr;
   const DatabaseSchema* schema_ = nullptr;

@@ -32,6 +32,15 @@ struct ParsedSpec {
   }
 };
 
+/// Deepest nesting a spec may use, counted along one path through the
+/// parse: each open `!`, `(`, unary `-`, temporal operator, `->`,
+/// `[φ]@T` and nested task, and each operand of an `&&`, `||` or `U`
+/// chain (which builds a left-deep tree). A deeper spec is a parse
+/// error, so hostile nesting cannot overflow the stack of the
+/// recursive descent or of the passes over the trees it builds; the
+/// limit itself parses under the sanitizer build's larger frames too.
+inline constexpr int kMaxSpecNesting = 256;
+
 /// Parses a full specification (one system, any number of properties).
 StatusOr<ParsedSpec> ParseSpec(const std::string& source);
 

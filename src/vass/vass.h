@@ -38,8 +38,9 @@ class VassSystem {
   /// Appends the outgoing edges of `state` to `out`.
   virtual void Successors(int state, std::vector<VassEdge>* out) = 0;
 
-  /// Opaque token for systems that split one successor computation
-  /// into a pure prepare step and a mutating commit step (TaskVass).
+  /// Opaque successor list that a system hands out between computing it
+  /// and appending it to the caller's list, so that a profiler can time
+  /// the two apart (TaskVass::PrepareSuccessors).
   class Prepared {
    public:
     virtual ~Prepared() = default;
@@ -55,8 +56,8 @@ class VassSystem {
   /// real successor — the reduced graph is a subgraph of the full one's
   /// closure under the prefix transitions. One exception: a system that
   /// stops emitting successors once its query is decided (TaskVass's
-  /// root cut) may report 0 from the commit that decides it, so that
-  /// the deciding edge is never deferred.
+  /// root cut) may report 0 for the state whose successors decide it,
+  /// so that the deciding edge is never deferred.
   virtual int AmplePrefix(int state) const {
     (void)state;
     return 0;

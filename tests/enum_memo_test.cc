@@ -1,5 +1,5 @@
 // The successor-enumeration memo (EnumMemo in core/successor.h): a
-// product state must prepare exactly the same pending edges from a warm
+// product state must get exactly the same successor list from a warm
 // memo as from a fresh, cold one; the internal-service body a state
 // reads must equal EnumerateInternal run fresh at that state's own
 // configuration; bodies are shared by exactly the configurations with
@@ -31,43 +31,44 @@ namespace has {
 /// Reads TaskVass internals the memo test compares.
 class TaskVassTestPeer {
  public:
-  /// Copies everything PrepareSuccessors reads of a product (its states,
-  /// child outcomes and ib-bit registry) from `from` into `to`.
-  static void CopyPrepareInputs(const TaskVass& from, TaskVass* to) {
+  /// Copies a product's whole state (its states and their index, child
+  /// outcomes, counter dimensions, ib bits, records and ample prefixes)
+  /// from `from` into `to`, leaving `to` uncut.
+  static void CopyProduct(const TaskVass& from, TaskVass* to) {
     to->states_ = from.states_;
     to->stage_store_ = from.stage_store_;
     to->ib_store_ = from.ib_store_;
-    to->outcome_keys_ = from.outcome_keys_;
+    to->state_index_ = from.state_index_;
+    to->dim_types_ = from.dim_types_;
+    to->dim_index_ = from.dim_index_;
     to->ib_types_ = from.ib_types_;
     to->ib_index_ = from.ib_index_;
+    to->outcome_keys_ = from.outcome_keys_;
+    to->outcome_index_ = from.outcome_index_;
+    to->outcome_by_src_ = from.outcome_by_src_;
+    to->records_ = from.records_;
+    to->ample_prefix_ = from.ample_prefix_;
   }
 
-  /// Every field of a prepared successor list, in order; the successor
-  /// list, set ops and note by their contents, not their addresses.
-  static std::string Describe(const TaskVass& vass,
-                              const VassSystem::Prepared& prepared) {
-    const auto& p = static_cast<const TaskVass::PendingSuccessors&>(prepared);
+  /// `state`'s successor list and ample prefix: every edge's target,
+  /// delta and label, and the record of each target by its contents.
+  static std::string Describe(TaskVass* vass, int state) {
+    std::vector<VassEdge> edges;
+    vass->Successors(state, &edges);
     std::ostringstream out;
-    out << "truncated " << p.truncated << " ample " << p.ample_pending << "\n";
-    for (const TaskVass::PendingEdge& e : p.edges) {
-      out << "to " << e.next_iso << "/" << e.next_cell << " service "
-          << static_cast<int>(e.service.kind) << ":" << e.service.task << ":"
-          << e.service.index << " beta " << e.child_beta << " q2s";
-      for (uint32_t k = e.q2_begin; k < e.q2_end; ++k) {
-        out << " " << vass.q2_store_[k];
-      }
-      for (uint32_t k = e.set_ops_begin; k < e.set_ops_end; ++k) {
-        const TaskVass::PendingEdge::PendingSetOp& op = p.set_ops[k];
-        out << " op " << op.relation << ":" << op.inserts
-            << op.insert_input_bound << ":" << op.insert_ts << ":"
-            << op.retrieves << op.retrieve_input_bound << ":"
-            << op.retrieve_ts;
-      }
-      out << " stages " << e.fresh_stages << ":" << e.stage_child << ":"
-          << static_cast<int>(e.stage_kind) << ":" << e.outcome_src
-          << " child " << e.child_key.task << ":" << e.child_key.iso << ":"
-          << e.child_key.cell << ":" << e.child_key.beta << ":"
-          << e.child_result_index << " [" << *e.note << "]\n";
+    out << "truncated " << vass->truncated() << " ample "
+        << vass->AmplePrefix(state) << " dims "
+        << vass->num_dimensions() << " ibs " << vass->ib_types_.size()
+        << "\n";
+    for (const VassEdge& e : edges) {
+      const TransitionRecord& r = vass->record(e.label);
+      out << "to " << e.target << " label " << e.label << " delta";
+      for (const auto& [dim, d] : e.delta) out << " " << dim << ":" << d;
+      out << " service " << static_cast<int>(r.service.kind) << ":"
+          << r.service.task << ":" << r.service.index << " child "
+          << r.child_key.task << ":" << r.child_key.iso << ":"
+          << r.child_key.cell << ":" << r.child_key.beta << ":"
+          << r.child_result_index << " [" << r.note << "]\n";
     }
     return out.str();
   }
@@ -79,7 +80,7 @@ class TaskVassTestPeer {
   }
 
   /// The memo head of internal service `service` at `state`'s
-  /// configuration, filled as PrepareSuccessors fills it on a miss.
+  /// configuration, filled as Successors fills it on a miss.
   static const EnumMemo::Internal& Head(const TaskVass& vass, int state,
                                         int service) {
     const TaskVass::State& s = vass.states_[static_cast<size_t>(state)];
@@ -247,11 +248,12 @@ class Harness {
 
 /// Explores every product the verification builds (the root queries and
 /// every child query they reach) over shared warm contexts, then
-/// prepares each product state from the warm context and from a fresh
-/// one: the pending edges must be identical. Both sides are fresh,
-/// undecided products holding the explored product's states — an
-/// explored root product may be cut (core/task_vass.h) and prepare
-/// nothing. Returns the number of states compared.
+/// expands each product state from the warm context and from a fresh
+/// one: the successor lists (targets, deltas, labels, the targets'
+/// records) and ample prefixes must be identical. Both sides are
+/// fresh, undecided copies of the explored product — an explored root
+/// product may be cut (core/task_vass.h) and expand to nothing.
+/// Returns the number of states compared.
 size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
                             const HltlProperty& property,
                             const std::string& what) {
@@ -264,14 +266,11 @@ size_t ExpectWarmEqualsCold(const ArtifactSystem& system,
     for (int s = 0; s < warm->num_states(); ++s) {
       std::unique_ptr<TaskContext> cold_ctx = h.NewContext(q.task);
       std::unique_ptr<TaskVass> cold = h.Product(q, cold_ctx.get());
-      TaskVassTestPeer::CopyPrepareInputs(*warm, cold.get());
+      TaskVassTestPeer::CopyProduct(*warm, cold.get());
       std::unique_ptr<TaskVass> warm_fresh = h.Product(q, h.context(q.task));
-      TaskVassTestPeer::CopyPrepareInputs(*warm, warm_fresh.get());
-      const std::string want =
-          TaskVassTestPeer::Describe(*cold, *cold->PrepareSuccessors(s));
-      const std::string got =
-          TaskVassTestPeer::Describe(*warm_fresh,
-                                     *warm_fresh->PrepareSuccessors(s));
+      TaskVassTestPeer::CopyProduct(*warm, warm_fresh.get());
+      const std::string want = TaskVassTestPeer::Describe(cold.get(), s);
+      const std::string got = TaskVassTestPeer::Describe(warm_fresh.get(), s);
       EXPECT_EQ(got, want) << what << ": query " << i << " (task " << q.task
                            << ", beta " << q.beta << "), state " << s;
       ++compared;
@@ -392,7 +391,7 @@ property p0 {
 }
 )";
 
-TEST(EnumMemoTest, WarmMemoPreparesWhatAColdOneDoes) {
+TEST(EnumMemoTest, WarmMemoExpandsWhatAColdOneDoes) {
   const bench::Workload deep = bench::MakeDeepHierarchy(/*depth=*/4,
                                                         /*size=*/3);
   EXPECT_GT(ExpectWarmEqualsCold(deep.system, deep.property, "Deep"), 0u);

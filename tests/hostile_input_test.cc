@@ -282,5 +282,70 @@ property p { F({ x != null }) }
       << message;
 }
 
+/// `n` copies of `s`.
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// A one-task spec with service pre-condition `pre` and property `prop`.
+std::string OneTaskSpec(const std::string& pre, const std::string& prop) {
+  return "system {\n  task Main {\n    ids: x; nums: n;\n"
+         "    service s { pre: " +
+         pre + "; post: true; }\n  }\n}\nproperty p { " + prop + " }\n";
+}
+
+TEST(HostileInputTest, DeepNestingIsAParseError) {
+  // Each nesting construct, `depth` levels deep: at kMaxSpecNesting it
+  // parses, past it the parser returns an error. 100,000 levels used to
+  // overflow the stack of the recursive descent (or of the passes over
+  // the left-deep trees a chain builds).
+  const std::pair<const char*, std::string (*)(int)> cases[] = {
+      {"!", [](int d) { return OneTaskSpec(Repeat("!", d) + "true", "true"); }},
+      {"(",
+       [](int d) {
+         return OneTaskSpec(Repeat("(", d) + "true" + Repeat(")", d), "true");
+       }},
+      {"&&",
+       [](int d) {
+         return OneTaskSpec("true" + Repeat(" && true", d), "true");
+       }},
+      {"-",
+       [](int d) { return OneTaskSpec(Repeat("-", d) + "n == 0", "true"); }},
+      {"G", [](int d) { return OneTaskSpec("true", Repeat("G ", d) + "true"); }},
+      {"U",
+       [](int d) { return OneTaskSpec("true", "true" + Repeat(" U true", d)); }},
+      {"->",
+       [](int d) {
+         return OneTaskSpec("true", "true" + Repeat(" -> true", d));
+       }},
+      {"property (",
+       [](int d) {
+         return OneTaskSpec("true", Repeat("(", d) + "true" + Repeat(")", d));
+       }},
+      {"task",
+       [](int d) {
+         std::string tasks = "task T { ids: x; ";
+         for (int i = 0; i < d; ++i) {
+           tasks += "task T" + std::to_string(i) + " { ids: x; ";
+         }
+         return "system {\n" + tasks + Repeat("}", d + 1) + "\n}\n";
+       }},
+  };
+  for (const auto& [what, make] : cases) {
+    StatusOr<ParsedSpec> limit = ParseSpec(make(kMaxSpecNesting));
+    EXPECT_TRUE(limit.ok()) << what << ": " << limit.status().message();
+    for (int depth : {kMaxSpecNesting + 1, 100000}) {
+      StatusOr<ParsedSpec> deep = ParseSpec(make(depth));
+      ASSERT_FALSE(deep.ok()) << what << " at depth " << depth;
+      EXPECT_NE(deep.status().message().find("nesting deeper than"),
+                std::string::npos)
+          << what << ": " << deep.status().message();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace has

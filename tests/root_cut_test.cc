@@ -7,7 +7,7 @@
 //   - a spec whose only route into ⊥ retrieves from an artifact
 //     relation stays VIOLATED, and HOLDS once the relation is never
 //     filled;
-//   - after the cut, no root state prepares an edge, while child
+//   - after the cut, no root state emits an edge, while child
 //     products still do;
 //   - HOLDS properties never cut, so their exploration counters are
 //     the ones a full exploration records.
@@ -119,7 +119,7 @@ TEST(RootCutTest, RetrieveRouteIntoBottomStaysViolated) {
   }
 }
 
-TEST(RootCutTest, CutRootPreparesNothingWhileChildrenDo) {
+TEST(RootCutTest, CutRootEmitsNothingWhileChildrenDo) {
   const bench::Workload w = bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
   const HltlProperty negated = w.property.Negated();
   RtEngine engine(&w.system, &negated, VerifierOptions{}, /*hcd=*/nullptr);
@@ -131,7 +131,7 @@ TEST(RootCutTest, CutRootPreparesNothingWhileChildrenDo) {
   RtQueryKey child_key;
   for (int s = 0; s < vass.num_states(); ++s) {
     std::vector<VassEdge> out;
-    vass.CommitSuccessors(s, vass.PrepareSuccessors(s), &out);
+    vass.Successors(s, &out);
     EXPECT_TRUE(out.empty()) << "root state " << s;
   }
   for (int n = 0; n < root->graph->num_nodes() && !child_key.valid(); ++n) {
@@ -147,7 +147,7 @@ TEST(RootCutTest, CutRootPreparesNothingWhileChildrenDo) {
   size_t child_edges = 0;
   for (int s = 0; s < child->vass->num_states(); ++s) {
     std::vector<VassEdge> out;
-    child->vass->CommitSuccessors(s, child->vass->PrepareSuccessors(s), &out);
+    child->vass->Successors(s, &out);
     child_edges += out.size();
   }
   EXPECT_GT(child_edges, 0u);

@@ -1,11 +1,12 @@
-// Successor recomputation under buffer reuse. A TaskVass hands every
-// committed Prepared object back to the next prepare, keeps its Büchi
-// successor lists and child-query batches per product, and frees them
-// once the exploration is built (ReleaseScratch). Recomputing a state's
+// Successor recomputation under buffer reuse. A TaskVass builds every
+// successor list in one reused edge buffer, keeps its Büchi successor
+// lists and child-query batches per product, and frees them once the
+// exploration is built (ReleaseScratch). Recomputing a state's
 // successors after that must reproduce the exploration's own lists:
 // the tests re-run Successors for every expanded product state in
 // reverse order, each interleaved with another state's outstanding
-// prepare and, once per product, with a whole nested exploration of
+// Prepared list (the profiler's PrepareSuccessors/CommitSuccessors
+// split) and, once per product, with a whole nested exploration of
 // another query's product. A counting operator new bounds what a warm
 // re-run allocates, and what one warm Verify call allocates. A VIOLATED
 // root product is cut once it reaches a blocking state

@@ -8,8 +8,8 @@
 //     agrees with the target state's own stage of the opened child
 //     (β_c, ⊥, outcome). This is why one record per state suffices.
 //   - every edge into a blocking state has an empty delta. The root cut
-//     (TaskVass::CommitSuccessors) relies on it: such an edge is
-//     enabled at every marking, so the commit that emits it cuts.
+//     (TaskVass::Successors) relies on it: such an edge is enabled at
+//     every marking, so the pass that emits it cuts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,9 +204,9 @@ TEST(TransitionRecordTest, EdgeLabelIsTargetStateAndRecordMatchesIt) {
 }
 
 // The root cut's premise: every edge into a blocking state opens or
-// closes a child and changes no counter, so the cutting commit rule
+// closes a child and changes no counter, so the cutting edge rule
 // catches every route into ⊥ and the expansion fallback in
-// PrepareSuccessors never fires.
+// TaskVass::Successors never fires.
 TEST(TransitionRecordTest, EdgesIntoBlockingStatesHaveEmptyDeltas) {
   size_t into_blocking = 0;
   ForEachRun([&](const RtEngine&, const ArtifactSystem&,
@@ -222,6 +222,62 @@ TEST(TransitionRecordTest, EdgesIntoBlockingStatesHaveEmptyDeltas) {
     }
   });
   EXPECT_GT(into_blocking, 0u);
+}
+
+// A step whose input-bound retrieve finds nothing is dropped before
+// anything is allocated for it. `step` inserts y's tuple into N (not
+// input-bound once `fill` has set y) and retrieves the null tuple (which
+// is input-bound) from B, which nothing fills: every such step is
+// dropped, and no counter dimension may appear for its insert.
+TEST(TransitionRecordTest, DroppedStepAllocatesNoDimension) {
+  StatusOr<ParsedSpec> spec = ParseSpec(R"(
+system {
+  relation R { }
+  task Main {
+    ids: x, y;
+    set N (y);
+    set B (x);
+    service fill { pre: true; post: y != null; }
+    service step {
+      pre: true;
+      post: x == null;
+      insert into N;
+      retrieve from B;
+    }
+  }
+}
+property never_steps { G ! svc(step) }
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const HltlProperty& property = spec->properties[0].second;
+  const ServiceRef fill = ServiceRef::Internal(spec->system.root(), 0);
+  const ServiceRef step = ServiceRef::Internal(spec->system.root(), 1);
+  size_t states = 0;
+  size_t filled = 0;
+  ForEachEntry("dropped step", spec->system, property, VerifierOptions{},
+               [&](const RtEngine&, const ArtifactSystem&,
+                   const RtEngine::Entry& entry, const std::string& where) {
+                 TaskVass& vass = *entry.vass;
+                 EXPECT_EQ(vass.num_dimensions(), 0) << where;
+                 for (int s = 0; s < vass.num_states(); ++s) {
+                   std::vector<VassEdge> out;
+                   vass.Successors(s, &out);
+                   for (const VassEdge& e : out) {
+                     EXPECT_NE(vass.state_service(e.target), step) << where;
+                   }
+                   if (vass.state_service(s) == fill) ++filled;
+                 }
+                 states += static_cast<size_t>(vass.num_states());
+                 EXPECT_EQ(vass.num_dimensions(), 0) << where;
+               });
+  EXPECT_GT(states, 0u);
+  EXPECT_GT(filled, 0u);
+  // Slicing would remove the dead `step` before the engine sees it.
+  VerifierOptions options;
+  options.slice = false;
+  const VerifyResult result = Verify(spec->system, property, options);
+  EXPECT_EQ(result.verdict, Verdict::kHolds);
+  EXPECT_EQ(result.stats.counter_dims, 0u);
 }
 
 }  // namespace
