@@ -1,7 +1,6 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "analysis/sat.h"
@@ -16,11 +15,13 @@ std::vector<VarSort> ScopeSorts(const VarScope& scope) {
   return sorts;
 }
 
-void AddCondVars(const CondPtr& c, std::set<int>* out) {
-  if (c == nullptr) return;
-  std::vector<int> vs;
-  c->CollectVars(&vs);
-  out->insert(vs.begin(), vs.end());
+/// Variable sets are flags per variable of the task's scope.
+void Mark(int v, std::vector<char>* out) {
+  if (v >= 0 && v < static_cast<int>(out->size())) (*out)[v] = 1;
+}
+
+void AddVars(const std::vector<int>& vs, std::vector<char>* out) {
+  for (int v : vs) Mark(v, out);
 }
 
 /// The task state right after opening: every non-input ID variable is
@@ -32,6 +33,7 @@ CondPtr InitCondition(const ArtifactSystem& system, TaskId t) {
   const Task& task = system.task(t);
   const std::vector<int> inputs = task.InputVars();
   std::vector<CondPtr> cs;
+  cs.reserve(static_cast<size_t>(task.vars().size()) + 1);
   for (int v = 0; v < task.vars().size(); ++v) {
     if (std::find(inputs.begin(), inputs.end(), v) != inputs.end()) continue;
     if (task.vars().var(v).sort == VarSort::kId) {
@@ -58,19 +60,30 @@ AnalysisResult AnalyzeSystem(
     const SpecLocations* locs) {
   AnalysisResult res;
   res.tasks.resize(static_cast<size_t>(system.num_tasks()));
+  std::vector<int> vars_scratch;
+  auto add_cond_vars = [&vars_scratch](const CondPtr& c,
+                                       std::vector<char>* out) {
+    if (c == nullptr) return;
+    vars_scratch.clear();
+    c->CollectVars(&vars_scratch);
+    AddVars(vars_scratch, out);
+  };
 
   // Variables each task's property nodes condition on (union over all
   // given properties) — reads for the write-never-read check and roots
   // of the slicing cone.
-  std::vector<std::set<int>> prop_vars(
+  std::vector<std::vector<char>> prop_vars(
       static_cast<size_t>(system.num_tasks()));
+  for (TaskId t = 0; t < system.num_tasks(); ++t) {
+    prop_vars[t].assign(static_cast<size_t>(system.task(t).vars().size()), 0);
+  }
   for (const auto& [name, prop] : properties) {
     (void)name;
     for (int i = 0; i < prop->num_nodes(); ++i) {
       const HltlNode& node = prop->node(i);
       for (const HltlProp& p : node.props) {
         if (p.kind == HltlProp::Kind::kCondition) {
-          AddCondVars(p.condition, &prop_vars[node.task]);
+          add_cond_vars(p.condition, &prop_vars[node.task]);
         }
       }
     }
@@ -81,6 +94,16 @@ AnalysisResult AnalyzeSystem(
   // ready when the child is analyzed).
   std::vector<char> openable(static_cast<size_t>(system.num_tasks()), 0);
   openable[system.root()] = 1;
+
+  // Every satisfiability question goes through one oracle, which
+  // memoizes answers and compiles each condition once.
+  SatOracle oracle;
+  const CondPtr unconstrained = Condition::True();
+  std::vector<std::vector<VarSort>> task_sorts;
+  task_sorts.reserve(static_cast<size_t>(system.num_tasks()));
+  for (TaskId t = 0; t < system.num_tasks(); ++t) {
+    task_sorts.push_back(ScopeSorts(system.task(t).vars()));
+  }
 
   for (TaskId t : system.PreOrder()) {
     const Task& task = system.task(t);
@@ -96,42 +119,42 @@ AnalysisResult AnalyzeSystem(
         openable[t] != 0 &&
         (task.is_root() || res.tasks[task.parent()].task_open);
 
-    const std::vector<VarSort> sorts = ScopeSorts(task.vars());
+    const std::vector<VarSort>& sorts = task_sorts[t];
     const std::vector<int> inputs = task.InputVars();
     auto is_input = [&](int v) {
       return std::find(inputs.begin(), inputs.end(), v) != inputs.end();
     };
 
     // --- intrinsically dead services: unsatisfiable conditions --------
+    // The joint check reads pre on the current tuple and post on the
+    // next one. Input variables are stable under internal services
+    // (shared index); every other variable is re-decided, so the post
+    // reads a fresh copy.
+    std::vector<int> rename(static_cast<size_t>(task.vars().size()));
+    std::vector<VarSort> joint_sorts = sorts;
+    for (int v = 0; v < task.vars().size(); ++v) {
+      if (is_input(v)) {
+        rename[v] = v;
+      } else {
+        rename[v] = static_cast<int>(joint_sorts.size());
+        joint_sorts.push_back(sorts[static_cast<size_t>(v)]);
+      }
+    }
     std::vector<std::string> dead_reason(static_cast<size_t>(num_services));
     for (int s = 0; s < num_services; ++s) {
       const InternalService& svc = task.service(s);
-      if (!MaybeSatisfiable({svc.pre}, sorts)) {
+      if (!oracle.MaybeSatisfiable({svc.pre}, sorts)) {
         f.service_dead[s] = 1;
         dead_reason[s] = "pre-condition is unsatisfiable";
         continue;
       }
-      if (!MaybeSatisfiable({svc.post}, sorts)) {
+      if (!oracle.MaybeSatisfiable({svc.post}, sorts)) {
         f.service_dead[s] = 1;
         dead_reason[s] = "post-condition is unsatisfiable";
         continue;
       }
-      // Joint check: pre on the current tuple, post on the next one.
-      // Input variables are stable under internal services (shared
-      // index); every other variable is re-decided, so the post reads a
-      // fresh copy.
-      std::vector<int> rename(static_cast<size_t>(task.vars().size()));
-      std::vector<VarSort> joint_sorts = sorts;
-      for (int v = 0; v < task.vars().size(); ++v) {
-        if (is_input(v)) {
-          rename[v] = v;
-        } else {
-          rename[v] = static_cast<int>(joint_sorts.size());
-          joint_sorts.push_back(sorts[static_cast<size_t>(v)]);
-        }
-      }
-      if (!MaybeSatisfiable({svc.pre, svc.post->MapVars(rename)},
-                            joint_sorts)) {
+      if (!oracle.MaybeSatisfiable({svc.pre, svc.post->MapVars(rename)},
+                                   joint_sorts)) {
         f.service_dead[s] = 1;
         dead_reason[s] = "pre- and post-conditions are jointly unsatisfiable";
       }
@@ -142,6 +165,9 @@ AnalysisResult AnalyzeSystem(
     // starve further relations, so iterate to a fixpoint (monotone in
     // the dead set; at most num_services rounds).
     const CondPtr init = InitCondition(system, t);
+    std::vector<CondPtr> contexts;
+    contexts.reserve(1 + static_cast<size_t>(num_services) +
+                     task.children().size());
     std::vector<char> reached(static_cast<size_t>(num_services), 0);
     std::vector<char> child_open(
         static_cast<size_t>(task.children().size()), 0);
@@ -156,7 +182,7 @@ AnalysisResult AnalyzeSystem(
         bool grew = true;
         while (grew) {
           grew = false;
-          std::vector<CondPtr> contexts = {init};
+          contexts.assign(1, init);
           for (int s = 0; s < num_services; ++s) {
             if (reached[s] && !f.service_dead[s]) {
               contexts.push_back(task.service(s).post);
@@ -165,15 +191,15 @@ AnalysisResult AnalyzeSystem(
           for (size_t ci = 0; ci < task.children().size(); ++ci) {
             const Task& child = system.task(task.children()[ci]);
             if (child_open[ci] &&
-                MaybeSatisfiable({child.closing_pre()},
-                                 ScopeSorts(child.vars()))) {
-              contexts.push_back(Condition::True());
+                oracle.MaybeSatisfiable({child.closing_pre()},
+                                        task_sorts[task.children()[ci]])) {
+              contexts.push_back(unconstrained);
             }
           }
           for (int s = 0; s < num_services; ++s) {
             if (reached[s] || f.service_dead[s]) continue;
             for (const CondPtr& c : contexts) {
-              if (MaybeSatisfiable({c, task.service(s).pre}, sorts)) {
+              if (oracle.MaybeSatisfiable({c, task.service(s).pre}, sorts)) {
                 reached[s] = 1;
                 grew = true;
                 break;
@@ -184,7 +210,7 @@ AnalysisResult AnalyzeSystem(
             if (child_open[ci]) continue;
             const Task& child = system.task(task.children()[ci]);
             for (const CondPtr& c : contexts) {
-              if (MaybeSatisfiable({c, child.opening_pre()}, sorts)) {
+              if (oracle.MaybeSatisfiable({c, child.opening_pre()}, sorts)) {
                 child_open[ci] = 1;
                 grew = true;
                 break;
@@ -270,65 +296,67 @@ AnalysisResult AnalyzeSystem(
     // parent-side f_in variables of children; own-side f_out variables
     // (returned on close); and tuple variables of relations inserted by
     // live services (an insert reads the tuple at the pre-state).
-    std::set<int> read;
-    std::set<int> mentioned;
+    const size_t num_vars = static_cast<size_t>(task.vars().size());
+    std::vector<char> read(num_vars, 0);
+    std::vector<char> mentioned(num_vars, 0);
+    std::vector<char> post_vars(num_vars, 0);
     for (int s = 0; s < num_services; ++s) {
       const InternalService& svc = task.service(s);
-      AddCondVars(svc.pre, &mentioned);
-      AddCondVars(svc.post, &mentioned);
+      add_cond_vars(svc.pre, &mentioned);
+      add_cond_vars(svc.post, &mentioned);
       for (int r : svc.insert_rels) {
-        mentioned.insert(task.set_relations()[r].vars.begin(),
-                         task.set_relations()[r].vars.end());
+        AddVars(task.set_relations()[r].vars, &mentioned);
       }
       for (int r : svc.retrieve_rels) {
-        mentioned.insert(task.set_relations()[r].vars.begin(),
-                         task.set_relations()[r].vars.end());
+        AddVars(task.set_relations()[r].vars, &mentioned);
       }
       if (!f.ServiceLive(s)) continue;
-      AddCondVars(svc.pre, &read);
-      std::set<int> post_vars;
-      AddCondVars(svc.post, &post_vars);
-      for (int v : post_vars) {
-        if (is_input(v)) read.insert(v);
+      add_cond_vars(svc.pre, &read);
+      std::fill(post_vars.begin(), post_vars.end(), 0);
+      add_cond_vars(svc.post, &post_vars);
+      for (int v : inputs) {
+        if (v >= 0 && static_cast<size_t>(v) < num_vars && post_vars[v]) {
+          read[v] = 1;
+        }
       }
       for (int r : svc.insert_rels) {
-        read.insert(task.set_relations()[r].vars.begin(),
-                    task.set_relations()[r].vars.end());
+        AddVars(task.set_relations()[r].vars, &read);
       }
     }
-    AddCondVars(task.closing_pre(), &read);
-    AddCondVars(task.closing_pre(), &mentioned);
+    add_cond_vars(task.closing_pre(), &read);
+    add_cond_vars(task.closing_pre(), &mentioned);
     if (task.is_root()) {
-      AddCondVars(system.global_pre(), &read);
-      AddCondVars(system.global_pre(), &mentioned);
+      add_cond_vars(system.global_pre(), &read);
+      add_cond_vars(system.global_pre(), &mentioned);
     }
     for (TaskId c : task.children()) {
       const Task& child = system.task(c);
-      AddCondVars(child.opening_pre(), &read);
-      AddCondVars(child.opening_pre(), &mentioned);
+      add_cond_vars(child.opening_pre(), &read);
+      add_cond_vars(child.opening_pre(), &mentioned);
       for (const auto& [own, parent_var] : child.fin()) {
         (void)own;
-        read.insert(parent_var);
-        mentioned.insert(parent_var);
+        Mark(parent_var, &read);
+        Mark(parent_var, &mentioned);
       }
       for (const auto& [parent_var, own] : child.fout()) {
         (void)own;
-        mentioned.insert(parent_var);
+        Mark(parent_var, &mentioned);
       }
     }
     for (const auto& [own, parent_var] : task.fin()) {
       (void)parent_var;
-      mentioned.insert(own);
+      Mark(own, &mentioned);
     }
     for (const auto& [parent_var, own] : task.fout()) {
       (void)parent_var;
-      read.insert(own);
-      mentioned.insert(own);
+      Mark(own, &read);
+      Mark(own, &mentioned);
     }
-    read.insert(prop_vars[t].begin(), prop_vars[t].end());
-    mentioned.insert(prop_vars[t].begin(), prop_vars[t].end());
+    for (size_t v = 0; v < num_vars; ++v) {
+      if (prop_vars[t][v]) read[v] = mentioned[v] = 1;
+    }
     for (int v = 0; v < task.vars().size(); ++v) {
-      if (read.count(v) != 0) {
+      if (read[v]) {
         f.var_read[v] = 1;
         continue;
       }
@@ -336,7 +364,7 @@ AnalysisResult AnalyzeSystem(
       res.diagnostics.push_back(Diagnostic{
           DiagSeverity::kWarning, kDiagWriteNeverRead, task.name(),
           locs == nullptr ? SourceLoc{} : locs->Var(task.name(), name),
-          mentioned.count(v) != 0
+          mentioned[v]
               ? StrCat("variable ", name, " is written but never read")
               : StrCat("variable ", name, " is never used")});
     }
@@ -347,13 +375,14 @@ AnalysisResult AnalyzeSystem(
     for (int i = 0; i < prop->num_nodes(); ++i) {
       const HltlNode& node = prop->node(i);
       const Task& task = system.task(node.task);
-      const std::vector<VarSort> sorts = ScopeSorts(task.vars());
+      const std::vector<VarSort>& sorts = task_sorts[node.task];
       for (const HltlProp& p : node.props) {
         if (p.kind != HltlProp::Kind::kCondition) continue;
         const char* verdict = nullptr;
-        if (!MaybeSatisfiable({p.condition}, sorts)) {
+        if (!oracle.MaybeSatisfiable({p.condition}, sorts)) {
           verdict = "always false";
-        } else if (!MaybeSatisfiable({Condition::Not(p.condition)}, sorts)) {
+        } else if (!oracle.MaybeSatisfiable({Condition::Not(p.condition)},
+                                            sorts)) {
           verdict = "always true";
         }
         if (verdict != nullptr) {

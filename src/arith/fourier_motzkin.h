@@ -15,7 +15,8 @@ namespace has {
 
 class FourierMotzkin {
  public:
-  /// True iff the conjunction has a solution over Q.
+  /// True iff the conjunction has a solution over Q. Decided on dense
+  /// rows over the system's variables, eliminated in ascending order.
   static bool IsSatisfiable(const LinearSystem& system);
 
   /// Existentially quantifies `var` out of `system`. The result holds of

@@ -39,6 +39,18 @@ class IdIndex {
 
   size_t size() const { return size_; }
 
+  /// Sizes the table for `n` ids, so the first n inserts do not grow it.
+  void Reserve(size_t n) {
+    size_t slots = slots_.empty() ? 16 : slots_.size();
+    while (2 * n > slots) slots *= 2;
+    if (slots == slots_.size()) return;
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(slots, Slot{});
+    for (const Slot& slot : old) {
+      if (slot.id != -1) Place(slot.hash, slot.id);
+    }
+  }
+
  private:
   struct Slot {
     size_t hash = 0;
@@ -61,13 +73,7 @@ class IdIndex {
     slots_[i] = Slot{hash, id};
   }
 
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
-    for (const Slot& slot : old) {
-      if (slot.id != -1) Place(slot.hash, slot.id);
-    }
-  }
+  void Grow() { Reserve(slots_.empty() ? 8 : slots_.size()); }
 
   std::vector<Slot> slots_;
   size_t size_ = 0;

@@ -15,6 +15,12 @@ int UnionFind::AddElement() {
   return id;
 }
 
+void UnionFind::Reset(size_t n) {
+  parent_.resize(n);
+  std::iota(parent_.begin(), parent_.end(), 0);
+  rank_.assign(n, 0);
+}
+
 int UnionFind::Find(int x) const {
   int root = x;
   while (parent_[root] != root) root = parent_[root];

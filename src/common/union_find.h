@@ -18,6 +18,9 @@ class UnionFind {
   /// Adds a fresh singleton element; returns its index.
   int AddElement();
 
+  /// Back to `n` singletons, keeping the allocated capacity.
+  void Reset(size_t n);
+
   /// Representative of x's class (with path compression).
   int Find(int x) const;
 

@@ -162,16 +162,17 @@ void TaskContext::ComputePor() {
   }
   por_service_ok_.assign(t.services().size(), 0);
   if (!x_free) return;
-  const TaskIndependence independence = TaskIndependence::Analyze(t);
   for (size_t i = 0; i < t.services().size(); ++i) {
-    // Insert-only footprints are the profitable ample candidates:
+    // Insert-only services are the profitable ample candidates:
     // their identity stutter strictly grows the marking, so the
     // diagonal makes progress until ω-acceleration saturates it.
     // (Zero-delta retrieve-free services would be equally SOUND as
     // stutters, but measurably hurt: they flip the state's service
     // component without advancing any counter, adding nodes instead of
     // collapsing interleavings.)
-    if (!independence.footprint(static_cast<int>(i)).insert_only()) continue;
+    if (!CheckDeltaTargets(t, t.service(static_cast<int>(i))).insert_only()) {
+      continue;
+    }
     if (PorServiceIsProp(
             ServiceRef::Internal(task_, static_cast<int>(i)))) {
       continue;

@@ -73,7 +73,7 @@ struct VerifierOptions {
   /// OTHER structural VERIFAS optimization; multiplies with, not
   /// against, the antichain pruning above). At a symbolic state with no
   /// active child, a statically eligible service — insert-only
-  /// footprint (model/independence.h), never observed by the property,
+  /// δ targets (model/independence.h), never observed by the property,
   /// X-free task skeletons — whose pre- AND post-condition hold at the
   /// current configuration (so the identity stutter step is among its
   /// successors) becomes the ample set, and the explorer expands only
@@ -190,7 +190,7 @@ class TaskContext {
   // --- partial-order reduction (VerifierOptions::por) ---------------------
   /// Whether internal service `svc` is statically ample-eligible: every
   /// skeleton of the task's property nodes is X-free, no service
-  /// proposition of those nodes names the service, and its footprint is
+  /// proposition of those nodes names the service, and its δ targets are
   /// insert-only (model/independence.h) — so firing it only grows the
   /// marking and it can anchor an ample set wherever its post-condition
   /// already holds (the dynamic half, checked at expansion time in
@@ -414,6 +414,14 @@ class EnumMemo {
     std::vector<bool> letter;  ///< set iff `enabled`
   };
 
+  /// (F) The task opened on one input: EnumerateOpening's
+  /// configurations, in its order, and its truncation flag. Every
+  /// product V(T, β) of the input starts from the same list.
+  struct Opened {
+    bool truncated = false;
+    std::vector<SymbolicConfig> configs;
+  };
+
   EnumMemo() = default;
   EnumMemo(const EnumMemo&) = delete;
   EnumMemo& operator=(const EnumMemo&) = delete;
@@ -442,6 +450,15 @@ class EnumMemo {
   const CloseSelf& GetCloseSelf(const Key& key, const Fill& fill) {
     Counts uncounted;
     return close_self_.Get(key, fill, &uncounted);
+  }
+
+  /// Opened entries are keyed by the input's pool ids and not counted
+  /// in misses() or hits(): they replay an enumeration per β, which the
+  /// counters never saw as a step.
+  template <typename Fill>
+  const Opened& GetOpened(const Key& key, const Fill& fill) {
+    Counts uncounted;
+    return opened_.Get(key, fill, &uncounted);
   }
 
   /// (E) The completions of a partial cell under numeric equalities
@@ -547,6 +564,7 @@ class EnumMemo {
   Table<Opening> opening_;
   Table<Return> return_;
   Table<CloseSelf> close_self_;
+  Table<Opened> opened_;
   Table<InternalBody> body_;
   Counts body_counts_;
   std::unordered_map<CompletionKey, Completions, CompletionKeyHash>

@@ -252,12 +252,28 @@ void TaskVass::FillReturn(const SymbolicConfig& cur, int child,
 
 std::vector<int> TaskVass::InitialStates() {
   std::vector<int> out;
-  bool truncated = false;
-  std::vector<SymbolicConfig> openings =
-      EnumerateOpening(*ctx_, input_iso_, input_cell_, &truncated);
-  truncated_ = truncated_ || truncated;
+  // The opening list is memoized per input. The engine pooled the input
+  // when it keyed this query, so the lookups below pool nothing. The
+  // list is enumerated over this product's own input_iso_, whose element
+  // layout sets its order, and the key holds only pool ids. That is
+  // exact because every product sharing a list is built from one input
+  // object: the root's empty input, or the one input of a
+  // RtEngine::QueryAll call, which builds all β of it together (a task
+  // is never its own descendant, so no other caller can reach the same
+  // key in between).
+  EnumMemo::Key key;
+  key.iso = pool_->Find(input_iso_);
+  if (key.iso == kNoTypeId) key.iso = pool_->Intern(input_iso_);
+  key.cell = pool_->FindCell(input_cell_);
+  if (key.cell == kNoCellId) key.cell = pool_->InternCell(input_cell_);
+  const EnumMemo::Opened& opened =
+      ctx_->memo().GetOpened(key, [&](EnumMemo::Opened* entry) {
+        entry->configs = EnumerateOpening(*ctx_, input_iso_, input_cell_,
+                                          &entry->truncated);
+      });
+  truncated_ = truncated_ || opened.truncated;
   ServiceRef open_self = ServiceRef::Opening(ctx_->task_id());
-  for (const SymbolicConfig& config : openings) {
+  for (const SymbolicConfig& config : opened.configs) {
     if (opening_filter_ != nullptr &&
         ctx_->EvalSym(*opening_filter_, config) != Truth::kTrue) {
       continue;

@@ -19,14 +19,23 @@ TypeId TypePool::InternNormalized(PartialIsoType&& iso) {
   return InternImpl(iso, &iso);
 }
 
-TypeId TypePool::InternImpl(const PartialIsoType& iso,
-                            PartialIsoType* owned) {
+TypeId TypePool::Find(PartialIsoType iso) {
+  iso.Normalize();
   iso.CanonicalEncode(&scratch_);
+  return FindEncoded(iso,
+                     HashCanonicalEncoding(scratch_.tokens, scratch_.consts));
+}
+
+CellId TypePool::FindCell(const Cell& cell) const {
+  return cell_index_.Find(cell.Hash(), [&](CellId id) {
+    return cells_[static_cast<size_t>(id)] == cell;
+  });
+}
+
+TypeId TypePool::FindEncoded(const PartialIsoType& iso, size_t hash) const {
   const std::vector<int64_t>& tokens = scratch_.tokens;
   const std::vector<Rational>& consts = scratch_.consts;
-  const size_t hash = HashCanonicalEncoding(tokens, consts);
-
-  const TypeId found = type_index_.Find(hash, [&](TypeId id) {
+  return type_index_.Find(hash, [&](TypeId id) {
     const TypeEntry& entry = type_entries_[static_cast<size_t>(id)];
     return entry.scope == iso.scope() && entry.max_depth == iso.max_depth() &&
            std::equal(tokens.begin(), tokens.end(),
@@ -36,6 +45,16 @@ TypeId TypePool::InternImpl(const PartialIsoType& iso,
                       const_store_.begin() + entry.consts_begin,
                       const_store_.begin() + entry.consts_end);
   });
+}
+
+TypeId TypePool::InternImpl(const PartialIsoType& iso,
+                            PartialIsoType* owned) {
+  iso.CanonicalEncode(&scratch_);
+  const std::vector<int64_t>& tokens = scratch_.tokens;
+  const std::vector<Rational>& consts = scratch_.consts;
+  const size_t hash = HashCanonicalEncoding(tokens, consts);
+
+  const TypeId found = FindEncoded(iso, hash);
   if (found != kNoTypeId) {
     ++iso_hits_;
     // Id equality must coincide with signature equality (the canonical

@@ -86,6 +86,13 @@ class TypePool {
   /// copying it.
   TypeId InternNormalized(PartialIsoType&& iso);
 
+  /// The id `Intern(iso)` would return if the canonical form is pooled,
+  /// else kNoTypeId. Pools nothing and counts no hit.
+  TypeId Find(PartialIsoType iso);
+  /// The id of a pooled cell equal to `cell`, else kNoCellId; counts no
+  /// hit.
+  CellId FindCell(const Cell& cell) const;
+
   /// Pooled types never move: the reference lives as long as the pool.
   const PartialIsoType& type(TypeId id) const {
     return types_[static_cast<size_t>(id)];
@@ -130,6 +137,9 @@ class TypePool {
   /// Shared lookup/insert; `owned` (nullable) is moved into the arena
   /// on a miss, otherwise `iso` is copied.
   TypeId InternImpl(const PartialIsoType& iso, PartialIsoType* owned);
+  /// The pooled type whose encoding is in `scratch_` (hashed to
+  /// `hash`), or kNoTypeId.
+  TypeId FindEncoded(const PartialIsoType& iso, size_t hash) const;
 
   ChunkedArena<PartialIsoType> types_;
   ChunkedArena<Cell> cells_;

@@ -35,61 +35,76 @@ std::vector<int> VarScope::NumericVars() const {
   return out;
 }
 
+std::shared_ptr<Condition> Condition::New() {
+  // One allocation for the node and its control block; the local class
+  // reaches the private constructor from inside Condition's scope.
+  struct Node : Condition {};
+  return std::make_shared<Node>();
+}
+
 CondPtr Condition::True() {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kTrue;
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::False() {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kFalse;
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::Eq(Term lhs, Term rhs) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kEq;
   c->lhs_ = std::move(lhs);
   c->rhs_ = std::move(rhs);
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::Rel(RelationId relation, std::vector<int> args) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kRel;
   c->relation_ = relation;
   c->args_ = std::move(args);
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::Arith(LinearConstraint constraint) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kArith;
   c->constraint_ = std::move(constraint);
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::Not(CondPtr inner) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kNot;
   c->children_.push_back(std::move(inner));
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::And(CondPtr a, CondPtr b) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kAnd;
   c->children_.push_back(std::move(a));
   c->children_.push_back(std::move(b));
+  c->Seal();
   return c;
 }
 
 CondPtr Condition::Or(CondPtr a, CondPtr b) {
-  auto c = std::shared_ptr<Condition>(new Condition());
+  auto c = New();
   c->kind_ = CondKind::kOr;
   c->children_.push_back(std::move(a));
   c->children_.push_back(std::move(b));
+  c->Seal();
   return c;
 }
 
@@ -101,7 +116,7 @@ CondPtr Condition::AndAll(const std::vector<CondPtr>& cs) {
 }
 
 bool Condition::Equals(const Condition& o) const {
-  if (kind_ != o.kind_) return false;
+  if (hash_ != o.hash_ || kind_ != o.kind_) return false;
   switch (kind_) {
     case CondKind::kTrue:
     case CondKind::kFalse:
@@ -125,7 +140,7 @@ bool Condition::Equals(const Condition& o) const {
   return false;
 }
 
-size_t Condition::Hash() const {
+void Condition::Seal() {
   size_t seed = static_cast<size_t>(kind_);
   switch (kind_) {
     case CondKind::kTrue:
@@ -150,10 +165,12 @@ size_t Condition::Hash() const {
     case CondKind::kNot:
     case CondKind::kAnd:
     case CondKind::kOr:
-      for (const CondPtr& c : children_) HashMix(&seed, c->Hash());
+      for (const CondPtr& c : children_) {
+        HashMix(&seed, c == nullptr ? size_t{0} : c->hash_);
+      }
       break;
   }
-  return seed;
+  hash_ = seed;
 }
 
 void Condition::CollectAtoms(std::vector<const Condition*>* out) const {

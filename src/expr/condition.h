@@ -105,7 +105,8 @@ class Condition {
 
   /// Structural equality (used to deduplicate decided atoms).
   bool Equals(const Condition& o) const;
-  size_t Hash() const;
+  /// Structural hash, computed once at construction (children first).
+  size_t Hash() const { return hash_; }
 
   /// All distinct atoms of the condition, in first-occurrence order.
   void CollectAtoms(std::vector<const Condition*>* out) const;
@@ -131,6 +132,9 @@ class Condition {
 
  private:
   Condition() = default;
+  static std::shared_ptr<Condition> New();
+  /// Computes hash_ from the finished node; every factory ends with it.
+  void Seal();
 
   CondKind kind_ = CondKind::kTrue;
   Term lhs_, rhs_;
@@ -138,6 +142,7 @@ class Condition {
   std::vector<int> args_;
   LinearConstraint constraint_;
   std::vector<CondPtr> children_;
+  size_t hash_ = 0;
 };
 
 }  // namespace has

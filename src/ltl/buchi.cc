@@ -1,7 +1,6 @@
 #include "ltl/buchi.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "common/status.h"
@@ -14,109 +13,159 @@ namespace {
 /// The closure: all subformula nodes in post-order (children before
 /// parents), deduplicated structurally by (kind, prop, child indices).
 struct Closure {
-  std::vector<const LtlFormula*> nodes;  // representative per entry
-  std::vector<LtlKind> kinds;
-  std::vector<int> props;
-  std::vector<int> left;   // closure index or -1
-  std::vector<int> right;  // closure index or -1
+  struct Entry {
+    LtlKind kind;
+    int prop;
+    int left;   // closure index or -1
+    int right;  // closure index or -1
+  };
+  std::vector<Entry> entries;
   int root = -1;
   std::vector<int> untils;  // closure indices of U-nodes
   std::vector<int> nexts;   // closure indices of X-nodes
 
+  int size() const { return static_cast<int>(entries.size()); }
+  const Entry& operator[](int i) const { return entries[i]; }
+
   int Add(const LtlFormula* f) {
-    int l = f->left() ? Add(f->left().get()) : -1;
-    int r = f->right() ? Add(f->right().get()) : -1;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (kinds[i] == f->kind() && props[i] == f->prop() && left[i] == l &&
-          right[i] == r) {
-        return static_cast<int>(i);
+    const int l = f->left() ? Add(f->left().get()) : -1;
+    const int r = f->right() ? Add(f->right().get()) : -1;
+    for (int i = 0; i < size(); ++i) {
+      const Entry& e = entries[i];
+      if (e.kind == f->kind() && e.prop == f->prop() && e.left == l &&
+          e.right == r) {
+        return i;
       }
     }
-    nodes.push_back(f);
-    kinds.push_back(f->kind());
-    props.push_back(f->prop());
-    left.push_back(l);
-    right.push_back(r);
-    int idx = static_cast<int>(nodes.size() - 1);
+    entries.push_back(Entry{f->kind(), f->prop(), l, r});
+    const int idx = size() - 1;
     if (f->kind() == LtlKind::kUntil) untils.push_back(idx);
     if (f->kind() == LtlKind::kNext) nexts.push_back(idx);
     return idx;
   }
 };
 
-/// A tableau atom: membership bit per closure entry. Memberships of
-/// boolean combinations are forced by the children; props, X and
-/// (partially) U memberships are free.
-using Atom = std::vector<bool>;
+/// Tableau atoms as fixed-width bit rows: bit i of an atom's row is its
+/// membership of closure entry i. Memberships of boolean combinations
+/// are forced by the children; props, X and (partially) U memberships
+/// are free.
+class AtomRows {
+ public:
+  explicit AtomRows(size_t closure_size)
+      : words_(static_cast<int>((closure_size + 63) / 64)) {}
 
-void EnumerateAtoms(const Closure& cl, std::vector<Atom>* out) {
-  Atom cur(cl.nodes.size(), false);
-  std::function<void(size_t)> rec = [&](size_t i) {
-    if (i == cl.nodes.size()) {
-      out->push_back(cur);
-      return;
-    }
-    switch (cl.kinds[i]) {
-      case LtlKind::kTrue:
-        cur[i] = true;
-        rec(i + 1);
-        break;
-      case LtlKind::kFalse:
-        cur[i] = false;
-        rec(i + 1);
-        break;
-      case LtlKind::kNot:
-        cur[i] = !cur[cl.left[i]];
-        rec(i + 1);
-        break;
-      case LtlKind::kAnd:
-        cur[i] = cur[cl.left[i]] && cur[cl.right[i]];
-        rec(i + 1);
-        break;
-      case LtlKind::kOr:
-        cur[i] = cur[cl.left[i]] || cur[cl.right[i]];
-        rec(i + 1);
-        break;
-      case LtlKind::kProp:
-      case LtlKind::kNext:
-        cur[i] = false;
-        rec(i + 1);
-        cur[i] = true;
-        rec(i + 1);
-        break;
-      case LtlKind::kUntil: {
-        bool l = cur[cl.left[i]];
-        bool r = cur[cl.right[i]];
-        if (r) {
-          // ψ2 holds now, so the until holds.
-          cur[i] = true;
-          rec(i + 1);
-        } else if (l) {
-          // Depends on the future: both memberships are consistent.
-          cur[i] = false;
-          rec(i + 1);
-          cur[i] = true;
-          rec(i + 1);
-        } else {
-          cur[i] = false;
-          rec(i + 1);
-        }
-        break;
-      }
-    }
-  };
-  rec(0);
+  int words() const { return words_; }
+  int size() const {
+    return words_ == 0 ? 0 : static_cast<int>(bits_.size() / words_);
+  }
+  const uint64_t* row(int a) const {
+    return bits_.data() + static_cast<size_t>(a) * words_;
+  }
+  void Append(const std::vector<uint64_t>& row) {
+    bits_.insert(bits_.end(), row.begin(), row.end());
+  }
+
+ private:
+  int words_;
+  std::vector<uint64_t> bits_;
+};
+
+bool Bit(const uint64_t* row, int i) { return (row[i >> 6] >> (i & 63)) & 1u; }
+
+void SetBit(uint64_t* row, int i, bool value) {
+  const uint64_t m = uint64_t{1} << (i & 63);
+  row[i >> 6] = value ? (row[i >> 6] | m) : (row[i >> 6] & ~m);
 }
 
-/// One-step consistency: X-obligations and U-expansions.
-bool CanFollow(const Closure& cl, const Atom& s, const Atom& t) {
-  for (int x : cl.nexts) {
-    if (s[x] != t[cl.left[x]]) return false;
+/// Every atom, in the order of a depth-first enumeration that decides
+/// closure entries in index order and tries a free entry false before
+/// true. A stack holds the free entries still set false; backtracking
+/// flips the deepest one and redecides everything after it.
+void EnumerateAtoms(const Closure& cl, AtomRows* out) {
+  const int m = cl.size();
+  std::vector<uint64_t> cur(static_cast<size_t>(out->words()), 0);
+  std::vector<int> open;
+  int i = 0;
+  for (;;) {
+    for (; i < m; ++i) {
+      bool value = false;
+      bool free = false;
+      switch (cl[i].kind) {
+        case LtlKind::kTrue:
+          value = true;
+          break;
+        case LtlKind::kFalse:
+          break;
+        case LtlKind::kNot:
+          value = !Bit(cur.data(), cl[i].left);
+          break;
+        case LtlKind::kAnd:
+          value = Bit(cur.data(), cl[i].left) && Bit(cur.data(), cl[i].right);
+          break;
+        case LtlKind::kOr:
+          value = Bit(cur.data(), cl[i].left) || Bit(cur.data(), cl[i].right);
+          break;
+        case LtlKind::kProp:
+        case LtlKind::kNext:
+          free = true;
+          break;
+        case LtlKind::kUntil:
+          // ψ2 now: the until holds. ψ1 alone: it depends on the future,
+          // so both memberships are consistent. Neither: it fails.
+          if (Bit(cur.data(), cl[i].right)) {
+            value = true;
+          } else {
+            free = Bit(cur.data(), cl[i].left);
+          }
+          break;
+      }
+      SetBit(cur.data(), i, value);
+      if (free) open.push_back(i);
+    }
+    out->Append(cur);
+    if (open.empty()) return;
+    i = open.back();
+    open.pop_back();
+    SetBit(cur.data(), i, true);
+    ++i;
   }
+}
+
+/// One-step consistency (X-obligations and U-expansions) of an atom s
+/// with its successor t, as a mask test on t: t follows s iff `ok` (no
+/// two obligations on one entry conflict) and t's bits under `mask`
+/// equal `value`.
+struct FollowTest {
+  bool ok = true;
+  std::vector<uint64_t> mask, value;
+};
+
+void MakeFollowTest(const Closure& cl, const uint64_t* s, int words,
+                    FollowTest* test_out) {
+  FollowTest& test = *test_out;
+  test.ok = true;
+  test.mask.assign(static_cast<size_t>(words), 0);
+  test.value.assign(static_cast<size_t>(words), 0);
+  auto require = [&](int i, bool v) {
+    if (Bit(test.mask.data(), i) && Bit(test.value.data(), i) != v) {
+      test.ok = false;
+    }
+    SetBit(test.mask.data(), i, true);
+    SetBit(test.value.data(), i, v);
+  };
+  for (int x : cl.nexts) require(cl[x].left, Bit(s, x));
+  // s[u] must equal s[right] || (s[left] && t[u]). EnumerateAtoms
+  // already made s[u] = s[right] where the right side or neither side
+  // holds at s, so only a pending until constrains t.
   for (int u : cl.untils) {
-    bool now = s[u];
-    bool expansion = s[cl.right[u]] || (s[cl.left[u]] && t[u]);
-    if (now != expansion) return false;
+    if (!Bit(s, cl[u].right) && Bit(s, cl[u].left)) require(u, Bit(s, u));
+  }
+}
+
+bool Follows(const FollowTest& test, const uint64_t* t) {
+  if (!test.ok) return false;
+  for (size_t w = 0; w < test.mask.size(); ++w) {
+    if ((t[w] & test.mask[w]) != test.value[w]) return false;
   }
   return true;
 }
@@ -124,12 +173,13 @@ bool CanFollow(const Closure& cl, const Atom& s, const Atom& t) {
 /// Whether an atom may label the LAST position of a finite word:
 /// strong-next formulas must be false and every pending until must be
 /// discharged now.
-bool CanEndWord(const Closure& cl, const Atom& s) {
-  for (int x : cl.nexts) {
-    if (s[x]) return false;
+bool CanEndWord(const Closure& cl, const uint64_t* s,
+                const std::vector<uint64_t>& next_mask) {
+  for (size_t w = 0; w < next_mask.size(); ++w) {
+    if ((s[w] & next_mask[w]) != 0) return false;
   }
   for (int u : cl.untils) {
-    if (s[u] && !s[cl.right[u]]) return false;
+    if (Bit(s, u) && !Bit(s, cl[u].right)) return false;
   }
   return true;
 }
@@ -139,8 +189,10 @@ bool CanEndWord(const Closure& cl, const Atom& s) {
 bool BuchiAutomaton::CompatibleWith(int q,
                                     const std::vector<bool>& letter) const {
   HAS_CHECK(static_cast<int>(letter.size()) >= num_props_);
-  for (int p = 0; p < num_props_; ++p) {
-    if (constrained_[p] && props_[q][p] != letter[p]) return false;
+  const uint64_t* row =
+      prop_rows_.data() + static_cast<size_t>(q / counters_) * prop_words_;
+  for (int p : constrained_) {
+    if (Bit(row, p) != letter[p]) return false;
   }
   return true;
 }
@@ -155,7 +207,7 @@ bool BuchiAutomaton::AcceptsFinite(
   for (size_t i = 1; i < word.size(); ++i) {
     std::set<int> next;
     for (int q : frontier) {
-      for (int q2 : succ_[q]) {
+      for (int q2 : successors(q)) {
         if (CompatibleWith(q2, word[i])) next.insert(q2);
       }
     }
@@ -163,7 +215,7 @@ bool BuchiAutomaton::AcceptsFinite(
     if (frontier.empty()) return false;
   }
   for (int q : frontier) {
-    if (finite_accepting_[q]) return true;
+    if (finite_accepting(q)) return true;
   }
   return false;
 }
@@ -203,7 +255,7 @@ bool BuchiAutomaton::AcceptsLasso(
     auto [q, pos] = stack.back();
     stack.pop_back();
     size_t next_pos = canon(pos + 1);
-    for (int q2 : succ_[q]) {
+    for (int q2 : successors(q)) {
       if (!CompatibleWith(q2, letter(next_pos))) continue;
       if (!reach[q2][next_pos]) {
         reach[q2][next_pos] = true;
@@ -219,7 +271,7 @@ bool BuchiAutomaton::AcceptsLasso(
   // num_states()*llen steps via reachability in the product.
   for (int q = 0; q < num_states(); ++q) {
     for (size_t pos = plen; pos < positions; ++pos) {
-      if (!reach[q][pos] || !accepting_[q]) continue;
+      if (!reach[q][pos] || !accepting(q)) continue;
       // BFS from (q,pos) looking for a return to (q,pos).
       std::vector<std::vector<bool>> seen(num_states(),
                                           std::vector<bool>(positions, false));
@@ -229,7 +281,7 @@ bool BuchiAutomaton::AcceptsLasso(
         auto [u, up] = bfs.back();
         bfs.pop_back();
         size_t next_pos = canon(up + 1);
-        for (int v : succ_[u]) {
+        for (int v : successors(u)) {
           if (!CompatibleWith(v, letter(next_pos))) continue;
           if (v == q && next_pos == pos) {
             found = true;
@@ -248,13 +300,12 @@ bool BuchiAutomaton::AcceptsLasso(
 }
 
 std::string BuchiAutomaton::Stats() const {
-  int acc = 0, fin = 0, edges = 0;
+  int acc = 0, fin = 0;
   for (int q = 0; q < num_states(); ++q) {
-    if (accepting_[q]) ++acc;
-    if (finite_accepting_[q]) ++fin;
-    edges += static_cast<int>(succ_[q].size());
+    if (accepting(q)) ++acc;
+    if (finite_accepting(q)) ++fin;
   }
-  return StrCat(num_states(), " states, ", edges, " edges, ", acc,
+  return StrCat(num_states(), " states, ", succ_.size(), " edges, ", acc,
                 " accepting, ", fin, " finite-accepting, ", initial_.size(),
                 " initial");
 }
@@ -263,8 +314,10 @@ BuchiAutomaton BuildBuchi(const LtlPtr& formula, int num_props) {
   Closure cl;
   cl.root = cl.Add(formula.get());
 
-  std::vector<Atom> atoms;
+  AtomRows atoms(static_cast<size_t>(cl.size()));
   EnumerateAtoms(cl, &atoms);
+  const int n = atoms.size();
+  const int words = atoms.words();
 
   const int k = static_cast<int>(cl.untils.size());
   // Degeneralized states (atom, counter), counter ∈ [0, k]: value c < k
@@ -276,40 +329,36 @@ BuchiAutomaton BuildBuchi(const LtlPtr& formula, int num_props) {
 
   BuchiAutomaton b;
   b.num_props_ = num_props;
-  const int n = static_cast<int>(atoms.size());
-  auto state_id = [&](int atom, int counter) {
-    return atom * counters + counter;
-  };
-  const int total = n * counters;
-  b.succ_.assign(total, {});
-  b.accepting_.assign(total, false);
-  b.finite_accepting_.assign(total, false);
-  b.props_.assign(total, std::vector<bool>(num_props, false));
-  b.constrained_.assign(num_props, false);
-  for (size_t i = 0; i < cl.nodes.size(); ++i) {
-    if (cl.kinds[i] == LtlKind::kProp && cl.props[i] >= 0 &&
-        cl.props[i] < num_props) {
-      b.constrained_[cl.props[i]] = true;
+  b.num_atoms_ = n;
+  b.counters_ = counters;
+
+  // Per-atom proposition rows.
+  b.prop_words_ = (num_props + 63) / 64;
+  b.prop_rows_.assign(static_cast<size_t>(n) * b.prop_words_, 0);
+  std::vector<std::pair<int, int>> prop_entries;  // (closure entry, prop)
+  for (int i = 0; i < cl.size(); ++i) {
+    if (cl[i].kind == LtlKind::kProp && cl[i].prop >= 0 &&
+        cl[i].prop < num_props) {
+      prop_entries.emplace_back(i, cl[i].prop);
+      b.constrained_.push_back(cl[i].prop);
     }
   }
-
-  // Per-atom proposition signature.
+  std::sort(b.constrained_.begin(), b.constrained_.end());
+  b.constrained_.erase(
+      std::unique(b.constrained_.begin(), b.constrained_.end()),
+      b.constrained_.end());
   for (int a = 0; a < n; ++a) {
-    std::vector<bool> sig(num_props, false);
-    for (size_t i = 0; i < cl.nodes.size(); ++i) {
-      if (cl.kinds[i] == LtlKind::kProp && cl.props[i] >= 0 &&
-          cl.props[i] < num_props) {
-        sig[cl.props[i]] = atoms[a][i];
-      }
+    uint64_t* row = b.prop_rows_.data() + static_cast<size_t>(a) * b.prop_words_;
+    for (const auto& [entry, p] : prop_entries) {
+      SetBit(row, p, Bit(atoms.row(a), entry));
     }
-    for (int c = 0; c < counters; ++c) b.props_[state_id(a, c)] = sig;
   }
 
   // Until #i is discharged at an atom when the until is not pending
   // there or its right-hand side holds there.
   auto discharged = [&](int atom, int u_index) {
-    int u = cl.untils[u_index];
-    return !atoms[atom][u] || atoms[atom][cl.right[u]];
+    const int u = cl.untils[u_index];
+    return !Bit(atoms.row(atom), u) || Bit(atoms.row(atom), cl[u].right);
   };
   // Target counter when leaving `atom` with counter `c`.
   auto next_counter = [&](int atom, int c) {
@@ -319,26 +368,31 @@ BuchiAutomaton BuildBuchi(const LtlPtr& formula, int num_props) {
     return eff;  // == k when everything discharged in rotation: flush
   };
 
+  // Successors of (a, c): (a2, next_counter(a, c)) for every a2 that can
+  // follow a, ascending.
+  std::vector<int> follows;
+  FollowTest test;
+  b.succ_begin_.reserve(static_cast<size_t>(n) * counters + 1);
+  b.succ_begin_.push_back(0);
   for (int a = 0; a < n; ++a) {
+    MakeFollowTest(cl, atoms.row(a), words, &test);
+    follows.clear();
     for (int a2 = 0; a2 < n; ++a2) {
-      if (!CanFollow(cl, atoms[a], atoms[a2])) continue;
-      for (int c = 0; c < counters; ++c) {
-        b.succ_[state_id(a, c)].push_back(state_id(a2, next_counter(a, c)));
-      }
+      if (Follows(test, atoms.row(a2))) follows.push_back(a2);
     }
-  }
-  for (int a = 0; a < n; ++a) {
     for (int c = 0; c < counters; ++c) {
-      if (k == 0 || c == k) b.accepting_[state_id(a, c)] = true;
-    }
-    if (CanEndWord(cl, atoms[a])) {
-      for (int c = 0; c < counters; ++c) {
-        b.finite_accepting_[state_id(a, c)] = true;
-      }
+      const int c2 = next_counter(a, c);
+      for (int a2 : follows) b.succ_.push_back(a2 * counters + c2);
+      b.succ_begin_.push_back(static_cast<uint32_t>(b.succ_.size()));
     }
   }
+
+  std::vector<uint64_t> next_mask(static_cast<size_t>(words), 0);
+  for (int x : cl.nexts) SetBit(next_mask.data(), x, true);
+  b.can_end_.resize(static_cast<size_t>(n));
   for (int a = 0; a < n; ++a) {
-    if (atoms[a][cl.root]) b.initial_.push_back(state_id(a, 0));
+    b.can_end_[a] = CanEndWord(cl, atoms.row(a), next_mask) ? 1 : 0;
+    if (Bit(atoms.row(a), cl.root)) b.initial_.push_back(a * counters);
   }
   return b;
 }

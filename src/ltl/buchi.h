@@ -8,6 +8,8 @@
 #ifndef HAS_LTL_BUCHI_H_
 #define HAS_LTL_BUCHI_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,15 +26,40 @@ namespace has {
 /// Infinite acceptance: some q_i ∈ accepting for infinitely many i.
 /// Finite acceptance: the state reading the last letter is in
 /// finite_accepting.
+///
+/// States are (tableau atom a, counter c) pairs numbered a·(k+1)+c, with
+/// k the number of untils in the closure. Everything but the successor
+/// lists is kept per atom: a state's proposition row and finite
+/// acceptance are its atom's, and it is accepting iff c == k.
 class BuchiAutomaton {
  public:
-  int num_states() const { return static_cast<int>(succ_.size()); }
+  /// A read-only run of state ids.
+  class StateSpan {
+   public:
+    StateSpan(const int* first, const int* last) : first_(first), last_(last) {}
+    const int* begin() const { return first_; }
+    const int* end() const { return last_; }
+    size_t size() const { return static_cast<size_t>(last_ - first_); }
+    bool empty() const { return first_ == last_; }
+
+   private:
+    const int* first_;
+    const int* last_;
+  };
+
+  int num_states() const { return num_atoms_ * counters_; }
   int num_props() const { return num_props_; }
 
   const std::vector<int>& initial() const { return initial_; }
-  const std::vector<int>& successors(int q) const { return succ_[q]; }
-  bool accepting(int q) const { return accepting_[q]; }
-  bool finite_accepting(int q) const { return finite_accepting_[q]; }
+  /// Successors of q in ascending target atom; all share one counter.
+  StateSpan successors(int q) const {
+    return StateSpan(succ_.data() + succ_begin_[q],
+                     succ_.data() + succ_begin_[q + 1]);
+  }
+  bool accepting(int q) const { return q % counters_ == counters_ - 1; }
+  bool finite_accepting(int q) const {
+    return can_end_[static_cast<size_t>(q / counters_)] != 0;
+  }
 
   /// True iff state q's required proposition literals match `letter`.
   bool CompatibleWith(int q, const std::vector<bool>& letter) const;
@@ -51,15 +78,22 @@ class BuchiAutomaton {
   friend BuchiAutomaton BuildBuchi(const LtlPtr&, int);
 
   int num_props_ = 0;
+  int num_atoms_ = 0;
+  int counters_ = 1;  ///< k + 1
   std::vector<int> initial_;
-  std::vector<std::vector<int>> succ_;
-  std::vector<bool> accepting_;
-  std::vector<bool> finite_accepting_;
-  /// props_[q][p]: truth of proposition p required by state q.
-  std::vector<std::vector<bool>> props_;
-  /// constrained_[p]: proposition p occurs in the formula; unmentioned
-  /// propositions are don't-care for CompatibleWith.
-  std::vector<bool> constrained_;
+  /// CSR successor lists: state q's are succ_[succ_begin_[q],
+  /// succ_begin_[q + 1]).
+  std::vector<uint32_t> succ_begin_;
+  std::vector<int> succ_;
+  /// can_end_[a]: atom a may label the last position of a finite word.
+  std::vector<char> can_end_;
+  /// Atom a's proposition row: bit p of words [a·prop_words_,
+  /// (a+1)·prop_words_) is the truth it requires of proposition p.
+  int prop_words_ = 0;
+  std::vector<uint64_t> prop_rows_;
+  /// Propositions the formula mentions, ascending; the others are
+  /// don't-care for CompatibleWith.
+  std::vector<int> constrained_;
 };
 
 /// Builds the automaton for `formula` over propositions 0..num_props-1.

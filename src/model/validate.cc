@@ -89,10 +89,8 @@ void CheckTask(const ArtifactSystem& system, const Task& t,
 
   // Internal services: conditions over the task's scope; every set
   // update must target a declared relation (the generalized form of
-  // restriction 5), at most once per relation. The δ-target checks run
-  // inside the static independence analysis (model/independence.h),
-  // which walks the same per-service data to build the footprints and
-  // commutation matrix consumed by partial-order reduction.
+  // restriction 5), at most once per relation (CheckDeltaTargets,
+  // shared with the POR eligibility bits).
   for (const InternalService& s : t.services()) {
     Status pre = s.pre->CheckWellFormed(t.vars(), schema);
     if (!pre.ok()) {
@@ -107,7 +105,9 @@ void CheckTask(const ArtifactSystem& system, const Task& t,
   }
   {
     std::vector<std::string> delta_errors;
-    TaskIndependence::Analyze(t, &delta_errors);
+    for (const InternalService& s : t.services()) {
+      CheckDeltaTargets(t, s, &delta_errors);
+    }
     for (const std::string& msg : delta_errors) error(msg);
   }
 

@@ -152,182 +152,209 @@ class Parser {
     return SourceLoc{tok.line, tok.column};
   }
 
+  /// The rest of a `service Name { ... }` block of `task`, after the
+  /// keyword; its set updates wait in `pending_set_ops` until the task
+  /// body is done. Kept out of ParseTask, which recurses once per nested
+  /// task, so that the block's locals do not grow every level's frame.
+  [[gnu::noinline]] Status ParseService(
+      Task* task, std::vector<PendingSetOp>* pending_set_ops) {
+    if (Peek().kind != TokKind::kIdent) return Error("service name");
+    InternalService svc;
+    locs_->SetService(task->name(), Peek().text, LocOf(Peek()));
+    svc.name = Next().text;
+    svc.pre = Condition::True();
+    svc.post = Condition::True();
+    HAS_RETURN_IF_ERROR(Expect(TokKind::kLBrace));
+    scope_ = &task->vars();
+    while (!Consume(TokKind::kRBrace)) {
+      if (ConsumeIdent("pre")) {
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
+        HAS_ASSIGN_OR_RETURN(svc.pre, ParseCond());
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+      } else if (ConsumeIdent("post")) {
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
+        HAS_ASSIGN_OR_RETURN(svc.post, ParseCond());
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+      } else if (PeekIdent("insert") || PeekIdent("retrieve")) {
+        PendingSetOp op;
+        op.is_insert = Next().text == "insert";
+        op.line = Peek().line;
+        // `insert into X;` / `retrieve from X;`, or the bare
+        // single-relation sugar `insert;` / `retrieve;`.
+        if (ConsumeIdent(op.is_insert ? "into" : "from")) {
+          if (Peek().kind != TokKind::kIdent) {
+            return Error("artifact relation name");
+          }
+          op.relation = Next().text;
+        }
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+        op.service = static_cast<int>(task->services().size());
+        pending_set_ops->push_back(std::move(op));
+      } else {
+        return Error("expected pre/post/insert/retrieve");
+      }
+    }
+    task->AddInternalService(std::move(svc));
+    return Status::Ok();
+  }
+
+  /// One declaration of task `id`'s body other than a nested task.
+  /// Recursion into nested tasks stays in ParseTask, whose frame is one
+  /// per level, so this (and ParseService) keep their locals out of it.
+  [[gnu::noinline]] Status ParseTaskItem(
+      ArtifactSystem* system, TaskId id, TaskId parent,
+      std::vector<PendingSetOp>* pending_set_ops) {
+    // Fetched per item: nested AddTask calls may reallocate the task
+    // vector and invalidate references.
+    Task& task = system->task(id);
+    if (PeekIdent("ids") || PeekIdent("nums")) {
+      bool is_id = Next().text == "ids";
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
+      while (Peek().kind == TokKind::kIdent) {
+        const Token var_tok = Next();
+        task.vars().AddVar(var_tok.text,
+                           is_id ? VarSort::kId : VarSort::kNumeric);
+        locs_->SetVar(task.name(), var_tok.text, LocOf(var_tok));
+        if (!Consume(TokKind::kComma)) break;
+      }
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("set")) {
+      SourceLoc rel_loc = LocOf(Peek());
+      Next();
+      // Named form `set Name (x̄);` or the single-relation sugar
+      // `set (x̄);` (relation name "S").
+      std::string rel_name = kDefaultSetName;
+      if (Peek().kind == TokKind::kIdent) {
+        rel_loc = LocOf(Peek());
+        rel_name = Next().text;
+      }
+      locs_->SetRelation(task.name(), rel_name, rel_loc);
+      if (task.FindSetRelation(rel_name) >= 0) {
+        return Error(StrCat("artifact relation ", rel_name,
+                            " declared twice"));
+      }
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kLParen));
+      std::vector<int> set_vars;
+      while (Peek().kind == TokKind::kIdent) {
+        int v = task.vars().Find(Next().text);
+        if (v < 0) return Error("unknown set variable");
+        set_vars.push_back(v);
+        if (!Consume(TokKind::kComma)) break;
+      }
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kRParen));
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+      task.AddSetRelation(std::move(rel_name), std::move(set_vars));
+    } else if (PeekIdent("input")) {
+      Next();
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
+      while (Peek().kind == TokKind::kIdent) {
+        int own = task.vars().Find(Next().text);
+        if (own < 0) return Error("unknown input variable");
+        int parent_var = -1;
+        if (Consume(TokKind::kLArrow)) {
+          if (parent == kNoTask) {
+            return Error("root inputs take no source");
+          }
+          if (Peek().kind != TokKind::kIdent) {
+            return Error("parent variable");
+          }
+          parent_var = system->task(parent).vars().Find(Next().text);
+          if (parent_var < 0) return Error("unknown parent variable");
+        } else if (parent != kNoTask) {
+          // Default: same-named parent variable (the paper's example
+          // convention).
+          parent_var =
+              system->task(parent).vars().Find(
+                  task.vars().var(own).name);
+          if (parent_var < 0) {
+            return Error("no same-named parent variable for input");
+          }
+        }
+        task.AddInput(own, parent_var);
+        if (!Consume(TokKind::kComma)) break;
+      }
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("output")) {
+      Next();
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
+      if (parent == kNoTask) return Error("root task has no output");
+      while (Peek().kind == TokKind::kIdent) {
+        int own = task.vars().Find(Next().text);
+        if (own < 0) return Error("unknown output variable");
+        HAS_RETURN_IF_ERROR(Expect(TokKind::kArrow));
+        if (Peek().kind != TokKind::kIdent) {
+          return Error("parent variable");
+        }
+        int parent_var = system->task(parent).vars().Find(Next().text);
+        if (parent_var < 0) return Error("unknown parent variable");
+        task.AddOutput(parent_var, own);
+        if (!Consume(TokKind::kComma)) break;
+      }
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("open")) {
+      Next();
+      HAS_RETURN_IF_ERROR(ExpectIdent("when"));
+      if (parent == kNoTask) {
+        return Error("the root task has no opening condition");
+      }
+      scope_ = &system->task(parent).vars();
+      HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
+      task.SetOpeningPre(std::move(cond));
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("close")) {
+      Next();
+      HAS_RETURN_IF_ERROR(ExpectIdent("when"));
+      scope_ = &task.vars();
+      HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
+      task.SetClosingPre(std::move(cond));
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("init")) {
+      // Global pre-condition Π (root only): init when <cond>;
+      Next();
+      HAS_RETURN_IF_ERROR(ExpectIdent("when"));
+      if (parent != kNoTask) {
+        return Error("Π can only appear on the root task");
+      }
+      scope_ = &task.vars();
+      HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
+      system->SetGlobalPre(std::move(cond));
+      HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
+    } else if (PeekIdent("service")) {
+      Next();
+      HAS_RETURN_IF_ERROR(ParseService(&task, pending_set_ops));
+    } else {
+      return Error(StrCat("unexpected '", Peek().text, "' in task body"));
+    }
+    return Status::Ok();
+  }
+
   Status ParseTask(ArtifactSystem* system, TaskId parent) {
     HAS_RETURN_IF_ERROR(ExpectIdent("task"));
     if (Peek().kind != TokKind::kIdent) return Error("task name");
     const Token name_tok = Next();
-    std::string name = name_tok.text;
-    TaskId id = system->AddTask(name, parent);
-    locs_->SetTask(name, LocOf(name_tok));
+    const TaskId id = system->AddTask(name_tok.text, parent);
+    locs_->SetTask(name_tok.text, LocOf(name_tok));
     HAS_RETURN_IF_ERROR(Expect(TokKind::kLBrace));
     schema_ = &system->schema();
     std::vector<PendingSetOp> pending_set_ops;
     while (!Consume(TokKind::kRBrace)) {
-      // Re-fetch on every iteration: nested AddTask calls may
-      // reallocate the task vector and invalidate references.
-      Task& task = system->task(id);
-      if (PeekIdent("ids") || PeekIdent("nums")) {
-        bool is_id = Next().text == "ids";
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
-        while (Peek().kind == TokKind::kIdent) {
-          const Token var_tok = Next();
-          task.vars().AddVar(var_tok.text,
-                             is_id ? VarSort::kId : VarSort::kNumeric);
-          locs_->SetVar(name, var_tok.text, LocOf(var_tok));
-          if (!Consume(TokKind::kComma)) break;
-        }
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("set")) {
-        SourceLoc rel_loc = LocOf(Peek());
-        Next();
-        // Named form `set Name (x̄);` or the single-relation sugar
-        // `set (x̄);` (relation name "S").
-        std::string rel_name = kDefaultSetName;
-        if (Peek().kind == TokKind::kIdent) {
-          rel_loc = LocOf(Peek());
-          rel_name = Next().text;
-        }
-        locs_->SetRelation(name, rel_name, rel_loc);
-        if (task.FindSetRelation(rel_name) >= 0) {
-          return Error(StrCat("artifact relation ", rel_name,
-                              " declared twice"));
-        }
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kLParen));
-        std::vector<int> set_vars;
-        while (Peek().kind == TokKind::kIdent) {
-          int v = task.vars().Find(Next().text);
-          if (v < 0) return Error("unknown set variable");
-          set_vars.push_back(v);
-          if (!Consume(TokKind::kComma)) break;
-        }
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kRParen));
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-        task.AddSetRelation(std::move(rel_name), std::move(set_vars));
-      } else if (PeekIdent("input")) {
-        Next();
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
-        while (Peek().kind == TokKind::kIdent) {
-          int own = task.vars().Find(Next().text);
-          if (own < 0) return Error("unknown input variable");
-          int parent_var = -1;
-          if (Consume(TokKind::kLArrow)) {
-            if (parent == kNoTask) {
-              return Error("root inputs take no source");
-            }
-            if (Peek().kind != TokKind::kIdent) {
-              return Error("parent variable");
-            }
-            parent_var = system->task(parent).vars().Find(Next().text);
-            if (parent_var < 0) return Error("unknown parent variable");
-          } else if (parent != kNoTask) {
-            // Default: same-named parent variable (the paper's example
-            // convention).
-            parent_var =
-                system->task(parent).vars().Find(
-                    task.vars().var(own).name);
-            if (parent_var < 0) {
-              return Error("no same-named parent variable for input");
-            }
-          }
-          task.AddInput(own, parent_var);
-          if (!Consume(TokKind::kComma)) break;
-        }
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("output")) {
-        Next();
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
-        if (parent == kNoTask) return Error("root task has no output");
-        while (Peek().kind == TokKind::kIdent) {
-          int own = task.vars().Find(Next().text);
-          if (own < 0) return Error("unknown output variable");
-          HAS_RETURN_IF_ERROR(Expect(TokKind::kArrow));
-          if (Peek().kind != TokKind::kIdent) {
-            return Error("parent variable");
-          }
-          int parent_var = system->task(parent).vars().Find(Next().text);
-          if (parent_var < 0) return Error("unknown parent variable");
-          task.AddOutput(parent_var, own);
-          if (!Consume(TokKind::kComma)) break;
-        }
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("open")) {
-        Next();
-        HAS_RETURN_IF_ERROR(ExpectIdent("when"));
-        if (parent == kNoTask) {
-          return Error("the root task has no opening condition");
-        }
-        scope_ = &system->task(parent).vars();
-        HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
-        task.SetOpeningPre(std::move(cond));
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("close")) {
-        Next();
-        HAS_RETURN_IF_ERROR(ExpectIdent("when"));
-        scope_ = &task.vars();
-        HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
-        task.SetClosingPre(std::move(cond));
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("init")) {
-        // Global pre-condition Π (root only): init when <cond>;
-        Next();
-        HAS_RETURN_IF_ERROR(ExpectIdent("when"));
-        if (parent != kNoTask) {
-          return Error("Π can only appear on the root task");
-        }
-        scope_ = &task.vars();
-        HAS_ASSIGN_OR_RETURN(CondPtr cond, ParseCond());
-        system->SetGlobalPre(std::move(cond));
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-      } else if (PeekIdent("service")) {
-        Next();
-        if (Peek().kind != TokKind::kIdent) return Error("service name");
-        InternalService svc;
-        locs_->SetService(name, Peek().text, LocOf(Peek()));
-        svc.name = Next().text;
-        svc.pre = Condition::True();
-        svc.post = Condition::True();
-        HAS_RETURN_IF_ERROR(Expect(TokKind::kLBrace));
-        scope_ = &task.vars();
-        while (!Consume(TokKind::kRBrace)) {
-          if (ConsumeIdent("pre")) {
-            HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
-            HAS_ASSIGN_OR_RETURN(svc.pre, ParseCond());
-            HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-          } else if (ConsumeIdent("post")) {
-            HAS_RETURN_IF_ERROR(Expect(TokKind::kColon));
-            HAS_ASSIGN_OR_RETURN(svc.post, ParseCond());
-            HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-          } else if (PeekIdent("insert") || PeekIdent("retrieve")) {
-            PendingSetOp op;
-            op.is_insert = Next().text == "insert";
-            op.line = Peek().line;
-            // `insert into X;` / `retrieve from X;`, or the bare
-            // single-relation sugar `insert;` / `retrieve;`.
-            if (ConsumeIdent(op.is_insert ? "into" : "from")) {
-              if (Peek().kind != TokKind::kIdent) {
-                return Error("artifact relation name");
-              }
-              op.relation = Next().text;
-            }
-            HAS_RETURN_IF_ERROR(Expect(TokKind::kSemi));
-            op.service = static_cast<int>(task.services().size());
-            pending_set_ops.push_back(std::move(op));
-          } else {
-            return Error("expected pre/post/insert/retrieve");
-          }
-        }
-        task.AddInternalService(std::move(svc));
-      } else if (PeekIdent("task")) {
+      if (PeekIdent("task")) {
         HAS_RETURN_IF_ERROR(Enter());
         HAS_RETURN_IF_ERROR(ParseTask(system, id));
         Leave();
       } else {
-        return Error(StrCat("unexpected '", Peek().text, "' in task body"));
+        HAS_RETURN_IF_ERROR(
+            ParseTaskItem(system, id, parent, &pending_set_ops));
       }
     }
-    // Resolve the deferred set updates now that every `set` block of
-    // the body has been seen.
-    Task& task = system->task(id);
+    return ResolveSetOps(&system->task(id), pending_set_ops);
+  }
+
+  /// Resolves a task's deferred set updates now that every `set` block
+  /// of its body has been seen.
+  [[gnu::noinline]] Status ResolveSetOps(
+      Task* t, const std::vector<PendingSetOp>& pending_set_ops) {
+    Task& task = *t;
     for (const PendingSetOp& op : pending_set_ops) {
       int rel;
       if (op.relation.empty()) {

@@ -9,12 +9,14 @@
 // example specs (mirroring tests/por_test.cc's POR gate).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/sat.h"
 #include "analysis/slice.h"
+#include "arith/fourier_motzkin.h"
 #include "builders.h"
 #include "core/verifier.h"
 #include "spec/parser.h"
@@ -111,6 +113,121 @@ TEST(SatOracleTest, AtomBudgetErrsTowardSat) {
   std::vector<CondPtr> unsat = {Cmp(0, Relop::kLt, 0), Gt(0, 0)};
   EXPECT_FALSE(MaybeSatisfiable(unsat, sorts));
   EXPECT_TRUE(MaybeSatisfiable(unsat, sorts, /*max_atoms=*/1));
+}
+
+TEST(SatOracleTest, DefaultCapIsSixteenDistinctAtoms) {
+  // x0 = null ∧ x0 ≠ null is UNSAT; padding atoms x_i = x_{i+1} keep it
+  // so. With 16 distinct atoms the oracle decides it; a 17th makes it
+  // "unknown", and a repeated atom does not count twice.
+  std::vector<VarSort> sorts(17, VarSort::kId);
+  CondPtr null0 = Condition::IsNull(0);
+  std::vector<CondPtr> conj = {null0, Condition::Not(null0)};
+  for (int i = 0; i < 15; ++i) conj.push_back(Condition::VarEq(i, i + 1));
+  EXPECT_FALSE(MaybeSatisfiable(conj, sorts));
+  conj.push_back(Condition::VarEq(0, 1));  // repeats the first padding atom
+  EXPECT_FALSE(MaybeSatisfiable(conj, sorts));
+  conj.push_back(Condition::VarEq(15, 16));
+  EXPECT_TRUE(MaybeSatisfiable(conj, sorts));
+}
+
+TEST(SatOracleTest, KeyDependencyMergesNonKeyColumns) {
+  // R(k, a) ∧ R(k2, b) ∧ k = k2 ∧ a ≠ b: equal keys name one tuple, so
+  // a = b. Without the key equality both tuples may coexist.
+  std::vector<VarSort> sorts(4, VarSort::kId);
+  const CondPtr r1 = Condition::Rel(0, {0, 2});
+  const CondPtr r2 = Condition::Rel(0, {1, 3});
+  const CondPtr a_neq_b = Condition::Not(Condition::VarEq(2, 3));
+  EXPECT_FALSE(
+      MaybeSatisfiable({r1, r2, Condition::VarEq(0, 1), a_neq_b}, sorts));
+  EXPECT_TRUE(MaybeSatisfiable({r1, r2, a_neq_b}, sorts));
+  // Different relations share no key dependency.
+  EXPECT_TRUE(MaybeSatisfiable(
+      {r1, Condition::Rel(1, {1, 3}), Condition::VarEq(0, 1), a_neq_b},
+      sorts));
+  // The merge chains: equal keys make a = b, and b is null-free.
+  EXPECT_FALSE(MaybeSatisfiable(
+      {r1, r2, Condition::VarEq(0, 1), Condition::IsNull(2)}, sorts));
+}
+
+TEST(SatOracleTest, MemoAnswersAConditionRebuiltByMapVars) {
+  std::vector<VarSort> sorts = {VarSort::kNumeric, VarSort::kId};
+  const CondPtr pre = Condition::And(Gt(0, 3), Condition::IsNull(1));
+  const std::vector<int> identity = {0, 1};
+  SatOracle oracle;
+  EXPECT_TRUE(oracle.MaybeSatisfiable({pre}, sorts));
+  EXPECT_EQ(oracle.memo_hits(), 0u);
+  // A structurally equal tree at a new address is the same question.
+  EXPECT_TRUE(oracle.MaybeSatisfiable({pre->MapVars(identity)}, sorts));
+  EXPECT_EQ(oracle.memo_hits(), 1u);
+  // A different sort vector or conjunct order is another question.
+  EXPECT_TRUE(oracle.MaybeSatisfiable(
+      {pre}, {VarSort::kNumeric, VarSort::kId, VarSort::kId}));
+  EXPECT_EQ(oracle.memo_hits(), 1u);
+  const CondPtr low = Cmp(0, Relop::kLt, 2);
+  EXPECT_FALSE(oracle.MaybeSatisfiable({pre, low}, sorts));
+  EXPECT_FALSE(oracle.MaybeSatisfiable({low->MapVars(identity), pre}, sorts));
+  EXPECT_EQ(oracle.memo_hits(), 1u);
+  EXPECT_FALSE(oracle.MaybeSatisfiable({pre->MapVars(identity), low}, sorts));
+  EXPECT_EQ(oracle.memo_hits(), 2u);
+  EXPECT_EQ(oracle.calls(), 6u);
+}
+
+TEST(SatOracleTest, UnivariateArithmeticAgreesWithFourierMotzkin) {
+  // Conjunctions of literals over two numeric variables, some of them
+  // equated: the oracle's translation of negated literals, disequalities
+  // and class equalities must give Fourier–Motzkin's answer on the
+  // constraints written out directly. Only one truth assignment
+  // satisfies a conjunction of literals, so the oracle's answer is the
+  // theory's.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> pick(0, 5);
+  std::uniform_int_distribution<int> value(-2, 2);
+  const std::vector<VarSort> sorts = {VarSort::kNumeric, VarSort::kNumeric};
+  int unsat = 0;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<CondPtr> conj;
+    LinearSystem system;
+    std::vector<LinearExpr> diseqs;
+    const int n = 1 + pick(rng);
+    for (int i = 0; i < n; ++i) {
+      const int v = pick(rng) % 2;
+      const int c = value(rng);
+      // coef·v - c (op) 0, with coef ±1 or 2.
+      const int coef = pick(rng) % 3 == 0 ? -1 : (pick(rng) % 2 == 0 ? 1 : 2);
+      LinearExpr e = LinearExpr::Var(v) * Rational(coef);
+      e.AddConstant(Rational(-c));
+      const Relop op = static_cast<Relop>(pick(rng) % 3);
+      const bool negate = pick(rng) % 2 == 0;
+      conj.push_back(Condition::Arith(LinearConstraint{e, op}));
+      if (negate) conj.back() = Condition::Not(conj.back());
+      if (!negate) {
+        system.Add(e, op);
+      } else if (op == Relop::kEq) {
+        diseqs.push_back(e);
+      } else {
+        system.Add(-e, op == Relop::kLe ? Relop::kLt : Relop::kLe);
+      }
+    }
+    switch (pick(rng) % 3) {
+      case 0:  // v0 = v1
+        conj.push_back(Condition::VarEq(0, 1));
+        system.Add(LinearExpr::Var(0) - LinearExpr::Var(1), Relop::kEq);
+        break;
+      case 1:  // v0 ≠ v1
+        conj.push_back(Condition::Not(Condition::VarEq(0, 1)));
+        diseqs.push_back(LinearExpr::Var(0) - LinearExpr::Var(1));
+        break;
+      default:
+        break;
+    }
+    const bool want =
+        FourierMotzkin::IsSatisfiableWithDisequalities(system, diseqs);
+    if (!want) ++unsat;
+    EXPECT_EQ(MaybeSatisfiable({Condition::AndAll(conj)}, sorts), want)
+        << "round " << round;
+  }
+  EXPECT_GT(unsat, 40);
+  EXPECT_LT(unsat, 360);
 }
 
 // --- dead / unreachable services --------------------------------------

@@ -405,5 +405,73 @@ TEST_P(FmRandomSweep, ProjectionSoundOnRandomSystems) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FmRandomSweep, ::testing::Range(1, 6));
 
+/// Satisfiability by the sparse elimination rounds of Project, which
+/// picks the variable with the fewest occurrences first: every variable
+/// is projected away and the ground constraints left must hold.
+bool SparseSatisfiable(const LinearSystem& s) {
+  const LinearSystem ground = FourierMotzkin::Project(s, {});
+  for (const LinearConstraint& c : ground.constraints()) {
+    EXPECT_TRUE(c.expr.IsConstant());
+    const int sign = c.expr.constant().sign();
+    const bool holds = c.op == Relop::kLt   ? sign < 0
+                       : c.op == Relop::kLe ? sign <= 0
+                                            : sign == 0;
+    if (!holds) return false;
+  }
+  return true;
+}
+
+TEST(FourierMotzkinTest, DenseDecisionMatchesSparseElimination) {
+  // Random systems over scattered variable ids, every relation, and
+  // coefficients that leave int64 (the BigInt form): IsSatisfiable and
+  // IsSatisfiableWithDisequalities must agree with the sparse rounds.
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int> small(-3, 3);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const ArithVar vars[] = {0, 2, 3, 7};
+  const Rational huge(BigInt(int64_t{1} << 62) * BigInt(8), BigInt(1));
+  auto random_expr = [&]() {
+    LinearExpr e;
+    for (ArithVar v : vars) {
+      if (pick(rng) < 5) continue;
+      Rational a(small(rng));
+      if (pick(rng) == 0) a = a * huge;
+      e.AddTerm(v, a);
+    }
+    e.AddConstant(Rational(small(rng)));
+    return e;
+  };
+  int sat = 0, unsat = 0, diseq_unsat = 0;
+  for (int round = 0; round < 600; ++round) {
+    LinearSystem s;
+    const int n = 1 + pick(rng) % 6;
+    for (int c = 0; c < n; ++c) {
+      s.Add(random_expr(), static_cast<Relop>(pick(rng) % 3));
+    }
+    const bool want = SparseSatisfiable(s);
+    (want ? sat : unsat)++;
+    ASSERT_EQ(FourierMotzkin::IsSatisfiable(s), want) << s.ToString();
+
+    std::vector<LinearExpr> diseqs;
+    for (int d = pick(rng) % 3; d > 0; --d) diseqs.push_back(random_expr());
+    bool want_diseq = want;
+    for (const LinearExpr& e : diseqs) {
+      if (!want_diseq) break;
+      LinearSystem lt = s;
+      lt.Add(e, Relop::kLt);
+      LinearSystem gt = s;
+      gt.Add(-e, Relop::kLt);
+      want_diseq = SparseSatisfiable(lt) || SparseSatisfiable(gt);
+    }
+    if (want && !want_diseq) ++diseq_unsat;
+    ASSERT_EQ(FourierMotzkin::IsSatisfiableWithDisequalities(s, diseqs),
+              want_diseq)
+        << s.ToString();
+  }
+  EXPECT_GT(sat, 100);
+  EXPECT_GT(unsat, 100);
+  EXPECT_GT(diseq_unsat, 5);
+}
+
 }  // namespace
 }  // namespace has

@@ -43,6 +43,36 @@ TEST(BuchiTest, FiniteAcceptance) {
   EXPECT_TRUE(bx.AcceptsFinite({{false}, {true}}));
 }
 
+TEST(BuchiTest, ClosureWiderThanOneWord) {
+  // (pad ∧ p0) U X p1, with pad a chain of 66 boolean nodes over true
+  // and false: the closure lists pad's entries first, so every entry the
+  // tableau branches on or checks lies past bit 63 of an atom's row.
+  LtlPtr pad = LtlFormula::True();
+  for (int i = 0; i < 66; ++i) {
+    pad = i % 2 == 0 ? LtlFormula::Or(pad, LtlFormula::False())
+                     : LtlFormula::And(pad, LtlFormula::True());
+  }
+  const LtlPtr f =
+      LtlFormula::Until(LtlFormula::And(pad, LtlFormula::Prop(0)),
+                        LtlFormula::Next(LtlFormula::Prop(1)));
+  const BuchiAutomaton b = BuildBuchi(f, 2);
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> len(1, 4);
+  for (int round = 0; round < 40; ++round) {
+    W prefix, loop;
+    for (int i = len(rng); i > 0; --i) {
+      prefix.push_back({coin(rng) == 1, coin(rng) == 1});
+    }
+    for (int i = len(rng); i > 0; --i) {
+      loop.push_back({coin(rng) == 1, coin(rng) == 1});
+    }
+    EXPECT_EQ(b.AcceptsFinite(prefix), f->EvalFinite(prefix)) << round;
+    EXPECT_EQ(b.AcceptsLasso(prefix, loop), f->EvalLasso(prefix, loop))
+        << round;
+  }
+}
+
 class BuchiRandomCrossCheck : public ::testing::TestWithParam<int> {};
 
 TEST_P(BuchiRandomCrossCheck, AgreesWithDirectEvaluation) {

@@ -4,8 +4,8 @@
 // verdicts included) and on the parsed example specs — and where both
 // explore in full (HOLDS verdicts), the reduced graph must never be
 // larger than the full one. Plus unit coverage of
-// the static independence analysis (model/independence.h) the
-// reduction's eligibility test is built on.
+// the insert-only bit (model/independence.h) the reduction's
+// eligibility test is built on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -108,7 +108,7 @@ TEST(PorEquivalenceTest, CommutingServicesReduces) {
   // are pairwise-independent and ample-eligible, so POR must both skip
   // successors and shrink the graph. Slicing is held off here — the
   // stores insert into never-retrieved relations, so the slicer strips
-  // exactly the insert ops whose insert-only footprints make the
+  // exactly the insert ops whose insert-only δ targets make the
   // stores ample-eligible, and POR would (correctly) never fire.
   VerifierOptions off;
   off.por = false;
@@ -152,14 +152,12 @@ TEST(PorEquivalenceTest, MultiRelationSpec) {
   ExpectPorEquivalence(parsed->system, *p, "multirel-spec/orders_drain");
 }
 
-// --- static independence analysis ------------------------------------
+// --- δ targets: the insert-only bit -----------------------------------
 
-TEST(TaskIndependenceTest, MultiRelationFootprints) {
+TEST(DeltaTargetsTest, MultiRelationServices) {
   bench::Workload w = bench::MakeMultiRelation(/*size=*/3, /*depth=*/2,
                                                /*num_rels=*/2);
   const Task& task = w.system.task(w.system.root());
-  TaskIndependence indep = TaskIndependence::Analyze(task);
-  ASSERT_EQ(indep.num_services(), static_cast<int>(task.services().size()));
   // Service layout: work, store0, load0, store1, load1, rotate.
   int work = -1, store0 = -1, load0 = -1, store1 = -1, rotate = -1;
   for (size_t i = 0; i < task.services().size(); ++i) {
@@ -176,17 +174,19 @@ TEST(TaskIndependenceTest, MultiRelationFootprints) {
   ASSERT_GE(store1, 0);
   ASSERT_GE(rotate, 0);
 
-  EXPECT_TRUE(indep.footprint(store0).insert_only());
-  EXPECT_TRUE(indep.footprint(store1).insert_only());
-  EXPECT_FALSE(indep.footprint(load0).insert_only());   // retrieves
-  EXPECT_FALSE(indep.footprint(work).insert_only());    // no set ops
-  EXPECT_FALSE(indep.footprint(rotate).insert_only());  // mixed delta
+  auto insert_only = [&](int svc) {
+    return CheckDeltaTargets(task, task.service(svc)).insert_only();
+  };
+  EXPECT_TRUE(insert_only(store0));
+  EXPECT_TRUE(insert_only(store1));
+  EXPECT_FALSE(insert_only(load0));   // retrieves
+  EXPECT_FALSE(insert_only(work));    // no set ops
+  EXPECT_FALSE(insert_only(rotate));  // mixed delta
 }
 
-TEST(TaskIndependenceTest, CommutingFamilyStoresAreInsertOnly) {
+TEST(DeltaTargetsTest, CommutingFamilyStoresAreInsertOnly) {
   bench::Workload w = bench::MakeCommutingServices(/*width=*/3, /*depth=*/1);
   const Task& task = w.system.task(w.system.root());
-  TaskIndependence indep = TaskIndependence::Analyze(task);
   std::vector<int> stores;
   for (size_t i = 0; i < task.services().size(); ++i) {
     if (task.service(static_cast<int>(i)).name.rfind("store", 0) == 0) {
@@ -195,59 +195,8 @@ TEST(TaskIndependenceTest, CommutingFamilyStoresAreInsertOnly) {
   }
   ASSERT_EQ(stores.size(), 3u);
   for (int a : stores) {
-    EXPECT_TRUE(indep.footprint(a).insert_only());
+    EXPECT_TRUE(CheckDeltaTargets(task, task.service(a)).insert_only());
   }
-}
-
-TEST(TaskIndependenceTest, InputReadsStayOutOfNonInputFootprint) {
-  // Two insert-only services whose pre/post both read the same INPUT
-  // variable: input-bound reads are never written inside a segment, so
-  // they land in input_reads, not in the re-decided noninput_vars.
-  Task task("T", 0, kNoTask);
-  int x = task.vars().AddVar("x", VarSort::kId);
-  int a = task.vars().AddVar("a", VarSort::kId);
-  int b = task.vars().AddVar("b", VarSort::kId);
-  task.AddInput(x, 0);
-  int ra = task.AddSetRelation("A", {a});
-  int rb = task.AddSetRelation("B", {b});
-  InternalService sa;
-  sa.name = "sa";
-  sa.pre = Condition::Not(Condition::IsNull(x));
-  sa.post = Condition::Not(Condition::IsNull(a));
-  sa.MarkInsert(ra);
-  task.AddInternalService(std::move(sa));
-  InternalService sb;
-  sb.name = "sb";
-  sb.pre = Condition::Not(Condition::IsNull(x));
-  sb.post = Condition::Not(Condition::IsNull(b));
-  sb.MarkInsert(rb);
-  task.AddInternalService(std::move(sb));
-
-  TaskIndependence indep = TaskIndependence::Analyze(task);
-  for (int svc : {0, 1}) {
-    EXPECT_EQ(indep.footprint(svc).input_reads.count(x), 1u);
-    EXPECT_EQ(indep.footprint(svc).noninput_vars.count(x), 0u);
-  }
-  // A read of a NON-input variable lands in noninput_vars: s2 reads a.
-  Task task2("T2", 0, kNoTask);
-  int a2 = task2.vars().AddVar("a", VarSort::kId);
-  int ra2 = task2.AddSetRelation("A", {a2});
-  int rb2 = task2.AddSetRelation("B", {task2.vars().AddVar("b", VarSort::kId)});
-  InternalService s1;
-  s1.name = "s1";
-  s1.pre = Condition::True();
-  s1.post = Condition::Not(Condition::IsNull(a2));
-  s1.MarkInsert(ra2);
-  task2.AddInternalService(std::move(s1));
-  InternalService s2;
-  s2.name = "s2";
-  s2.pre = Condition::Not(Condition::IsNull(a2));  // reads a too
-  s2.post = Condition::True();
-  s2.MarkInsert(rb2);
-  task2.AddInternalService(std::move(s2));
-  TaskIndependence indep2 = TaskIndependence::Analyze(task2);
-  EXPECT_EQ(indep2.footprint(1).noninput_vars.count(a2), 1u);
-  EXPECT_TRUE(indep2.footprint(1).input_reads.empty());
 }
 
 }  // namespace

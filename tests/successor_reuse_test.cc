@@ -357,12 +357,14 @@ size_t AllocsPerVerify(const ArtifactSystem& system,
 
 TEST(SuccessorReuseTest, VerifyAllocationCeilings) {
   // The deep family's own (VIOLATED) property: 17,724 allocations
-  // before the symbolic types and product states were made flat.
+  // before the symbolic types and product states were made flat, 6,349
+  // before the analyzer's oracle and the Büchi tableau reused their
+  // storage, 4,832 after; the ceiling is about 9% above that.
   const bench::Workload deep =
       bench::MakeDeepHierarchy(/*depth=*/4, /*size=*/3);
   const size_t deep_allocs =
       AllocsPerVerify(deep.system, deep.property, VerifierOptions{});
-  EXPECT_LE(deep_allocs, 8000u);
+  EXPECT_LE(deep_allocs, 5258u);
   std::printf("allocations per Verify (deep, depth 4, size 3): %zu\n",
               deep_allocs);
 
