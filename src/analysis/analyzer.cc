@@ -140,9 +140,18 @@ AnalysisResult AnalyzeSystem(
         joint_sorts.push_back(sorts[static_cast<size_t>(v)]);
       }
     }
+    // The joint question goes first. When the oracle finds it
+    // satisfiable within its atom cap, it would find pre and post
+    // satisfiable too (each is a sub-conjunction of it, post under an
+    // injective renaming that keeps sorts), so a live service costs one
+    // question. Otherwise the questions run in their reporting order,
+    // so a dead service keeps its first failing reason.
     std::vector<std::string> dead_reason(static_cast<size_t>(num_services));
     for (int s = 0; s < num_services; ++s) {
       const InternalService& svc = task.service(s);
+      const SatOracle::Answer joint =
+          oracle.Check({svc.pre, svc.post->MapVars(rename)}, joint_sorts);
+      if (joint == SatOracle::Answer::kSat) continue;
       if (!oracle.MaybeSatisfiable({svc.pre}, sorts)) {
         f.service_dead[s] = 1;
         dead_reason[s] = "pre-condition is unsatisfiable";
@@ -153,8 +162,7 @@ AnalysisResult AnalyzeSystem(
         dead_reason[s] = "post-condition is unsatisfiable";
         continue;
       }
-      if (!oracle.MaybeSatisfiable({svc.pre, svc.post->MapVars(rename)},
-                                   joint_sorts)) {
+      if (joint == SatOracle::Answer::kUnsat) {
         f.service_dead[s] = 1;
         dead_reason[s] = "pre- and post-conditions are jointly unsatisfiable";
       }

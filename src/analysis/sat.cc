@@ -121,8 +121,8 @@ int SatOracle::SortsId(const std::vector<VarSort>& sorts) {
   return id;
 }
 
-bool SatOracle::Ask(const CondPtr* first, const CondPtr* last,
-                    const std::vector<VarSort>& sorts) {
+SatOracle::Answer SatOracle::Ask(const CondPtr* first, const CondPtr* last,
+                                 const std::vector<VarSort>& sorts) {
   ++calls_;
   question_.clear();
   question_.push_back(SortsId(sorts));
@@ -138,19 +138,19 @@ bool SatOracle::Ask(const CondPtr* first, const CondPtr* last,
   });
   if (found != -1) {
     ++memo_hits_;
-    return answers_[static_cast<size_t>(found)] != 0;
+    return answers_[static_cast<size_t>(found)];
   }
-  const bool answer = Decide(sorts);
+  const Answer answer = Decide(sorts);
   const int id = static_cast<int>(answers_.size());
   question_store_.insert(question_store_.end(), question_.begin(),
                          question_.end());
   question_ranges_.push_back(static_cast<uint32_t>(question_store_.size()));
-  answers_.push_back(answer ? 1 : 0);
+  answers_.push_back(answer);
   question_index_.Insert(hash, id);
   return answer;
 }
 
-bool SatOracle::Decide(const std::vector<VarSort>& sorts) {
+SatOracle::Answer SatOracle::Decide(const std::vector<VarSort>& sorts) {
   // The call's distinct atoms in first-occurrence order over the
   // conjuncts; bit i of a truth assignment is the value of atom i.
   local_of_.resize(atoms_.size(), -1);
@@ -164,7 +164,7 @@ bool SatOracle::Decide(const std::vector<VarSort>& sorts) {
       call_atoms_.push_back(CallAtom{atoms_[static_cast<size_t>(atom)], atom});
     }
   }
-  bool answer = true;  // unknown when over the atom budget
+  Answer answer = Answer::kOverCap;
   if (static_cast<int>(call_atoms_.size()) <= max_atoms_) {
     // Union-find elements: variables [0, nvars), null at nvars, the
     // call's distinct constants after that.
@@ -193,14 +193,15 @@ bool SatOracle::Decide(const std::vector<VarSort>& sorts) {
                   IsNumericTerm(a.atom->rhs(), sorts);
     }
 
-    answer = false;
+    answer = Answer::kUnsat;
     const uint32_t limit = 1u << call_atoms_.size();
-    for (uint32_t mask = 0; mask < limit && !answer; ++mask) {
+    for (uint32_t mask = 0; mask < limit && answer == Answer::kUnsat;
+         ++mask) {
       bool holds = true;
       for (size_t k = 1; k < question_.size() && holds; ++k) {
         holds = Eval(compiled_[static_cast<size_t>(question_[k])].root, mask);
       }
-      answer = holds && TheoryConsistent(mask, sorts);
+      if (holds && TheoryConsistent(mask, sorts)) answer = Answer::kSat;
     }
   }
   for (const CallAtom& a : call_atoms_) local_of_[a.id] = -1;

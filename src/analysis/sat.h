@@ -59,11 +59,31 @@ class SatOracle {
   /// conjuncts are ignored.
   bool MaybeSatisfiable(std::initializer_list<CondPtr> conjuncts,
                         const std::vector<VarSort>& sorts) {
-    return Ask(conjuncts.begin(), conjuncts.end(), sorts);
+    return Check(conjuncts, sorts) != Answer::kUnsat;
   }
   bool MaybeSatisfiable(const std::vector<CondPtr>& conjuncts,
                         const std::vector<VarSort>& sorts) {
-    return Ask(conjuncts.data(), conjuncts.data() + conjuncts.size(), sorts);
+    return Ask(conjuncts.data(), conjuncts.data() + conjuncts.size(),
+               sorts) != Answer::kUnsat;
+  }
+
+  /// The oracle's answer with "satisfiable" kept apart from "too large
+  /// to decide".
+  enum class Answer : char {
+    /// No truth assignment passes the theory check: a proof.
+    kUnsat,
+    /// Some truth assignment within the atom cap passes the theory
+    /// check. The check only loses constraints when literals are
+    /// dropped, so every sub-conjunction of the question, and every
+    /// renaming of one that keeps sorts and is injective, is kSat too.
+    kSat,
+    /// More distinct atoms than the cap: not decided.
+    kOverCap,
+  };
+  /// MaybeSatisfiable's question, answered with the reason.
+  Answer Check(std::initializer_list<CondPtr> conjuncts,
+               const std::vector<VarSort>& sorts) {
+    return Ask(conjuncts.begin(), conjuncts.end(), sorts);
   }
 
   /// Questions asked, and those answered from the memo.
@@ -95,14 +115,14 @@ class SatOracle {
     bool numeric = false;    ///< kEq: both terms are numeric
   };
 
-  bool Ask(const CondPtr* first, const CondPtr* last,
-           const std::vector<VarSort>& sorts);
+  Answer Ask(const CondPtr* first, const CondPtr* last,
+             const std::vector<VarSort>& sorts);
   int CompiledId(const CondPtr& c);
   /// Appends c's nodes, and its atoms not yet listed, for the compiled
   /// entry being built (id compiled_.size()).
   void EmitNodes(const Condition& c);
   int SortsId(const std::vector<VarSort>& sorts);
-  bool Decide(const std::vector<VarSort>& sorts);
+  Answer Decide(const std::vector<VarSort>& sorts);
   bool Eval(uint32_t node, uint32_t mask) const;
   bool TheoryConsistent(uint32_t mask, const std::vector<VarSort>& sorts);
   /// The arithmetic as one linear system for Fourier–Motzkin: the
@@ -137,7 +157,7 @@ class SatOracle {
   std::vector<int> question_;  ///< the current question
   std::vector<int> question_store_;
   std::vector<uint32_t> question_ranges_;
-  std::vector<char> answers_;
+  std::vector<Answer> answers_;
   IdIndex question_index_;
 
   // Per-call scratch.

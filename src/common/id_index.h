@@ -8,6 +8,7 @@
 #ifndef HAS_COMMON_ID_INDEX_H_
 #define HAS_COMMON_ID_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -38,6 +39,12 @@ class IdIndex {
   }
 
   size_t size() const { return size_; }
+  /// Drops every id and keeps the table's capacity.
+  void Clear() {
+    if (size_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
 
   /// Sizes the table for `n` ids, so the first n inserts do not grow it.
   void Reserve(size_t n) {

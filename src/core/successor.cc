@@ -95,10 +95,9 @@ void TaskContext::CollectAtoms() {
     harvest(system_->global_pre());
   }
 
-  std::vector<CondPtr> null_checks;
   auto add_null_check = [&](int var) {
     if (t.vars().var(var).sort == VarSort::kId) {
-      null_checks.push_back(Condition::IsNull(var));
+      null_checks_.push_back(Condition::IsNull(var));
     }
   };
   for (const auto& [own, parent] : t.fin()) {
@@ -121,28 +120,21 @@ void TaskContext::CollectAtoms() {
       add_null_check(parent_var);
     }
   }
-  for (const CondPtr& c : null_checks) raw.push_back(c.get());
+  for (const CondPtr& c : null_checks_) raw.push_back(c.get());
 
-  // Deduplicate and keep equality-component atoms. Raw pointers from
-  // CollectAtoms stay alive through the owning conditions; we rebuild
-  // shared ownership for the null checks by retaining them.
+  // Deduplicate and keep equality-component atoms. They stay pointers
+  // into the conditions that own them: the system's and the property's,
+  // which outlive this context, and null_checks_.
   for (const Condition* atom : raw) {
     if (!IsEqualityAtom(*atom)) continue;
     bool seen = false;
-    for (const CondPtr& kept : eq_atoms_) {
+    for (const Condition* kept : eq_atoms_) {
       if (kept->Equals(*atom)) {
         seen = true;
         break;
       }
     }
-    if (seen) continue;
-    // Clone the atom into owned form (atoms are leaves, cheap to
-    // rebuild via MapVars identity).
-    std::vector<int> identity(t.vars().size());
-    for (size_t i = 0; i < identity.size(); ++i) {
-      identity[i] = static_cast<int>(i);
-    }
-    eq_atoms_.push_back(atom->MapVars(identity));
+    if (!seen) eq_atoms_.push_back(atom);
   }
 }
 
@@ -354,7 +346,7 @@ class DecisionSearch {
       return;
     }
     // Next undecided equality atom.
-    for (const CondPtr& atom : ctx_.eq_atoms()) {
+    for (const Condition* atom : ctx_.eq_atoms()) {
       if (cur.iso.EvalAtom(*atom) != Truth::kUnknown) continue;
       {
         SymbolicConfig branch = cur;

@@ -134,7 +134,9 @@ class TaskContext {
   size_t max_branches() const { return options_->max_branches; }
   const VerifierOptions& options() const { return *options_; }
 
-  const std::vector<CondPtr>& eq_atoms() const { return eq_atoms_; }
+  /// The distinct equality atoms of the task's conditions and its
+  /// synthesized null checks (pointers into their owners).
+  const std::vector<const Condition*>& eq_atoms() const { return eq_atoms_; }
   const std::set<int>& input_vars() const { return input_vars_; }
   /// Union of every relation's tuple variables (null-check/atom
   /// collection granularity).
@@ -212,7 +214,9 @@ class TaskContext {
   TaskId task_;
   const VerifierOptions* options_;
   const PolyBasis* basis_;  // null in no-arithmetic mode
-  std::vector<CondPtr> eq_atoms_;
+  std::vector<const Condition*> eq_atoms_;
+  /// Owns the synthesized `var = null` atoms eq_atoms_ points into.
+  std::vector<CondPtr> null_checks_;
   std::set<int> input_vars_;
   std::set<int> set_vars_;
   std::vector<std::set<int>> rel_vars_;

@@ -279,11 +279,19 @@ std::vector<int> TaskVass::InitialStates() {
       continue;
     }
     std::vector<bool> letter = MakeLetter(config, open_self, kNoTask, 0);
+    // The configuration is pooled once, at its first compatible initial
+    // state, so a configuration no initial state accepts pools nothing.
+    TypeId iso = kNoTypeId;
+    CellId cell = kNoCellId;
     for (int q : buchi_->initial()) {
       if (!buchi_->CompatibleWith(q, letter)) continue;
-      // The enumeration emits normalized configurations.
-      probe_.iso = pool_->InternNormalized(config.iso);
-      probe_.cell = pool_->InternCell(config.cell);
+      if (iso == kNoTypeId) {
+        // The enumeration emits normalized configurations.
+        iso = pool_->InternNormalized(config.iso);
+        cell = pool_->InternCell(config.cell);
+      }
+      probe_.iso = iso;
+      probe_.cell = cell;
       probe_.service = open_self;
       probe_.q = q;
       probe_stages_.assign(num_children_, ChildStage{});

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "arith/cell.h"
@@ -36,30 +37,44 @@ inline constexpr CellId kNoCellId = -1;
 
 /// Append-only chunked arena: elements live in fixed-size chunks, so
 /// appending never moves an element and references stay valid for the
-/// arena's lifetime.
+/// arena's lifetime. Chunks are raw storage: an element is constructed
+/// when it is appended and destroyed with the arena, and no slot past
+/// size() is ever constructed.
 template <typename T>
 class ChunkedArena {
  public:
   static constexpr size_t kChunkShift = 10;  // 1024 elements per chunk
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
+  ChunkedArena() = default;
+  ChunkedArena(const ChunkedArena&) = delete;
+  ChunkedArena& operator=(const ChunkedArena&) = delete;
+  ~ChunkedArena() {
+    for (size_t i = 0; i < size_; ++i) Slot(i)->~T();
+    std::allocator<T> alloc;
+    for (T* chunk : chunks_) alloc.deallocate(chunk, kChunkSize);
+  }
+
   size_t Append(T value) {
-    const size_t index = size_++;
+    const size_t index = size_;
     if ((index >> kChunkShift) == chunks_.size()) {
-      chunks_.push_back(std::make_unique<T[]>(kChunkSize));
+      chunks_.push_back(std::allocator<T>().allocate(kChunkSize));
     }
-    chunks_.back()[index & (kChunkSize - 1)] = std::move(value);
+    ::new (static_cast<void*>(Slot(index))) T(std::move(value));
+    ++size_;
     return index;
   }
 
-  const T& operator[](size_t index) const {
-    return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
-  }
+  const T& operator[](size_t index) const { return *Slot(index); }
 
   size_t size() const { return size_; }
 
  private:
-  std::vector<std::unique_ptr<T[]>> chunks_;
+  T* Slot(size_t index) const {
+    return chunks_[index >> kChunkShift] + (index & (kChunkSize - 1));
+  }
+
+  std::vector<T*> chunks_;
   size_t size_ = 0;
 };
 

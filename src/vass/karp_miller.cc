@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <memory>
+#include <new>
 
 namespace has {
 
@@ -72,28 +73,30 @@ bool KarpMiller::SuccessorMarking(int parent_node, int target,
 }
 
 int KarpMiller::DominatorOf(int state, const MarkingView& marking) {
-  if (static_cast<size_t>(state) >= antichain_.size()) return -1;
+  if (static_cast<size_t>(state) >= states_.size()) return -1;
+  const StateEntry& entry = states_[static_cast<size_t>(state)];
+  const AntichainEntry* entries = chain_store_.data() + entry.chain_begin;
   // Ascending node id: the first dominator is the minimum-id one.
-  for (const AntichainEntry& e : antichain_[static_cast<size_t>(state)]) {
+  for (uint32_t i = 0; i < entry.chain_size; ++i) {
     ++antichain_probes_;
-    if (DominanceLeq(marking, e.marking)) return e.node;
+    if (DominanceLeq(marking, entries[i].marking)) return entries[i].node;
   }
   return -1;
 }
 
 void KarpMiller::AntichainAbsorb(int node) {
-  const auto state = static_cast<size_t>(nodes_[node].state);
-  if (antichain_.size() <= state) antichain_.resize(state + 1);
-  std::vector<AntichainEntry>& chain = antichain_[state];
+  StateEntry& entry = state_entry(nodes_[node].state);
   const MarkingView m = nodes_[node].marking;
   // Entries ≤ m are strictly covered (an entry equal to m would have
   // dominated the candidate before it was created). One stable pass
   // drops them, so the survivors keep ascending node id.
-  size_t kept = 0;
-  for (const AntichainEntry& e : chain) {
+  AntichainEntry* entries = chain_store_.data() + entry.chain_begin;
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < entry.chain_size; ++i) {
+    const AntichainEntry e = entries[i];
     ++antichain_probes_;
     if (!DominanceLeq(e.marking, m)) {
-      chain[kept++] = e;
+      entries[kept++] = e;
       continue;
     }
     const auto victim = static_cast<size_t>(e.node);
@@ -103,42 +106,64 @@ void KarpMiller::AntichainAbsorb(int node) {
       // already expanded or sit in the round's frontier (their
       // expansion proceeds — deactivation is round-granular); they
       // only leave the antichain.
-      deactivated_[victim] = 1;
+      nodes_[victim].deactivated = true;
       ++deactivated_count_;
       // The retired node never expands, so walks entering it would
       // dead-end; a label-less cover-edge to the (strictly larger)
       // coverer keeps the closed-walk structure: anything the victim
       // could do, the coverer's subtree over-approximates.
-      nodes_[victim].edges.push_back(
-          Edge{node, /*cover=*/true, /*source=*/nullptr});
+      Edge* edge = retire_edges_.Reserve(1);
+      ::new (static_cast<void*>(edge))
+          Edge{node, /*cover=*/true, /*source=*/nullptr};
+      retire_edges_.Commit(1);
+      nodes_[victim].edges = edge;
+      nodes_[victim].num_edges = 1;
+      ++total_edges_;
       ++cover_edges_;
     }
   }
-  chain.resize(kept);
-  chain.push_back(AntichainEntry{node, m});
-  antichain_peak_ = std::max(antichain_peak_, chain.size());
+  entry.chain_size = kept;
+  if (entry.chain_size == entry.chain_capacity) {
+    // Full: twice the room, in place if the range is the store's last,
+    // else at the store's end (the old slots stay unused).
+    const uint32_t capacity = std::max<uint32_t>(4, 2 * entry.chain_capacity);
+    if (entry.chain_begin + entry.chain_capacity == chain_store_.size()) {
+      chain_store_.resize(entry.chain_begin + capacity);
+    } else {
+      const auto begin = static_cast<uint32_t>(chain_store_.size());
+      chain_store_.resize(begin + capacity);
+      std::copy_n(chain_store_.begin() + entry.chain_begin, entry.chain_size,
+                  chain_store_.begin() + begin);
+      entry.chain_begin = begin;
+    }
+    entry.chain_capacity = capacity;
+  }
+  chain_store_[entry.chain_begin + entry.chain_size++] = AntichainEntry{node, m};
+  antichain_peak_ = std::max<size_t>(antichain_peak_, entry.chain_size);
 }
 
-const std::vector<VassEdge>& KarpMiller::Successors(int state) {
-  const auto index = static_cast<size_t>(state);
-  if (successors_.size() <= index) successors_.resize(index + 1);
-  SuccessorList& list = successors_[index];
-  if (list.filled) {
+ConstRange<VassEdge> KarpMiller::Successors(int state) {
+  StateEntry& entry = state_entry(state);
+  if (entry.expanded) {
     ++cache_hits_;
   } else {
     ++cache_misses_;
-    system_->Successors(state, &list.edges);
-    list.filled = true;
+    successor_scratch_.clear();
+    system_->Successors(state, &successor_scratch_);
+    const size_t size = successor_scratch_.size();
+    VassEdge* block = successor_store_.Reserve(size);
+    std::uninitialized_move(successor_scratch_.begin(),
+                            successor_scratch_.end(), block);
+    successor_store_.Commit(size);
+    entry.successors = block;
+    entry.num_successors = static_cast<uint32_t>(size);
+    entry.expanded = true;
   }
-  return list.edges;
+  return ConstRange<VassEdge>(entry.successors, entry.num_successors);
 }
 
 void KarpMiller::Build(const std::vector<int>& initial_states) {
   const bool prune = options_.prune_coverability;
-  std::deque<int> worklist;
-  // Per-node BFS round (pruning only): newcomers of the round being
-  // processed may still be deactivated; everything older expands.
-  std::vector<int> round;
   // The pruned path creates nodes directly: an exact duplicate is
   // always dominated and dropped before a node is made, so the
   // exact-match index_ could never hit — maintaining it would be a
@@ -146,48 +171,46 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
   auto make_node = [&](int state, const std::vector<int64_t>& marking,
                        int parent, int64_t parent_label) {
     int id = AddNode(state, marking, parent, parent_label);
-    deactivated_.resize(nodes_.size(), 0);
     AntichainAbsorb(id);
     return id;
   };
   for (int s : initial_states) {
-    int id;
     if (prune) {
       if (DominatorOf(s, MarkingView()) >= 0) continue;  // duplicate root
-      id = make_node(s, {}, -1, -1);
-      round.resize(nodes_.size(), 0);
+      make_node(s, {}, -1, -1);
     } else {
       bool created = false;
-      id = InternNode(s, {}, -1, -1, &created);
-      if (!created) continue;
+      InternNode(s, {}, -1, -1, &created);
     }
-    worklist.push_back(id);
   }
-  int cur_round = -1;
   // Successor-marking scratch, reused across all candidates: the
   // surviving value is copied into the arena, so nothing here needs an
   // owning vector per candidate.
   std::vector<int64_t> next;
-  while (!worklist.empty()) {
+  // BFS: every node is queued once, when it is created, so the FIFO
+  // worklist is the node array itself, read by a cursor. A round (one
+  // BFS layer) ends at `round_end`: the nodes created while a round
+  // expands form the next one (pruning only: newcomers of the round
+  // being processed may still be deactivated; everything older
+  // expands).
+  size_t round_end = 0;
+  for (size_t cursor = 0; cursor < nodes_.size(); ++cursor) {
     if (nodes_.size() > options_.max_nodes) {
       truncated_ = true;
       return;
     }
-    int n = worklist.front();
-    worklist.pop_front();
+    const int n = static_cast<int>(cursor);
     if (prune) {
-      if (round[static_cast<size_t>(n)] != cur_round) {
+      if (cursor == round_end) {
         // First node of a new round: everything interned from here on
         // is a next-round newcomer, eligible for deactivation.
-        cur_round = round[static_cast<size_t>(n)];
+        round_end = nodes_.size();
         round_first_new_id_ = nodes_.size();
       }
-      if (deactivated_[static_cast<size_t>(n)]) continue;
+      if (nodes_[cursor].deactivated) continue;
     }
-    const int state = nodes_[n].state;
-    // Nothing below asks for another state's list, so `out` stays
-    // valid through the loop.
-    const std::vector<VassEdge>& out = Successors(state);
+    const int state = nodes_[cursor].state;
+    const ConstRange<VassEdge> out = Successors(state);
     // Ample-prefix partial-order reduction (options_.por): expand only
     // the leading `ample` edges, and only if at least one of them lands
     // on a FRESH node — a folded stutter is covered by its dominator,
@@ -207,10 +230,15 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         ample = static_cast<size_t>(a);
       }
     }
-    // Every examined successor leaves one edge (a materialized or a
-    // cover-edge), except the marking-disabled ones: room for the ample
-    // prefix, or for every successor once the node expands fully.
-    nodes_[n].edges.reserve(ample > 0 ? ample : out.size());
+    // Every examined successor leaves at most one edge (a materialized
+    // or a cover-edge; none for the marking-disabled ones), so the
+    // node's block has room for all of them and keeps what was written.
+    Edge* block = edge_store_.Reserve(out.size());
+    size_t num_edges = 0;
+    auto add_edge = [&](int target, bool cover, const VassEdge* source) {
+      ::new (static_cast<void*>(block + num_edges++))
+          Edge{target, cover, source};
+    };
     bool ample_active = ample > 0;
     bool ample_fresh = false;
     for (size_t i = 0; i < out.size(); ++i) {
@@ -224,7 +252,6 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
         // Every stutter folded or was disabled: expand fully.
         ample_active = false;
         ++ample_full_expansions_;
-        nodes_[n].edges.reserve(out.size());
       }
       const VassEdge& e = out[i];
       if (!SuccessorMarking(n, e.target, e.delta, &next)) {
@@ -250,26 +277,25 @@ void KarpMiller::Build(const std::vector<int>& initial_states) {
           // marking was folded into the (larger) antichain entry. A
           // folded PREFIX edge stays covered the same way: the
           // dominator's expansion stands in for the stutter target's.
-          nodes_[n].edges.push_back(Edge{dom, /*cover=*/true, &e});
+          add_edge(dom, /*cover=*/true, &e);
           ++cover_edges_;
           ++pruned_successors_;
           continue;
         }
         int child = make_node(e.target, next, n, e.label);
         if (ample_active) ample_fresh = true;
-        round.resize(nodes_.size(), cur_round + 1);
-        nodes_[n].edges.push_back(Edge{child, /*cover=*/false, &e});
-        worklist.push_back(child);
+        add_edge(child, /*cover=*/false, &e);
         continue;
       }
       bool created = false;
       int child = InternNode(e.target, next, n, e.label, &created);
-      nodes_[n].edges.push_back(Edge{child, /*cover=*/false, &e});
-      if (created) {
-        if (ample_active) ample_fresh = true;
-        worklist.push_back(child);
-      }
+      add_edge(child, /*cover=*/false, &e);
+      if (created && ample_active) ample_fresh = true;
     }
+    edge_store_.Commit(num_edges);
+    nodes_[cursor].edges = block;
+    nodes_[cursor].num_edges = static_cast<uint32_t>(num_edges);
+    total_edges_ += num_edges;
   }
 }
 
@@ -288,12 +314,6 @@ std::vector<int64_t> KarpMiller::PathLabels(int n) const {
   }
   std::reverse(labels.begin(), labels.end());
   return labels;
-}
-
-size_t KarpMiller::TotalEdges() const {
-  size_t total = 0;
-  for (const Node& n : nodes_) total += n.edges.size();
-  return total;
 }
 
 }  // namespace has

@@ -27,11 +27,22 @@
 // the closed-walk structure repeated-reachability (lasso) consumers
 // need: see vass/repeated.h for the criterion and why traversing
 // cover-edges is sound.
+//
+// Storage is per graph and allocated in bulk: nodes in one array,
+// markings packed in a MarkingArena, each node's edges in one block of
+// raw chunked storage written when the node expands (BlockArena), each
+// VASS state's successor list in another such block, and the
+// per-state antichains as ranges of one entry store. The BFS worklist
+// is the node array itself (nodes are queued in creation order).
 #ifndef HAS_VASS_KARP_MILLER_H_
 #define HAS_VASS_KARP_MILLER_H_
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,6 +95,23 @@ struct KarpMillerOptions {
   bool por = false;
 };
 
+/// A read-only view of `size` contiguous elements.
+template <typename T>
+class ConstRange {
+ public:
+  ConstRange() = default;
+  ConstRange(const T* data, size_t size) : data_(data), size_(size) {}
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+
+ private:
+  const T* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 class KarpMiller {
  public:
   explicit KarpMiller(VassSystem* system, KarpMillerOptions options = {});
@@ -107,7 +135,10 @@ class KarpMiller {
   /// A coverability-graph edge. Refers to the successor-list entry it
   /// came from, which the graph keeps for its lifetime: closed-walk
   /// effects on ω-coordinates need the raw action delta, which the
-  /// markings alone do not recover.
+  /// markings alone do not recover. Edges live in the graph's raw
+  /// chunked edge storage (one block per node, written once), so the
+  /// default member initializers below only serve edges built
+  /// elsewhere; the graph constructs every edge it stores in full.
   ///
   /// With pruning, `cover` marks a subsumption edge recorded at a prune
   /// point instead of a materialized successor:
@@ -118,7 +149,8 @@ class KarpMiller {
   ///   - a RETIRED (deactivated) node gets a cover-edge with no source
   ///     (label -1, empty delta) to the newcomer that strictly covers
   ///     it, so walks entering the retired node continue through the
-  ///     coverer's subtree.
+  ///     coverer's subtree. A retired node never expands, so this is
+  ///     its only edge.
   /// Both jumps land on a marking ≥ the one the unpruned graph would
   /// have carried (effect-widening), which is what makes them sound for
   /// the lasso criterion in vass/repeated.cc.
@@ -135,9 +167,12 @@ class KarpMiller {
       return source != nullptr ? source->delta : kNone;
     }
   };
+  using EdgeRange = ConstRange<Edge>;
 
-  /// Graph edges out of node n.
-  const std::vector<Edge>& edges(int n) const { return nodes_[n].edges; }
+  /// Graph edges out of node n, valid for the graph's lifetime.
+  EdgeRange edges(int n) const {
+    return EdgeRange(nodes_[n].edges, nodes_[n].num_edges);
+  }
 
   /// Spanning-tree parent of node n (-1 for roots).
   int node_parent(int n) const { return nodes_[n].parent; }
@@ -150,7 +185,7 @@ class KarpMiller {
   std::vector<int64_t> PathLabels(int n) const;
 
   /// Statistics for the benchmark harness.
-  size_t TotalEdges() const;
+  size_t TotalEdges() const { return total_edges_; }
   /// Successor-list accounting: one hit or miss per processed node;
   /// misses equal the distinct states expanded.
   size_t succ_cache_hits() const { return cache_hits_; }
@@ -191,18 +226,78 @@ class KarpMiller {
   size_t ample_full_expansions() const { return ample_full_expansions_; }
   /// Whether node n was deactivated (always false without pruning).
   bool node_deactivated(int n) const {
-    return static_cast<size_t>(n) < deactivated_.size() &&
-           deactivated_[static_cast<size_t>(n)] != 0;
+    return static_cast<size_t>(n) < nodes_.size() && nodes_[n].deactivated;
   }
 
  private:
+  /// Raw chunked storage for variable-length blocks of T, owned by one
+  /// graph. A block is reserved at the top of the running chunk, its
+  /// elements are constructed in place from the front, and Commit keeps
+  /// the ones that were constructed: the rest of the reservation goes
+  /// back to the chunk, so a block is sized by what its owner wrote.
+  /// Slots are never value-initialized, and committed elements never
+  /// move. Chunks double from kFirstChunk up to kMaxChunk elements; a
+  /// block larger than that gets a chunk of its own size. One block may
+  /// be open at a time.
+  template <typename T>
+  class BlockArena {
+   public:
+    BlockArena() = default;
+    BlockArena(const BlockArena&) = delete;
+    BlockArena& operator=(const BlockArena&) = delete;
+    ~BlockArena() {
+      std::allocator<T> alloc;
+      for (Chunk& c : chunks_) {
+        if constexpr (!std::is_trivially_destructible_v<T>) {
+          std::destroy(c.data, c.data + c.used);
+        }
+        alloc.deallocate(c.data, c.capacity);
+      }
+    }
+
+    /// Uninitialized room for `capacity` elements, valid until Commit.
+    T* Reserve(size_t capacity) {
+      if (capacity == 0) return nullptr;
+      if (chunks_.empty() ||
+          chunks_.back().capacity - chunks_.back().used < capacity) {
+        size_t size = chunks_.empty()
+                          ? kFirstChunk
+                          : std::min(2 * chunks_.back().capacity, kMaxChunk);
+        size = std::max(size, capacity);
+        chunks_.push_back(Chunk{std::allocator<T>().allocate(size), 0, size});
+      }
+      return chunks_.back().data + chunks_.back().used;
+    }
+    /// Keeps the first `used` slots of the reserved block, which the
+    /// caller has constructed.
+    void Commit(size_t used) {
+      if (used > 0) chunks_.back().used += used;
+    }
+
+   private:
+    static constexpr size_t kFirstChunk = 256;
+    static constexpr size_t kMaxChunk = size_t{1} << 16;
+
+    struct Chunk {
+      T* data;
+      size_t used;
+      size_t capacity;
+    };
+    std::vector<Chunk> chunks_;
+  };
+
   struct Node {
     int state = -1;
+    int parent = -1;  // spanning-tree parent
     /// Packed payload in marking_arena_ (canonical form).
     MarkingView marking;
-    int parent = -1;          // spanning-tree parent
     int64_t parent_label = -1;
-    std::vector<Edge> edges;
+    /// The node's block of edge_store_ (or retire_edges_), written when
+    /// the node expands (or retires).
+    const Edge* edges = nullptr;
+    uint32_t num_edges = 0;
+    /// Retired before expansion (pruning only).
+    bool deactivated = false;
   };
 
   /// (VASS state, marking) — the interned identity of a node. States
@@ -210,19 +305,36 @@ class KarpMiller {
   /// flat integer mix with no serialization.
   using NodeKey = std::pair<int, std::vector<int64_t>>;
 
-  /// One VASS state's successor list, filled on the state's first
-  /// expansion and kept unchanged for the graph's lifetime (edges point
-  /// into it).
-  struct SuccessorList {
-    std::vector<VassEdge> edges;
-    bool filled = false;
-  };
 
   /// One active antichain entry: a node and its marking's view.
   struct AntichainEntry {
     int node;
     MarkingView marking;
   };
+  /// What the graph keeps per VASS state.
+  struct StateEntry {
+    /// The state's successor list: a block of successor_store_, filled
+    /// on the state's first expansion and kept unchanged for the graph's
+    /// lifetime (edges point into it).
+    const VassEdge* successors = nullptr;
+    uint32_t num_successors = 0;
+    bool expanded = false;
+    /// The state's antichain (pruning only): the maximal active
+    /// markings (pairwise incomparable) in ascending node id, as
+    /// chain_store_[chain_begin, chain_begin + chain_size), with room
+    /// up to chain_begin + chain_capacity. A full range moves to the end
+    /// of the store with twice the room, or grows in place if it is
+    /// already last.
+    uint32_t chain_begin = 0;
+    uint32_t chain_size = 0;
+    uint32_t chain_capacity = 0;
+  };
+  /// The entry of `state`, growing the table to reach it.
+  StateEntry& state_entry(int state) {
+    const auto index = static_cast<size_t>(state);
+    if (states_.size() <= index) states_.resize(index + 1);
+    return states_[index];
+  }
 
   /// Appends a node with `marking` copied into the arena; returns its
   /// id.
@@ -242,9 +354,8 @@ class KarpMiller {
                         std::vector<int64_t>* out) const;
 
   /// `state`'s successor list, asking the system on its first call.
-  /// The returned reference stays valid until the next call (the table
-  /// may grow); the entries it holds live as long as the graph.
-  const std::vector<VassEdge>& Successors(int state);
+  /// The entries live as long as the graph.
+  ConstRange<VassEdge> Successors(int state);
 
   /// MINIMUM-id active antichain node of `state` whose marking
   /// dominates `marking` (ω-aware, 0-padded compare); -1 if none. The
@@ -258,8 +369,8 @@ class KarpMiller {
   /// stable pass that retires every entry its marking strictly covers.
   /// Retired entries with id >= round_first_new_id_ (same-round
   /// newcomers, hence not yet expanded) are deactivated: flagged so
-  /// they never reach a frontier, and given a cover-edge to `node` so
-  /// walks entering them continue through the coverer's subtree.
+  /// they never expand, and given a cover-edge to `node` so walks
+  /// entering them continue through the coverer's subtree.
   void AntichainAbsorb(int node);
 
   VassSystem* system_;
@@ -269,21 +380,26 @@ class KarpMiller {
   /// node's marking is adjacent to its round neighbours — the entries
   /// antichain probes walk together).
   MarkingArena marking_arena_;
+  /// Expanded nodes' edge blocks, one per node in expansion order.
+  BlockArena<Edge> edge_store_;
+  /// Retired nodes' single cover-edges. They are recorded while another
+  /// node's block is open, so they live apart.
+  BlockArena<Edge> retire_edges_;
+  size_t total_edges_ = 0;
   std::unordered_map<NodeKey, int, IdVectorHash> index_;
-  /// Indexed by VASS state. Moving a list on table growth keeps its
-  /// heap buffer, so Edge::source pointers stay valid.
-  std::vector<SuccessorList> successors_;
+  /// Indexed by VASS state.
+  std::vector<StateEntry> states_;
+  /// Every successor list's entries; Edge::source points here.
+  BlockArena<VassEdge> successor_store_;
+  /// What the system appends a list to before it moves into the store.
+  std::vector<VassEdge> successor_scratch_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   bool truncated_ = false;
 
   // --- antichain pruning state (prune_coverability only) ---------------
-  /// Indexed by VASS state: the state's maximal active markings
-  /// (pairwise incomparable), in ascending node id. Grown on a state's
-  /// first node; empty for states without one.
-  std::vector<std::vector<AntichainEntry>> antichain_;
-  /// Per node: retired before expansion (parallel to nodes_).
-  std::vector<char> deactivated_;
+  /// Every state's antichain entries (StateEntry::chain_begin).
+  std::vector<AntichainEntry> chain_store_;
   /// First node id of the current round's newcomers: entries at or
   /// beyond it are unexpanded and may still be deactivated; older
   /// covered entries only leave the antichain (round-granular

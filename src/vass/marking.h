@@ -84,7 +84,8 @@ class MarkingView {
 /// back inside fixed chunks in insertion order (the explorer inserts in
 /// node-creation order, so a node's marking sits next to its antichain
 /// neighbours of the same exploration phase); chunk storage is stable,
-/// so handed-out views never dangle.
+/// so handed-out views never dangle. Chunks are left uninitialized:
+/// only the values Add copies in are ever written.
 class MarkingArena {
  public:
   /// Copies `size` values in; returns a stable view. Debug builds
@@ -107,7 +108,7 @@ class MarkingArena {
     if (size > kChunkValues) {
       // Oversized marking: dedicated chunk, spliced below the current
       // one so the running chunk keeps filling.
-      chunks_.push_back(std::make_unique<int64_t[]>(size));
+      chunks_.emplace_back(new int64_t[size]);
       int64_t* p = chunks_.back().get();
       if (chunks_.size() >= 2) {
         std::swap(chunks_[chunks_.size() - 2], chunks_.back());
@@ -117,7 +118,7 @@ class MarkingArena {
       return p;
     }
     if (used_ + size > kChunkValues || chunks_.empty()) {
-      chunks_.push_back(std::make_unique<int64_t[]>(kChunkValues));
+      chunks_.emplace_back(new int64_t[kChunkValues]);
       used_ = 0;
     }
     int64_t* p = chunks_.back().get() + used_;

@@ -1,12 +1,10 @@
 #include "vass/repeated.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/hashing.h"
-#include "common/status.h"
+#include "common/id_index.h"
 
 namespace has {
 
@@ -16,39 +14,45 @@ namespace {
 /// recursion on long chains).
 std::vector<int> ComputeSccs(const KarpMiller& g, int* num_sccs) {
   const int n = g.num_nodes();
-  std::vector<int> scc(n, -1), low(n, 0), disc(n, -1), stack;
-  std::vector<bool> on_stack(n, false);
+  struct Visit {
+    int disc = -1;
+    int low = 0;
+    bool on_stack = false;
+  };
+  std::vector<int> scc(n, -1), stack;
+  std::vector<Visit> visit(static_cast<size_t>(n));
   int time = 0, count = 0;
 
   struct Frame {
     int node;
     size_t edge_index;
   };
+  std::vector<Frame> frames;
   for (int start = 0; start < n; ++start) {
-    if (disc[start] != -1) continue;
-    std::vector<Frame> frames{{start, 0}};
-    disc[start] = low[start] = time++;
+    if (visit[start].disc != -1) continue;
+    frames.push_back(Frame{start, 0});
+    visit[start] = Visit{time, time, true};
+    ++time;
     stack.push_back(start);
-    on_stack[start] = true;
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = g.edges(f.node);
+      const KarpMiller::EdgeRange edges = g.edges(f.node);
       if (f.edge_index < edges.size()) {
         int next = edges[f.edge_index++].target;
-        if (disc[next] == -1) {
-          disc[next] = low[next] = time++;
+        if (visit[next].disc == -1) {
+          visit[next] = Visit{time, time, true};
+          ++time;
           stack.push_back(next);
-          on_stack[next] = true;
           frames.push_back(Frame{next, 0});
-        } else if (on_stack[next]) {
-          low[f.node] = std::min(low[f.node], disc[next]);
+        } else if (visit[next].on_stack) {
+          visit[f.node].low = std::min(visit[f.node].low, visit[next].disc);
         }
       } else {
-        if (low[f.node] == disc[f.node]) {
+        if (visit[f.node].low == visit[f.node].disc) {
           while (true) {
             int w = stack.back();
             stack.pop_back();
-            on_stack[w] = false;
+            visit[w].on_stack = false;
             scc[w] = count;
             if (w == f.node) break;
           }
@@ -57,22 +61,14 @@ std::vector<int> ComputeSccs(const KarpMiller& g, int* num_sccs) {
         int done = f.node;
         frames.pop_back();
         if (!frames.empty()) {
-          low[frames.back().node] =
-              std::min(low[frames.back().node], low[done]);
+          Visit& parent = visit[frames.back().node];
+          parent.low = std::min(parent.low, visit[done].low);
         }
       }
     }
   }
   *num_sccs = count;
   return scc;
-}
-
-std::vector<int> OmegaDims(const MarkingView& marking) {
-  std::vector<int> out;
-  for (size_t d = 0; d < marking.size(); ++d) {
-    if (marking[d] == kOmega) out.push_back(static_cast<int>(d));
-  }
-  return out;
 }
 
 /// Dimensions the closed-walk search must track through an SCC with
@@ -89,43 +85,93 @@ struct TrackedDims {
   std::vector<int64_t> floors;     // parallel; ω dims hold kOmega
 };
 
-/// Partitions the SCC's precollected `touched` dimensions around the
-/// start node `start`: ω-dims first (no floor), exact dims with their
-/// feasibility floor from the start marking. The touched set itself is
-/// SCC-invariant and collected once, alongside the cover-edge scan.
-TrackedDims PartitionTrackedDims(const KarpMiller& g,
-                                 const std::vector<int>& touched,
-                                 int start) {
-  const MarkingView m = g.node_marking(start);
-  TrackedDims out;
-  for (int d : touched) {
-    if (marking::Get(m, d) == kOmega) {
-      out.dims.push_back(d);
-      out.floors.push_back(kOmega);
+/// Sets `out` to the start node's ω-dimensions (the cover-free
+/// criterion tracks only those).
+void OmegaDims(const MarkingView& marking, TrackedDims* out) {
+  out->dims.clear();
+  out->floors.clear();
+  for (size_t d = 0; d < marking.size(); ++d) {
+    if (marking[d] == kOmega) {
+      out->dims.push_back(static_cast<int>(d));
+      out->floors.push_back(kOmega);
     }
   }
-  out.num_omega = out.dims.size();
+  out->num_omega = out->dims.size();
+}
+
+/// Partitions the SCC's precollected `touched` dimensions around the
+/// start node `start` into `out`: ω-dims first (no floor), exact dims
+/// with their feasibility floor from the start marking. The touched set
+/// itself is SCC-invariant and collected once, alongside the cover-edge
+/// scan.
+void PartitionTrackedDims(const KarpMiller& g,
+                          const std::vector<int>& touched, int start,
+                          TrackedDims* out) {
+  const MarkingView m = g.node_marking(start);
+  out->dims.clear();
+  out->floors.clear();
+  for (int d : touched) {
+    if (marking::Get(m, d) == kOmega) {
+      out->dims.push_back(d);
+      out->floors.push_back(kOmega);
+    }
+  }
+  out->num_omega = out->dims.size();
   for (int d : touched) {
     int64_t v = marking::Get(m, d);
     if (v != kOmega) {
-      out.dims.push_back(d);
-      out.floors.push_back(v);
+      out->dims.push_back(d);
+      out->floors.push_back(v);
     }
   }
-  return out;
 }
+
+/// Buffers that every search of one FindAcceptingLasso call reuses.
+struct LassoScratch {
+  // FindAnyLoop's BFS, per graph node (seen is reset after each
+  // search; the parent entries are only read where seen was set).
+  std::vector<int> parent_node;
+  std::vector<int64_t> parent_label;
+  std::vector<char> seen;
+  std::vector<int> queue;
+  // FindNonNegLoop's DFS over (node, effect) search states: state i's
+  // effect is effects[i * k, (i + 1) * k) for k tracked dimensions.
+  struct SearchState {
+    int node;
+    int parent;     ///< the state it was first reached from; -1 at start
+    int64_t label;  ///< label of the edge from `parent`
+  };
+  std::vector<SearchState> states;
+  std::vector<int64_t> effects;
+  IdIndex index;  ///< hash of (node, effect) -> state
+  std::vector<int> stack;
+  std::vector<int64_t> cur_eff;
+  std::vector<int64_t> eff;
+  // Per SCC and per accepting node.
+  std::vector<int> touched;
+  TrackedDims td;
+};
 
 /// BFS within one SCC for any closed walk start → start; returns its
 /// label sequence. Only valid for cover-free SCCs (full graphs), where
 /// a cycle's mere existence already certifies marking return.
 std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
                                                 const std::vector<int>& scc,
-                                                int target, int start) {
-  std::vector<int> parent_node(g.num_nodes(), -1);
-  std::vector<int64_t> parent_label(g.num_nodes(), -1);
-  std::vector<bool> seen(g.num_nodes(), false);
-  std::vector<int> queue{start};
-  for (size_t qi = 0; qi < queue.size(); ++qi) {
+                                                int target, int start,
+                                                LassoScratch* scratch) {
+  const auto num_nodes = static_cast<size_t>(g.num_nodes());
+  if (scratch->seen.size() < num_nodes) {
+    scratch->parent_node.resize(num_nodes, -1);
+    scratch->parent_label.resize(num_nodes, -1);
+    scratch->seen.resize(num_nodes, 0);
+  }
+  std::vector<int>& parent_node = scratch->parent_node;
+  std::vector<int64_t>& parent_label = scratch->parent_label;
+  std::vector<char>& seen = scratch->seen;
+  std::vector<int>& queue = scratch->queue;
+  queue.assign(1, start);
+  std::optional<std::vector<int64_t>> loop;
+  for (size_t qi = 0; qi < queue.size() && !loop.has_value(); ++qi) {
     int u = queue[qi];
     for (const KarpMiller::Edge& e : g.edges(u)) {
       if (scc[e.target] != target) continue;
@@ -139,17 +185,19 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
           if (parent_label[w] >= 0) labels.push_back(parent_label[w]);
         }
         std::reverse(labels.begin(), labels.end());
-        return labels;
+        loop = std::move(labels);
+        break;
       }
       if (!seen[e.target]) {
-        seen[e.target] = true;
+        seen[e.target] = 1;
         parent_node[e.target] = u;
         parent_label[e.target] = e.label();
         queue.push_back(e.target);
       }
     }
   }
-  return std::nullopt;
+  for (int u : queue) seen[u] = 0;
+  return loop;
 }
 
 /// DFS within one SCC for a closed walk start → start whose net delta
@@ -168,33 +216,46 @@ std::optional<std::vector<int64_t>> FindAnyLoop(const KarpMiller& g,
 std::optional<std::vector<int64_t>> FindNonNegLoop(
     const KarpMiller& g, const std::vector<int>& scc, int target, int start,
     const TrackedDims& td, const RepeatedReachabilityOptions& options,
-    bool* out_of_steps, bool* clamp_cut) {
-  using Key = std::pair<int, std::vector<int64_t>>;  // (node, effect)
+    LassoScratch* scratch, bool* out_of_steps, bool* clamp_cut) {
   const int64_t bound = options.effect_bound;
-  // key -> (prev key, label)
-  std::unordered_map<Key, std::pair<Key, int64_t>, IdVectorHash> parent;
-  std::unordered_set<Key, IdVectorHash> seen;
-  std::vector<Key> stack;
-  Key init{start, std::vector<int64_t>(td.dims.size(), 0)};
-  stack.push_back(init);
-  seen.insert(init);
+  const size_t k = td.dims.size();
+  std::vector<LassoScratch::SearchState>& states = scratch->states;
+  std::vector<int64_t>& effects = scratch->effects;
+  IdIndex& index = scratch->index;
+  std::vector<int>& stack = scratch->stack;
+  std::vector<int64_t>& cur_eff = scratch->cur_eff;
+  std::vector<int64_t>& eff = scratch->eff;
+  auto hash_of = [k](int node, const int64_t* effect) {
+    size_t seed = static_cast<size_t>(node);
+    for (size_t i = 0; i < k; ++i) HashMix(&seed, effect[i]);
+    return seed;
+  };
+  states.clear();
+  index.Clear();
+  stack.clear();
+  states.push_back(LassoScratch::SearchState{start, -1, -1});
+  effects.assign(k, 0);
+  index.Insert(hash_of(start, effects.data()), 0);
+  stack.push_back(0);
   size_t steps = 0;
   while (!stack.empty()) {
     if (++steps > options.max_steps) {
       *out_of_steps = true;
       break;
     }
-    Key cur = stack.back();
+    const int cur = stack.back();
     stack.pop_back();
-    for (const KarpMiller::Edge& e : g.edges(cur.first)) {
+    const auto cur_at = effects.begin() + static_cast<ptrdiff_t>(cur * k);
+    cur_eff.assign(cur_at, cur_at + static_cast<ptrdiff_t>(k));
+    for (const KarpMiller::Edge& e : g.edges(states[cur].node)) {
       if (scc[e.target] != target) continue;
-      std::vector<int64_t> eff = cur.second;
+      eff = cur_eff;
       bool feasible = true;
       for (const auto& [dim, change] : e.delta()) {
-        for (size_t k = 0; feasible && k < td.dims.size(); ++k) {
-          if (td.dims[k] != dim) continue;
-          int64_t v = eff[k] + change;
-          if (k < td.num_omega) {
+        for (size_t i = 0; feasible && i < k; ++i) {
+          if (td.dims[i] != dim) continue;
+          int64_t v = eff[i] + change;
+          if (i < td.num_omega) {
             // Pumpable dimension: dips are covered by pumping the
             // stem, only the net matters — but a dip beyond -bound
             // kills the path rather than saturating. Bottom-saturation
@@ -214,7 +275,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
             // value is not enabled (a genuine infeasibility, nothing
             // to report); below -bound it merely cannot be tracked
             // this round, which is a clamp artifact like the ω case.
-            if (v < -td.floors[k]) {
+            if (v < -td.floors[i]) {
               feasible = false;
             } else if (v < -bound) {
               feasible = false;
@@ -222,7 +283,7 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
             }
             v = std::min(v, bound);
           }
-          eff[k] = v;
+          eff[i] = v;
         }
         if (!feasible) break;
       }
@@ -234,20 +295,24 @@ std::optional<std::vector<int64_t>> FindNonNegLoop(
         // walk steps but contribute no transition.
         std::vector<int64_t> labels;
         if (e.label() >= 0) labels.push_back(e.label());
-        Key key = cur;
-        while (key != init) {
-          auto it = parent.find(key);
-          HAS_CHECK(it != parent.end());
-          if (it->second.second >= 0) labels.push_back(it->second.second);
-          key = it->second.first;
+        for (int s = cur; s != 0; s = states[s].parent) {
+          if (states[s].label >= 0) labels.push_back(states[s].label);
         }
         std::reverse(labels.begin(), labels.end());
         return labels;
       }
-      Key key{e.target, std::move(eff)};
-      if (seen.insert(key).second) {
-        parent[key] = {cur, e.label()};
-        stack.push_back(std::move(key));
+      const size_t hash = hash_of(e.target, eff.data());
+      const int found = index.Find(hash, [&](int id) {
+        return states[id].node == e.target &&
+               std::equal(eff.begin(), eff.end(),
+                          effects.begin() + static_cast<ptrdiff_t>(id * k));
+      });
+      if (found == -1) {
+        const int id = static_cast<int>(states.size());
+        states.push_back(LassoScratch::SearchState{e.target, cur, e.label()});
+        effects.insert(effects.end(), eff.begin(), eff.end());
+        index.Insert(hash, id);
+        stack.push_back(id);
       }
     }
   }
@@ -262,30 +327,40 @@ std::optional<LassoWitness> FindAcceptingLasso(
   if (budget_exhausted != nullptr) *budget_exhausted = false;
   bool any_search_cut = false;
   int num_sccs = 0;
-  std::vector<int> scc = ComputeSccs(graph, &num_sccs);
+  const std::vector<int> scc = ComputeSccs(graph, &num_sccs);
 
-  // Group nodes per SCC and detect which SCCs contain a cycle.
-  std::vector<std::vector<int>> members(num_sccs);
-  for (int n = 0; n < graph.num_nodes(); ++n) members[scc[n]].push_back(n);
+  // Nodes grouped per SCC, ascending within each: SCC c's members are
+  // members[offsets[c], offsets[c + 1]). Counting sort: offsets[c]
+  // starts one past SCC c's last slot and is filled downward from the
+  // highest node id.
+  std::vector<int> offsets(static_cast<size_t>(num_sccs) + 1, 0);
+  for (int c : scc) ++offsets[c];
+  for (int c = 1; c <= num_sccs; ++c) offsets[c] += offsets[c - 1];
+  std::vector<int> members(scc.size());
+  for (int n = graph.num_nodes() - 1; n >= 0; --n) {
+    members[--offsets[scc[n]]] = n;
+  }
 
+  LassoScratch scratch;
   for (int target = 0; target < num_sccs; ++target) {
+    const int* first = members.data() + offsets[target];
+    const int* last = members.data() + offsets[target + 1];
     // Cheapest filter first: an SCC without an accepting node can be
     // skipped before any cycle test touches its edge lists (on
     // task-VASS graphs most SCCs are accepting-free singletons).
     bool has_accepting = false;
-    for (int n : members[target]) {
-      if (accepting(graph.node_state(n))) {
+    for (const int* n = first; n != last; ++n) {
+      if (accepting(graph.node_state(*n))) {
         has_accepting = true;
         break;
       }
     }
     if (!has_accepting) continue;
 
-    bool has_cycle = members[target].size() > 1;
+    bool has_cycle = last - first > 1;
     if (!has_cycle) {
-      int only = members[target][0];
-      for (const KarpMiller::Edge& e : graph.edges(only)) {
-        if (e.target == only) {
+      for (const KarpMiller::Edge& e : graph.edges(*first)) {
+        if (e.target == *first) {
           has_cycle = true;
           break;
         }
@@ -302,10 +377,11 @@ std::optional<LassoWitness> FindAcceptingLasso(
     // the cover criterion tracks — SCC-invariant, so gathered once,
     // not per accepting node.
     bool has_cover = false;
-    std::vector<int> touched;
+    std::vector<int>& touched = scratch.touched;
+    touched.clear();
     if (graph.cover_edges() > 0) {
-      for (int u : members[target]) {
-        for (const KarpMiller::Edge& e : graph.edges(u)) {
+      for (const int* u = first; u != last; ++u) {
+        for (const KarpMiller::Edge& e : graph.edges(*u)) {
           if (scc[e.target] != target) continue;
           if (e.cover) has_cover = true;
           for (const auto& [dim, change] : e.delta()) {
@@ -319,22 +395,21 @@ std::optional<LassoWitness> FindAcceptingLasso(
       }
     }
 
-    for (int n : members[target]) {
+    for (const int* it = first; it != last; ++it) {
+      const int n = *it;
       if (!accepting(graph.node_state(n))) continue;
-      TrackedDims td;
+      TrackedDims& td = scratch.td;
       if (has_cover) {
-        td = PartitionTrackedDims(graph, touched, n);
+        PartitionTrackedDims(graph, touched, n, &td);
       } else {
-        td.dims = OmegaDims(graph.node_marking(n));
-        td.num_omega = td.dims.size();
-        td.floors.assign(td.dims.size(), kOmega);
+        OmegaDims(graph.node_marking(n), &td);
       }
       std::optional<std::vector<int64_t>> loop;
       if (td.dims.empty()) {
         // Nothing to track: cover-free with no ω-dimensions (any cycle
         // returns the marking exactly), or a cover SCC none of whose
         // edges touches a counter (every walk has zero net effect).
-        loop = FindAnyLoop(graph, scc, target, n);
+        loop = FindAnyLoop(graph, scc, target, n, &scratch);
       } else {
         // Iterative deepening on the effect clamp: short loops (the
         // common case) are found without saturating the full effect
@@ -349,7 +424,7 @@ std::optional<LassoWitness> FindAcceptingLasso(
           round.effect_bound = bound;
           final_steps_cut = false;
           final_clamp_cut = false;
-          loop = FindNonNegLoop(graph, scc, target, n, td, round,
+          loop = FindNonNegLoop(graph, scc, target, n, td, round, &scratch,
                                 &final_steps_cut, &final_clamp_cut);
           if (bound >= options.effect_bound) break;
           bound = std::min(bound * 4, options.effect_bound);

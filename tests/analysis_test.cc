@@ -9,6 +9,7 @@
 // example specs (mirroring tests/por_test.cc's POR gate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -128,6 +129,26 @@ TEST(SatOracleTest, DefaultCapIsSixteenDistinctAtoms) {
   EXPECT_FALSE(MaybeSatisfiable(conj, sorts));
   conj.push_back(Condition::VarEq(15, 16));
   EXPECT_TRUE(MaybeSatisfiable(conj, sorts));
+}
+
+TEST(SatOracleTest, CheckKeepsSatApartFromOverCap) {
+  // MaybeSatisfiable's "maybe" is either a satisfying truth assignment
+  // found within the cap or a question over the cap; Check tells them
+  // apart, also when the answer comes from the memo.
+  std::vector<VarSort> sorts(18, VarSort::kId);
+  CondPtr null0 = Condition::IsNull(0);
+  std::vector<CondPtr> wide;
+  for (int i = 0; i < 17; ++i) wide.push_back(Condition::VarEq(i, i + 1));
+  CondPtr over = Condition::AndAll(wide);
+  SatOracle oracle;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(oracle.Check({null0}, sorts), SatOracle::Answer::kSat);
+    EXPECT_EQ(oracle.Check({null0, Condition::Not(null0)}, sorts),
+              SatOracle::Answer::kUnsat);
+    EXPECT_EQ(oracle.Check({over}, sorts), SatOracle::Answer::kOverCap);
+    EXPECT_TRUE(oracle.MaybeSatisfiable({over}, sorts));
+  }
+  EXPECT_GE(oracle.memo_hits(), 3u);
 }
 
 TEST(SatOracleTest, KeyDependencyMergesNonKeyColumns) {
@@ -287,6 +308,108 @@ TEST(AnalyzerTest, JointPrePostDeadOnlyForInputVariables) {
   EXPECT_FALSE(r.tasks[root].service_dead[1]);
   EXPECT_TRUE(HasDiag(r.diagnostics, kDiagDeadService,
                       "jointly unsatisfiable"));
+}
+
+/// A service's dead reason as the analyzer asked it before the joint
+/// question went first: pre, then post, then the joint pre/post check,
+/// each on a fresh oracle; empty if the service is live.
+std::string ReasonInReportingOrder(const Task& task,
+                                   const InternalService& svc) {
+  std::vector<VarSort> sorts;
+  for (int v = 0; v < task.vars().size(); ++v) {
+    sorts.push_back(task.vars().var(v).sort);
+  }
+  const std::vector<int> inputs = task.InputVars();
+  std::vector<int> rename(sorts.size());
+  std::vector<VarSort> joint_sorts = sorts;
+  for (int v = 0; v < task.vars().size(); ++v) {
+    if (std::find(inputs.begin(), inputs.end(), v) != inputs.end()) {
+      rename[v] = v;
+    } else {
+      rename[v] = static_cast<int>(joint_sorts.size());
+      joint_sorts.push_back(sorts[static_cast<size_t>(v)]);
+    }
+  }
+  if (!MaybeSatisfiable({svc.pre}, sorts)) {
+    return "pre-condition is unsatisfiable";
+  }
+  if (!MaybeSatisfiable({svc.post}, sorts)) {
+    return "post-condition is unsatisfiable";
+  }
+  if (!MaybeSatisfiable({svc.pre, svc.post->MapVars(rename)}, joint_sorts)) {
+    return "pre- and post-conditions are jointly unsatisfiable";
+  }
+  return "";
+}
+
+TEST(AnalyzerTest, JointQuestionFirstKeepsEveryDeadReason) {
+  // One service per outcome of the dead-service questions. The joint
+  // question is asked first and settles a live service alone; every
+  // other service falls back to pre, post, joint, so a service whose
+  // pre (or post) is unsatisfiable, which makes the joint question
+  // unsatisfiable too, still reports its pre (or post).
+  ArtifactSystem system;
+  TaskId root = system.AddTask("T", kNoTask);
+  Task& t = system.task(root);
+  int a = t.vars().AddVar("a", VarSort::kId);
+  int n = t.vars().AddVar("n", VarSort::kNumeric);
+  std::vector<int> xs;
+  for (int i = 0; i < 9; ++i) {
+    xs.push_back(t.vars().AddVar("x" + std::to_string(i), VarSort::kId));
+  }
+  t.AddInput(a, 0);
+  const CondPtr infeasible = Condition::And(Cmp(n, Relop::kLt, 0), Gt(n, 0));
+  // Nine distinct atoms over the x's; the joint question of two such
+  // conditions has eighteen, over the oracle's cap of sixteen.
+  auto nine_atoms = [&](bool satisfiable) {
+    std::vector<CondPtr> cs;
+    const CondPtr null0 = Condition::IsNull(xs[0]);
+    cs.push_back(null0);
+    cs.push_back(satisfiable ? Condition::IsNull(xs[8])
+                             : Condition::Not(null0));
+    for (int i = 0; i < 7; ++i) cs.push_back(Condition::VarEq(xs[i], xs[i + 1]));
+    return Condition::AndAll(cs);
+  };
+  struct Case {
+    const char* name;
+    CondPtr pre, post;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"pre_unsat", infeasible, Condition::True(),
+       "pre-condition is unsatisfiable"},
+      {"post_unsat", Condition::True(), infeasible,
+       "post-condition is unsatisfiable"},
+      {"joint_unsat", Condition::IsNull(a),
+       Condition::Not(Condition::IsNull(a)),
+       "pre- and post-conditions are jointly unsatisfiable"},
+      {"live", Condition::IsNull(xs[0]), Condition::Not(Condition::IsNull(xs[0])),
+       ""},
+      {"over_cap_pre_unsat", nine_atoms(false), nine_atoms(true),
+       "pre-condition is unsatisfiable"},
+      {"over_cap_live", nine_atoms(true), nine_atoms(true), ""},
+  };
+  for (const Case& c : cases) {
+    InternalService svc;
+    svc.name = c.name;
+    svc.pre = c.pre;
+    svc.post = c.post;
+    t.AddInternalService(std::move(svc));
+  }
+  AnalysisResult r = AnalyzeSystem(system, {});
+  for (size_t s = 0; s < cases.size(); ++s) {
+    const InternalService& svc = t.service(static_cast<int>(s));
+    const std::string reason = ReasonInReportingOrder(t, svc);
+    EXPECT_EQ(reason, cases[s].reason) << svc.name;
+    EXPECT_EQ(r.tasks[root].service_dead[s] != 0, !reason.empty())
+        << svc.name;
+    const std::string message =
+        "service " + svc.name + " can never fire: " + reason;
+    EXPECT_EQ(HasDiag(r.diagnostics, kDiagDeadService, message),
+              !reason.empty())
+        << svc.name;
+  }
+  EXPECT_EQ(CountCode(r.diagnostics, kDiagDeadService), 4);
 }
 
 TEST(AnalyzerTest, UnreachableServiceChain) {

@@ -193,6 +193,86 @@ TEST(PrunedKarpMillerTest, NewcomerRetiresEveryEntryItStrictlyCovers) {
   EXPECT_EQ(g.antichain_peak(), 2u);
 }
 
+/// The graph's edge storage against its counters: TotalEdges() is the
+/// sum of the nodes' edge counts, and a node has a source-less edge iff
+/// it was retired, in which case that is its only edge: a label-less
+/// cover-edge to a node of the same state with a strictly larger
+/// marking.
+void ExpectEdgeStorageConsistent(const KarpMiller& g,
+                                 const std::string& what) {
+  size_t total = 0;
+  size_t retired = 0;
+  for (int n = 0; n < g.num_nodes(); ++n) {
+    const KarpMiller::EdgeRange edges = g.edges(n);
+    total += edges.size();
+    if (!g.node_deactivated(n)) {
+      for (const KarpMiller::Edge& e : edges) {
+        EXPECT_NE(e.source, nullptr) << what << " node " << n;
+      }
+      continue;
+    }
+    ++retired;
+    ASSERT_EQ(edges.size(), 1u) << what << " node " << n;
+    const KarpMiller::Edge& e = edges[0];
+    EXPECT_TRUE(e.cover) << what << " node " << n;
+    EXPECT_EQ(e.source, nullptr) << what << " node " << n;
+    EXPECT_EQ(e.label(), -1) << what << " node " << n;
+    EXPECT_EQ(g.node_state(e.target), g.node_state(n)) << what;
+    EXPECT_TRUE(DominanceLeq(g.node_marking(n), g.node_marking(e.target)))
+        << what << " node " << n;
+    EXPECT_NE(g.node_marking(n), g.node_marking(e.target))
+        << what << " node " << n;
+  }
+  EXPECT_EQ(g.TotalEdges(), total) << what;
+  EXPECT_EQ(g.deactivated_nodes(), retired) << what;
+}
+
+TEST(PrunedKarpMillerTest, EdgeStorageAccountsForEveryEdge) {
+  for (bool prune : {false, true}) {
+    for (int family = 0; family < 2; ++family) {
+      ExplicitVass v = family == 0 ? PumpVass(3) : SubsumptionVass(4);
+      KarpMillerOptions options;
+      options.prune_coverability = prune;
+      KarpMiller g(&v, options);
+      g.Build({0});
+      const std::string what = "prune=" + std::to_string(prune) +
+                               " family=" + std::to_string(family);
+      ExpectEdgeStorageConsistent(g, what);
+      // The right wing's poor opening is retired by the rich one.
+      if (prune && family == 1) {
+        EXPECT_GT(g.deactivated_nodes(), 0u);
+      }
+    }
+  }
+  // Product graphs large enough to span several edge chunks (the
+  // property holds, so the roots explore in full), with and without
+  // POR's ample prefixes.
+  bench::Workload w = bench::WithHoldingProperty(
+      bench::MakeCommutingServices(/*width=*/3, /*depth=*/2));
+  HltlProperty negated = w.property.Negated();
+  for (bool por : {false, true}) {
+    VerifierOptions options;
+    options.por = por;
+    RtEngine engine(&w.system, &negated, options, nullptr);
+    engine.CheckRoot();
+    const TaskId root = w.system.root();
+    PartialIsoType empty_input(&w.system.schema(),
+                               &w.system.task(root).vars(),
+                               engine.context(root).nav_depth());
+    size_t edges = 0;
+    for (Assignment beta = 0; beta < 8; ++beta) {
+      const RtEngine::Entry* entry =
+          engine.FindEntry(engine.EntryKey(root, empty_input, Cell(), beta));
+      if (entry == nullptr) continue;
+      ExpectEdgeStorageConsistent(
+          *entry->graph,
+          "por=" + std::to_string(por) + " beta=" + std::to_string(beta));
+      edges += entry->graph->TotalEdges();
+    }
+    EXPECT_GT(edges, 1000u) << "por=" << por;
+  }
+}
+
 TEST(PrunedKarpMillerTest, RealEdgesFormAForestCoverEdgesCloseWalks) {
   // Every surviving successor creates a NEW node, so the pruned
   // graph's REAL edges are exactly its spanning forest; the closed-

@@ -249,5 +249,39 @@ TEST(TypePoolTest, PooledAddressesSurviveArenaGrowth) {
   }
 }
 
+/// Counts live instances.
+struct Counted {
+  static int live;
+  int value = -1;
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(const Counted& o) : value(o.value) { ++live; }
+  Counted(Counted&& o) noexcept : value(o.value) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) = default;
+  ~Counted() { --live; }
+};
+int Counted::live = 0;
+
+TEST(ChunkedArenaTest, ConstructsAndDestroysOnlyWhatWasAppended) {
+  Counted::live = 0;
+  {
+    ChunkedArena<Counted> arena;
+    // The first Append allocates a whole chunk but constructs one slot.
+    EXPECT_EQ(arena.Append(Counted(0)), 0u);
+    EXPECT_EQ(Counted::live, 1);
+    // Past one chunk boundary: the second chunk holds a single element.
+    const int n = static_cast<int>(ChunkedArena<Counted>::kChunkSize) + 1;
+    for (int i = 1; i < n; ++i) {
+      EXPECT_EQ(arena.Append(Counted(i)), static_cast<size_t>(i));
+      EXPECT_EQ(Counted::live, i + 1);
+    }
+    EXPECT_EQ(arena.size(), static_cast<size_t>(n));
+    EXPECT_EQ(arena[0].value, 0);
+    EXPECT_EQ(arena[static_cast<size_t>(n - 1)].value, n - 1);
+  }
+  // The arena destroyed exactly its n elements.
+  EXPECT_EQ(Counted::live, 0);
+}
+
 }  // namespace
 }  // namespace has
