@@ -24,7 +24,9 @@ inline constexpr Sign kSignPos = 1;
 inline constexpr Sign kSignAny = 2;
 
 /// A deduplicated list of linear polynomials over which cells are
-/// formed. Polynomials are canonicalized up to positive scaling.
+/// formed. Polynomials are canonicalized up to positive scaling, and
+/// each is also kept compiled as a dense row over the basis's columns
+/// (FourierMotzkin::DenseSystem's layout), which the cell checks copy.
 class PolyBasis {
  public:
   /// Adds (deduplicating) and returns the index of the polynomial.
@@ -43,8 +45,21 @@ class PolyBasis {
   /// Indices of polynomials all of whose variables lie in `vars`.
   std::vector<int> PolysOverVars(const std::vector<ArithVar>& vars) const;
 
+  /// Every variable of the basis, ascending.
+  const std::vector<ArithVar>& columns() const { return columns_; }
+  /// Polynomial i as a dense row: its coefficient per column, then its
+  /// constant (columns().size() + 1 entries).
+  const Rational* row(int i) const {
+    return rows_.data() + static_cast<size_t>(i) * (columns_.size() + 1);
+  }
+
  private:
+  /// Appends polynomial i's dense row over the current columns.
+  void CompileRow(int i);
+
   std::vector<LinearExpr> polys_;  // canonical: leading coefficient +1
+  std::vector<ArithVar> columns_;
+  std::vector<Rational> rows_;
 };
 
 /// A (partial) sign vector over a PolyBasis.
@@ -79,9 +94,6 @@ class Cell {
   size_t Hash() const;
 
  private:
-  /// Appends the constraints ToSystem returns to *out.
-  void AddConstraintsTo(const PolyBasis& basis, LinearSystem* out) const;
-
   std::vector<Sign> signs_;
 };
 
@@ -92,8 +104,10 @@ struct CellHash {
 /// Enumerates every satisfiable completion of `partial` over the
 /// polynomials `todo` (each receives a concrete sign in {-1,0,+1}),
 /// subject to the extra linear system. Prunes with incremental
-/// Fourier–Motzkin satisfiability checks; stops early if `callback`
-/// returns false.
+/// Fourier–Motzkin satisfiability checks on one dense system (the
+/// basis's compiled rows for the fixed signs, plus the extra rows, over
+/// the basis's columns and any extra variable); stops early if
+/// `callback` returns false.
 void EnumerateCells(const PolyBasis& basis, const Cell& partial,
                     const std::vector<int>& todo, const LinearSystem& extra,
                     const std::function<bool(const Cell&)>& callback);

@@ -25,46 +25,6 @@ bool GroundHolds(const Rational& constant, Relop op) {
   return false;
 }
 
-/// A system as dense rows over fixed columns, the variables in
-/// ascending order: a row is its coefficient per column, then its
-/// constant (`width` entries), with its relation in `ops`.
-struct DenseRows {
-  int width = 0;
-  std::vector<Rational> cells;
-  std::vector<Relop> ops;
-
-  size_t rows() const { return ops.size(); }
-  Rational* row(size_t r) { return cells.data() + r * width; }
-  const Rational* row(size_t r) const { return cells.data() + r * width; }
-  void Clear() {
-    cells.clear();
-    ops.clear();
-  }
-  /// Appends `sign`·e (op) 0; every variable of e is a column.
-  void Add(const std::vector<ArithVar>& columns, const LinearExpr& e, Relop op,
-           int sign) {
-    const size_t at = cells.size();
-    cells.resize(at + static_cast<size_t>(width));
-    Rational* r = cells.data() + at;
-    auto col = columns.begin();
-    for (const auto& [v, a] : e.coefs()) {  // ascending, like the columns
-      col = std::lower_bound(col, columns.end(), v);
-      r[col - columns.begin()] = sign < 0 ? -a : a;
-    }
-    r[width - 1] = sign < 0 ? -e.constant() : e.constant();
-    ops.push_back(op);
-  }
-  void Erase(size_t i) {
-    cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(i * width),
-                cells.begin() + static_cast<std::ptrdiff_t>((i + 1) * width));
-    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-  void AddRow(const DenseRows& from, size_t i) {
-    cells.insert(cells.end(), from.row(i), from.row(i) + width);
-    ops.push_back(from.ops[i]);
-  }
-};
-
 /// The variables of `system` and of `extra`, ascending.
 std::vector<ArithVar> Columns(const LinearSystem& system,
                               const std::vector<LinearExpr>& extra) {
@@ -80,12 +40,49 @@ std::vector<ArithVar> Columns(const LinearSystem& system,
   return columns;
 }
 
-/// Checks and drops the rows whose coefficients are all zero; false if
-/// one of them fails.
-bool DropGround(DenseRows* sys) {
+}  // namespace
+
+void FourierMotzkin::DenseSystem::Reset(int columns) {
+  rows_.width = columns + 1;
+  rows_.cells.clear();
+  rows_.ops.clear();
+}
+
+Rational* FourierMotzkin::DenseSystem::AddRow(Relop op) {
+  const size_t at = rows_.cells.size();
+  rows_.cells.resize(at + static_cast<size_t>(rows_.width));
+  rows_.ops.push_back(op);
+  return rows_.cells.data() + at;
+}
+
+void FourierMotzkin::DenseSystem::AddExpr(const std::vector<ArithVar>& columns,
+                                          const LinearExpr& e, Relop op,
+                                          bool negate) {
+  Rational* r = AddRow(op);
+  auto col = columns.begin();
+  for (const auto& [v, a] : e.coefs()) {  // ascending, like the columns
+    col = std::lower_bound(col, columns.end(), v);
+    r[col - columns.begin()] = negate ? -a : a;
+  }
+  r[rows_.width - 1] = negate ? -e.constant() : e.constant();
+}
+
+void FourierMotzkin::DenseSystem::Truncate(size_t rows) {
+  rows_.cells.resize(rows * static_cast<size_t>(rows_.width));
+  rows_.ops.resize(rows);
+}
+
+bool FourierMotzkin::DenseSystem::IsSatisfiable() {
+  work_.width = rows_.width;
+  work_.cells.assign(rows_.cells.begin(), rows_.cells.end());
+  work_.ops.assign(rows_.ops.begin(), rows_.ops.end());
+  return Decide(&work_, &next_);
+}
+
+bool FourierMotzkin::DenseSystem::DropGround(Rows* sys) {
   const int n = sys->width - 1;
   size_t kept = 0;
-  for (size_t i = 0; i < sys->rows(); ++i) {
+  for (size_t i = 0; i < sys->ops.size(); ++i) {
     const Rational* r = sys->row(i);
     bool ground = true;
     for (int j = 0; j < n && ground; ++j) ground = r[j].is_zero();
@@ -104,25 +101,30 @@ bool DropGround(DenseRows* sys) {
   return true;
 }
 
-/// Decides `*sys` by eliminating its columns in ascending order, as the
-/// sparse rounds do (an equality with the column substitutes it away;
-/// otherwise every lower bound meets every upper bound). Consumes
-/// `*sys`; `*next` is scratch.
-bool DenseSatisfiable(DenseRows* sys, DenseRows* next) {
+bool FourierMotzkin::DenseSystem::Decide(Rows* sys, Rows* next) {
   const int width = sys->width;
   next->width = width;
   if (!DropGround(sys)) return false;
-  for (int col = 0; col + 1 < width && sys->rows() > 0; ++col) {
-    size_t eq = sys->rows();
-    for (size_t i = 0; i < sys->rows() && eq == sys->rows(); ++i) {
-      if (sys->ops[i] == Relop::kEq && !sys->row(i)[col].is_zero()) eq = i;
+  for (int col = 0; col + 1 < width && !sys->ops.empty(); ++col) {
+    const size_t rows = sys->ops.size();
+    size_t eq = rows;
+    bool lower = false;
+    bool upper = false;
+    for (size_t i = 0; i < rows; ++i) {
+      const int s = sys->row(i)[col].sign();
+      if (s == 0) continue;
+      if (sys->ops[i] == Relop::kEq) {
+        eq = i;
+        break;
+      }
+      (s < 0 ? lower : upper) = true;
     }
-    if (eq != sys->rows()) {
+    if (eq != rows) {
       // row_i -= (row_i[col] / row_eq[col]) · row_eq for every other
       // row, in place; then the equality goes.
       const Rational* e = sys->row(eq);
       const Rational inv = Rational(1) / e[col];
-      for (size_t i = 0; i < sys->rows(); ++i) {
+      for (size_t i = 0; i < rows; ++i) {
         Rational* r = sys->row(i);
         if (i == eq || r[col].is_zero()) continue;
         const Rational f = r[col] * inv;
@@ -131,20 +133,44 @@ bool DenseSatisfiable(DenseRows* sys, DenseRows* next) {
         }
         r[col] = Rational(0);
       }
-      sys->Erase(eq);
+      sys->cells.erase(
+          sys->cells.begin() + static_cast<std::ptrdiff_t>(eq * width),
+          sys->cells.begin() + static_cast<std::ptrdiff_t>((eq + 1) * width));
+      sys->ops.erase(sys->ops.begin() + static_cast<std::ptrdiff_t>(eq));
+    } else if (!lower && !upper) {
+      continue;  // no row mentions the column
+    } else if (!lower || !upper) {
+      // Bounded on one side only: the rows with the column pair with
+      // nothing, so only the rows without it remain.
+      size_t kept = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        Rational* r = sys->row(i);
+        if (!r[col].is_zero()) continue;
+        if (kept != i) {
+          std::copy(r, r + width, sys->row(kept));
+          sys->ops[kept] = sys->ops[i];
+        }
+        ++kept;
+      }
+      sys->cells.resize(kept * static_cast<size_t>(width));
+      sys->ops.resize(kept);
     } else {
-      next->Clear();
+      next->cells.clear();
+      next->ops.clear();
       // a·x + l (op) 0 with a < 0 bounds x from below by -l/a, with
       // b > 0 from above by -u/b; each pair leaves -l/a + u/b (op) 0,
       // strict if either is.
-      for (size_t i = 0; i < sys->rows(); ++i) {
-        if (sys->row(i)[col].is_zero()) next->AddRow(*sys, i);
+      for (size_t i = 0; i < rows; ++i) {
+        if (!sys->row(i)[col].is_zero()) continue;
+        next->cells.insert(next->cells.end(), sys->row(i),
+                           sys->row(i) + width);
+        next->ops.push_back(sys->ops[i]);
       }
-      for (size_t lo = 0; lo < sys->rows(); ++lo) {
+      for (size_t lo = 0; lo < rows; ++lo) {
         const Rational* l = sys->row(lo);
         if (l[col].sign() >= 0) continue;
         const Rational l_inv = Rational(1) / l[col];
-        for (size_t up = 0; up < sys->rows(); ++up) {
+        for (size_t up = 0; up < rows; ++up) {
           const Rational* u = sys->row(up);
           if (u[col].sign() <= 0) continue;
           const Rational u_inv = Rational(1) / u[col];
@@ -167,8 +193,6 @@ bool DenseSatisfiable(DenseRows* sys, DenseRows* next) {
   }
   return true;
 }
-
-}  // namespace
 
 LinearSystem FourierMotzkin::SimplifyGround(LinearSystem system,
                                             bool* feasible) {
@@ -325,34 +349,23 @@ bool FourierMotzkin::Entails(const LinearSystem& system,
 bool FourierMotzkin::IsSatisfiableWithDisequalities(
     const LinearSystem& system, const std::vector<LinearExpr>& disequalities) {
   const std::vector<ArithVar> columns = Columns(system, disequalities);
-  // Room for the system and one disequality row.
-  const int width = static_cast<int>(columns.size()) + 1;
-  const size_t rows = system.size() + 1;
-  DenseRows base, sys, next;
-  for (DenseRows* d : {&base, &sys, &next}) {
-    if (d == &sys && disequalities.empty()) continue;
-    d->width = width;
-    d->cells.reserve(rows * static_cast<size_t>(width));
-    d->ops.reserve(rows);
-  }
+  DenseSystem sys;
+  sys.Reset(static_cast<int>(columns.size()));
   for (const LinearConstraint& c : system.constraints()) {
-    base.Add(columns, c.expr, c.op, 1);
+    sys.AddExpr(columns, c.expr, c.op, false);
   }
-  if (disequalities.empty()) return DenseSatisfiable(&base, &next);
-  sys = base;
-  if (!DenseSatisfiable(&sys, &next)) return false;
+  if (!sys.IsSatisfiable()) return false;
   // A convex set contained in a finite union of hyperplanes is contained
   // in one of them, so it suffices to check each disequality separately:
   // the system meets e < 0 or -e < 0.
+  const size_t base = sys.rows();
   for (const LinearExpr& e : disequalities) {
     bool met = false;
-    for (int sign : {1, -1}) {
-      sys = base;
-      sys.Add(columns, e, Relop::kLt, sign);
-      if (DenseSatisfiable(&sys, &next)) {
-        met = true;
-        break;
-      }
+    for (bool negate : {false, true}) {
+      sys.AddExpr(columns, e, Relop::kLt, negate);
+      met = sys.IsSatisfiable();
+      sys.Truncate(base);
+      if (met) break;
     }
     if (!met) return false;  // system ⊆ {e = 0}
   }

@@ -1,5 +1,7 @@
 #include "arith/linear.h"
 
+#include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "common/hashing.h"
@@ -7,57 +9,116 @@
 
 namespace has {
 
-Rational LinearExpr::Coef(ArithVar v) const {
-  auto it = coefs_.find(v);
-  return it == coefs_.end() ? Rational(0) : it->second;
+namespace {
+
+bool VarLess(const std::pair<ArithVar, Rational>& t, ArithVar v) {
+  return t.first < v;
 }
 
-void LinearExpr::AddTerm(ArithVar v, const Rational& coef) {
-  auto [it, inserted] = coefs_.try_emplace(v, coef);
-  if (!inserted) {
-    it->second += coef;
-    if (it->second.is_zero()) coefs_.erase(it);
-  } else if (it->second.is_zero()) {
-    coefs_.erase(it);
+/// Merges two sorted term lists into *out as a + sign·b, dropping the
+/// coefficients that cancel.
+void MergeTerms(const LinearExpr::Terms& a, const LinearExpr::Terms& b,
+                int sign, LinearExpr::Terms* out) {
+  out->reserve(a.size() + b.size());
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() || j != b.end()) {
+    if (j == b.end() || (i != a.end() && i->first < j->first)) {
+      out->push_back(*i++);
+    } else if (i == a.end() || j->first < i->first) {
+      out->emplace_back(j->first, sign < 0 ? -j->second : j->second);
+      ++j;
+    } else {
+      Rational c = sign < 0 ? i->second - j->second : i->second + j->second;
+      if (!c.is_zero()) out->emplace_back(i->first, std::move(c));
+      ++i;
+      ++j;
+    }
   }
 }
 
+}  // namespace
+
+void LinearExpr::CheckTerms() const {
+#ifndef NDEBUG
+  for (size_t i = 0; i < coefs_.size(); ++i) {
+    assert(!coefs_[i].second.is_zero());
+    assert(i == 0 || coefs_[i - 1].first < coefs_[i].first);
+  }
+#endif
+}
+
+Rational LinearExpr::Coef(ArithVar v) const {
+  auto it = std::lower_bound(coefs_.begin(), coefs_.end(), v, VarLess);
+  return it == coefs_.end() || it->first != v ? Rational(0) : it->second;
+}
+
+void LinearExpr::AddTerm(ArithVar v, const Rational& coef) {
+  auto it = std::lower_bound(coefs_.begin(), coefs_.end(), v, VarLess);
+  if (it != coefs_.end() && it->first == v) {
+    it->second += coef;
+    if (it->second.is_zero()) coefs_.erase(it);
+  } else if (!coef.is_zero()) {
+    coefs_.emplace(it, v, coef);
+  }
+  CheckTerms();
+}
+
 LinearExpr LinearExpr::operator+(const LinearExpr& o) const {
-  LinearExpr out = *this;
-  out.constant_ += o.constant_;
-  for (const auto& [v, c] : o.coefs_) out.AddTerm(v, c);
+  LinearExpr out(constant_ + o.constant_);
+  MergeTerms(coefs_, o.coefs_, 1, &out.coefs_);
+  out.CheckTerms();
   return out;
 }
 
 LinearExpr LinearExpr::operator-(const LinearExpr& o) const {
-  return *this + (o * Rational(-1));
+  LinearExpr out(constant_ - o.constant_);
+  MergeTerms(coefs_, o.coefs_, -1, &out.coefs_);
+  out.CheckTerms();
+  return out;
 }
 
 LinearExpr LinearExpr::operator*(const Rational& scalar) const {
   LinearExpr out;
   if (scalar.is_zero()) return out;
   out.constant_ = constant_ * scalar;
-  for (const auto& [v, c] : coefs_) out.coefs_[v] = c * scalar;
+  out.coefs_.reserve(coefs_.size());
+  for (const auto& [v, c] : coefs_) out.coefs_.emplace_back(v, c * scalar);
+  out.CheckTerms();
   return out;
 }
 
 LinearExpr LinearExpr::Substitute(ArithVar v,
                                   const LinearExpr& replacement) const {
-  auto it = coefs_.find(v);
-  if (it == coefs_.end()) return *this;
-  Rational coef = it->second;
+  auto it = std::lower_bound(coefs_.begin(), coefs_.end(), v, VarLess);
+  if (it == coefs_.end() || it->first != v) return *this;
   LinearExpr out = *this;
-  out.coefs_.erase(v);
+  const Rational coef = it->second;
+  out.coefs_.erase(out.coefs_.begin() + (it - coefs_.begin()));
   return out + replacement * coef;
 }
 
 LinearExpr LinearExpr::Rename(const std::map<ArithVar, ArithVar>& map) const {
-  LinearExpr out;
-  out.constant_ = constant_;
+  LinearExpr out(constant_);
+  out.coefs_.reserve(coefs_.size());
   for (const auto& [v, c] : coefs_) {
     auto it = map.find(v);
-    out.AddTerm(it == map.end() ? v : it->second, c);
+    out.coefs_.emplace_back(it == map.end() ? v : it->second, c);
   }
+  // Renamed variables may collide: sort, then sum equal neighbours.
+  std::sort(
+      out.coefs_.begin(), out.coefs_.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t kept = 0;
+  for (size_t i = 0; i < out.coefs_.size();) {
+    std::pair<ArithVar, Rational> t = std::move(out.coefs_[i]);
+    for (++i; i < out.coefs_.size() && out.coefs_[i].first == t.first; ++i) {
+      t.second += out.coefs_[i].second;
+    }
+    if (!t.second.is_zero()) out.coefs_[kept++] = std::move(t);
+  }
+  out.coefs_.resize(kept);
+  out.CheckTerms();
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arith/rational.h"
@@ -19,20 +20,24 @@ namespace has {
 /// numeric navigation expressions onto them).
 using ArithVar = int;
 
-/// A linear expression sum_i coef_i * x_i + constant.
+/// A linear expression sum_i coef_i * x_i + constant. The terms are one
+/// flat vector of (var, coef) pairs, sorted by ascending var, with no
+/// zero coefficient (debug builds assert both after every change).
 class LinearExpr {
  public:
+  using Terms = std::vector<std::pair<ArithVar, Rational>>;
+
   LinearExpr() = default;
   explicit LinearExpr(Rational constant) : constant_(std::move(constant)) {}
 
   static LinearExpr Var(ArithVar v) {
     LinearExpr e;
-    e.coefs_[v] = Rational(1);
+    e.coefs_.emplace_back(v, Rational(1));
     return e;
   }
   static LinearExpr Constant(Rational c) { return LinearExpr(std::move(c)); }
 
-  const std::map<ArithVar, Rational>& coefs() const { return coefs_; }
+  const Terms& coefs() const { return coefs_; }
   const Rational& constant() const { return constant_; }
 
   Rational Coef(ArithVar v) const;
@@ -67,7 +72,10 @@ class LinearExpr {
   size_t Hash() const;
 
  private:
-  std::map<ArithVar, Rational> coefs_;
+  /// Asserts the sorted, zero-free form (no-op under NDEBUG).
+  void CheckTerms() const;
+
+  Terms coefs_;
   Rational constant_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "common/hashing.h"
 #include "common/status.h"
@@ -137,6 +138,10 @@ size_t Rational::Hash() const {
   size_t seed = num_.Hash();
   HashMix(&seed, den_.Hash());
   return seed;
+}
+
+std::ostream& operator<<(std::ostream& os, const Rational& r) {
+  return os << r.ToString();
 }
 
 }  // namespace has

@@ -8,6 +8,7 @@
 #ifndef HAS_ARITH_RATIONAL_H_
 #define HAS_ARITH_RATIONAL_H_
 
+#include <iosfwd>
 #include <string>
 
 #include "arith/bigint.h"
@@ -68,6 +69,9 @@ class Rational {
   BigInt num_;
   BigInt den_;  // always > 0
 };
+
+/// Writes ToString() (so StrCat takes a Rational).
+std::ostream& operator<<(std::ostream& os, const Rational& r);
 
 }  // namespace has
 

@@ -6,16 +6,49 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace has {
 
-/// Concatenates the stream representations of all arguments.
+namespace strings_internal {
+
+/// The integer types std::to_string writes with operator<<'s digits
+/// (not bool, and none of the character types, which print as
+/// characters).
+template <typename T>
+inline constexpr bool kPlainInteger =
+    std::is_same_v<T, short> || std::is_same_v<T, unsigned short> ||
+    std::is_same_v<T, int> || std::is_same_v<T, unsigned> ||
+    std::is_same_v<T, long> || std::is_same_v<T, unsigned long> ||
+    std::is_same_v<T, long long> || std::is_same_v<T, unsigned long long>;
+
+/// Appends the stream representation of `piece` to *out.
+template <typename T>
+void AppendPiece(std::string* out, const T& piece) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out->append(std::string_view(piece));
+  } else if constexpr (std::is_same_v<T, char>) {
+    out->push_back(piece);
+  } else if constexpr (kPlainInteger<T>) {
+    out->append(std::to_string(piece));
+  } else {
+    std::ostringstream oss;  // bool, floating point, Rational, enums, ...
+    oss << piece;
+    out->append(oss.str());
+  }
+}
+
+}  // namespace strings_internal
+
+/// Concatenates the stream representations of all arguments. Strings,
+/// characters and plain integers are appended directly; anything else
+/// goes through a one-off std::ostringstream.
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  std::ostringstream oss;
-  (oss << ... << args);
-  return oss.str();
+  std::string out;
+  (strings_internal::AppendPiece(&out, args), ...);
+  return out;
 }
 
 /// Joins `parts` with `sep` between consecutive elements.

@@ -1,6 +1,9 @@
 #include "core/successor.h"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
+#include <map>
 #include <optional>
 
 #include "common/status.h"
@@ -54,6 +57,7 @@ TaskContext::TaskContext(const ArtifactSystem* system,
       }
     }
     preserved_polys_ = basis_->PolysOverVars(numeric_inputs);
+    LinkParent(*hcd);
   }
   output_vars_ = input_vars_;
   for (int v : t.ReturnVars()) output_vars_.insert(v);
@@ -120,6 +124,27 @@ void TaskContext::CollectAtoms() {
       add_null_check(parent_var);
     }
   }
+  if (basis_ != nullptr) {
+    for (const Condition* atom : raw) {
+      if (atom->kind() != CondKind::kArith || !atom->UsesArithmetic() ||
+          atom->constraint().expr.IsConstant()) {
+        continue;
+      }
+      ArithAtom a;
+      a.atom = atom;
+      a.poly = basis_->Find(atom->constraint().expr, &a.negated);
+      arith_atoms_.push_back(a);
+    }
+    std::sort(arith_atoms_.begin(), arith_atoms_.end(),
+              [](const ArithAtom& a, const ArithAtom& b) {
+                return a.atom < b.atom;
+              });
+    arith_atoms_.erase(std::unique(arith_atoms_.begin(), arith_atoms_.end(),
+                                   [](const ArithAtom& a, const ArithAtom& b) {
+                                     return a.atom == b.atom;
+                                   }),
+                       arith_atoms_.end());
+  }
   for (const CondPtr& c : null_checks_) raw.push_back(c.get());
 
   // Deduplicate and keep equality-component atoms. They stay pointers
@@ -136,6 +161,71 @@ void TaskContext::CollectAtoms() {
     }
     if (!seen) eq_atoms_.push_back(atom);
   }
+}
+
+void TaskContext::LinkParent(const Hcd& hcd) {
+  const Task& child = task();
+  if (child.is_root()) return;
+  const Task& parent = system_->task(child.parent());
+  const PolyBasis& parent_basis = hcd.basis(child.parent());
+  parent_link_.parent_basis = &parent_basis;
+  auto transfer = [&](int p, const std::map<ArithVar, ArithVar>& to_parent,
+                      std::vector<PolyTransfer>* out) {
+    PolyTransfer t;
+    t.child_poly = p;
+    t.parent_poly =
+        parent_basis.Find(basis_->poly(p).Rename(to_parent), &t.negated);
+    if (t.parent_poly != -1) out->push_back(t);
+  };
+  std::map<ArithVar, ArithVar> to_parent;
+  std::vector<ArithVar> numeric_inputs;
+  for (const auto& [child_var, parent_var] : child.fin()) {
+    if (child.vars().var(child_var).sort == VarSort::kNumeric) {
+      to_parent[child_var] = parent_var;
+      numeric_inputs.push_back(child_var);
+    }
+  }
+  for (int p : basis_->PolysOverVars(numeric_inputs)) {
+    transfer(p, to_parent, &parent_link_.input);
+  }
+  // A return always overwrites its numeric targets (only ID targets
+  // depend on the parent's state), and an input fed from an
+  // overwritten variable no longer maps onto it.
+  std::set<ArithVar> overwritten;
+  for (const auto& [parent_var, child_var] : child.fout()) {
+    if (parent.vars().var(parent_var).sort != VarSort::kNumeric) continue;
+    for (auto it = to_parent.begin(); it != to_parent.end();) {
+      it = it->second == parent_var ? to_parent.erase(it) : std::next(it);
+    }
+    to_parent[child_var] = parent_var;
+    overwritten.insert(parent_var);
+  }
+  for (int p = 0; p < parent_basis.size(); ++p) {
+    for (const auto& [v, c] : parent_basis.poly(p).coefs()) {
+      if (overwritten.count(v) > 0) {
+        parent_link_.return_resets.push_back(p);
+        break;
+      }
+    }
+  }
+  for (int p = 0; p < basis_->size(); ++p) {
+    bool mapped = true;
+    for (const auto& [v, c] : basis_->poly(p).coefs()) {
+      if (to_parent.count(v) == 0) mapped = false;
+    }
+    if (mapped) transfer(p, to_parent, &parent_link_.output);
+  }
+}
+
+int TaskContext::ArithPoly(const Condition& atom, bool* negated) const {
+  auto it = std::lower_bound(
+      arith_atoms_.begin(), arith_atoms_.end(), &atom,
+      [](const ArithAtom& a, const Condition* c) { return a.atom < c; });
+  if (it != arith_atoms_.end() && it->atom == &atom) {
+    *negated = it->negated;
+    return it->poly;
+  }
+  return basis_->Find(atom.constraint().expr, negated);
 }
 
 void TaskContext::ComputePor() {
@@ -227,7 +317,7 @@ Truth TaskContext::EvalSym(const Condition& cond, const PartialIsoType& iso,
         if (!cond.UsesArithmetic()) return iso.EvalAtom(cond);
         if (basis_ == nullptr) return Truth::kUnknown;
         bool negated = false;
-        int poly = basis_->Find(cond.constraint().expr, &negated);
+        int poly = ArithPoly(cond, &negated);
         if (poly == -1 || cell.size() <= poly) return Truth::kUnknown;
         Sign sign = cell.sign(poly);
         if (sign == kSignAny) return Truth::kUnknown;
@@ -336,7 +426,10 @@ class DecisionSearch {
                  bool* truncated, const Emit& emit)
       : ctx_(ctx), must_hold_(must_hold), truncated_(truncated), emit_(emit) {}
 
-  void Run(SymbolicConfig& cur) {
+  /// Refines `cur`, whose equality atoms before index `first` are all
+  /// decided: deciding an atom only adds (dis)equalities and tags, so an
+  /// atom once decided stays decided in every refinement.
+  void Run(SymbolicConfig& cur, size_t first = 0) {
     if (++branches_ > ctx_.max_branches()) {
       *truncated_ = true;
       return;
@@ -346,13 +439,18 @@ class DecisionSearch {
       return;
     }
     // Next undecided equality atom.
-    for (const Condition* atom : ctx_.eq_atoms()) {
-      if (cur.iso.EvalAtom(*atom) != Truth::kUnknown) continue;
+    const std::vector<const Condition*>& atoms = ctx_.eq_atoms();
+    for (size_t i = 0; i < first; ++i) {
+      assert(cur.iso.EvalAtom(*atoms[i]) != Truth::kUnknown);
+    }
+    for (size_t i = first; i < atoms.size(); ++i) {
+      const Condition& atom = *atoms[i];
+      if (cur.iso.EvalAtom(atom) != Truth::kUnknown) continue;
       {
         SymbolicConfig branch = cur;
-        if (branch.iso.DecideAtom(*atom, true)) Run(branch);
+        if (branch.iso.DecideAtom(atom, true)) Run(branch, i + 1);
       }
-      if (cur.iso.DecideAtom(*atom, false)) Run(cur);
+      if (cur.iso.DecideAtom(atom, false)) Run(cur, i + 1);
       return;
     }
     // All equality atoms decided. Complete the cell (if arithmetic).
@@ -486,26 +584,15 @@ Cell ChildInputCell(const TaskContext& parent_ctx,
   if (child_ctx.basis() == nullptr || parent_ctx.basis() == nullptr) {
     return Cell();
   }
-  const Task& child = child_ctx.task();
-  std::map<ArithVar, ArithVar> child_to_parent;
-  std::vector<ArithVar> child_inputs;
-  for (const auto& [child_var, parent_var] : child.fin()) {
-    if (child.vars().var(child_var).sort == VarSort::kNumeric) {
-      child_to_parent[child_var] = parent_var;
-      child_inputs.push_back(child_var);
-    }
-  }
+  const TaskContext::ParentLink& link = child_ctx.parent_link();
+  HAS_CHECK_MSG(link.parent_basis == parent_ctx.basis(),
+                "a child's input cell is read off its own parent's basis");
   Cell out(child_ctx.basis()->size());
-  for (int p : child_ctx.basis()->PolysOverVars(child_inputs)) {
-    LinearExpr renamed = child_ctx.basis()->poly(p).Rename(child_to_parent);
-    bool negated = false;
-    int parent_poly = parent_ctx.basis()->Find(renamed, &negated);
-    if (parent_poly == -1 || parent_state.cell.size() <= parent_poly) {
-      continue;
-    }
-    Sign sign = parent_state.cell.sign(parent_poly);
+  for (const TaskContext::PolyTransfer& t : link.input) {
+    if (parent_state.cell.size() <= t.parent_poly) continue;
+    Sign sign = parent_state.cell.sign(t.parent_poly);
     if (sign == kSignAny) continue;
-    out.set_sign(p, negated ? static_cast<Sign>(-sign) : sign);
+    out.set_sign(t.child_poly, t.negated ? static_cast<Sign>(-sign) : sign);
   }
   return out;
 }
@@ -551,38 +638,16 @@ std::vector<SymbolicConfig> ApplyChildReturn(
   if (parent_ctx.basis() != nullptr) {
     // Reset signs of polynomials touching overwritten numerics, then
     // force the child's output constraints through the renaming.
-    std::set<int> touched(overwritten.begin(), overwritten.end());
-    for (int p = 0; p < parent_ctx.basis()->size(); ++p) {
-      for (ArithVar v : parent_ctx.basis()->poly(p).Vars()) {
-        if (touched.count(v) > 0) {
-          base.cell.set_sign(p, kSignAny);
-          break;
-        }
-      }
-    }
-    if (child_ctx.basis() != nullptr && child_out_cell.size() > 0) {
-      std::map<ArithVar, ArithVar> numeric_map;
-      for (const auto& [cv, pv] : child_to_parent) {
-        if (child.vars().var(cv).sort == VarSort::kNumeric) {
-          numeric_map[cv] = pv;
-        }
-      }
-      for (int p = 0; p < child_ctx.basis()->size(); ++p) {
-        Sign sign = child_out_cell.sign(p);
+    const TaskContext::ParentLink& link = child_ctx.parent_link();
+    HAS_CHECK_MSG(link.parent_basis == parent_ctx.basis(),
+                  "a child returns into its own parent's basis");
+    for (int p : link.return_resets) base.cell.set_sign(p, kSignAny);
+    if (child_out_cell.size() > 0) {
+      for (const TaskContext::PolyTransfer& t : link.output) {
+        Sign sign = child_out_cell.sign(t.child_poly);
         if (sign == kSignAny) continue;
-        // Only polynomials entirely over mapped variables transfer.
-        bool mapped = true;
-        for (ArithVar v : child_ctx.basis()->poly(p).Vars()) {
-          if (numeric_map.count(v) == 0) mapped = false;
-        }
-        if (!mapped) continue;
-        LinearExpr renamed_poly =
-            child_ctx.basis()->poly(p).Rename(numeric_map);
-        bool negated = false;
-        int parent_poly = parent_ctx.basis()->Find(renamed_poly, &negated);
-        if (parent_poly == -1) continue;
-        base.cell.set_sign(parent_poly,
-                           negated ? static_cast<Sign>(-sign) : sign);
+        base.cell.set_sign(t.parent_poly,
+                           t.negated ? static_cast<Sign>(-sign) : sign);
       }
     }
   }

@@ -156,6 +156,32 @@ class TaskContext {
   const std::set<int>& output_vars() const { return output_vars_; }
   const std::vector<int>& output_polys() const { return output_polys_; }
 
+  /// A polynomial of this task's basis and its counterpart in the
+  /// parent's basis (equal up to a positive scaling, or a negative one
+  /// if `negated`).
+  struct PolyTransfer {
+    int child_poly = 0;
+    int parent_poly = 0;
+    bool negated = false;
+  };
+  /// What passes between this task's cell and its parent's, fixed by
+  /// the two bases and f_in/f_out alone (set in arithmetic mode for a
+  /// non-root task; `parent_basis` is null otherwise).
+  struct ParentLink {
+    const PolyBasis* parent_basis = nullptr;
+    /// Polynomials over the numeric inputs, renamed through f_in
+    /// (ChildInputCell).
+    std::vector<PolyTransfer> input;
+    /// Parent polynomials over a numeric f_out target, whose signs a
+    /// return resets (ApplyChildReturn).
+    std::vector<int> return_resets;
+    /// Polynomials over variables that still map to the parent on
+    /// return (f_in minus the inputs whose parent variable a return
+    /// overwrites, plus f_out's numeric pairs) (ApplyChildReturn).
+    std::vector<PolyTransfer> output;
+  };
+  const ParentLink& parent_link() const { return parent_link_; }
+
   /// Linear equalities implied by the equality component: numeric
   /// variables in one class are equal; const tags fix values. Used to
   /// couple the cell's satisfiability checks with the iso type.
@@ -206,8 +232,20 @@ class TaskContext {
   bool PorServiceIsProp(const ServiceRef& s) const;
 
  private:
+  /// A harvested arithmetic atom's polynomial in the basis (-1 if
+  /// absent), resolved once at construction.
+  struct ArithAtom {
+    const Condition* atom = nullptr;
+    int poly = -1;
+    bool negated = false;
+  };
+
   void CollectAtoms();
   void ComputePor();
+  void LinkParent(const Hcd& hcd);
+  /// Index of `atom`'s polynomial in the basis (or -1), from the atom
+  /// table, or PolyBasis::Find for an atom the task did not harvest.
+  int ArithPoly(const Condition& atom, bool* negated) const;
 
   const ArtifactSystem* system_;
   const HltlProperty* property_;
@@ -215,6 +253,9 @@ class TaskContext {
   const VerifierOptions* options_;
   const PolyBasis* basis_;  // null in no-arithmetic mode
   std::vector<const Condition*> eq_atoms_;
+  /// Sorted by atom address (arithmetic mode only).
+  std::vector<ArithAtom> arith_atoms_;
+  ParentLink parent_link_;
   /// Owns the synthesized `var = null` atoms eq_atoms_ points into.
   std::vector<CondPtr> null_checks_;
   std::set<int> input_vars_;

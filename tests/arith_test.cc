@@ -1,4 +1,6 @@
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <utility>
@@ -8,7 +10,10 @@
 
 #include "arith/bigint.h"
 #include "arith/fourier_motzkin.h"
+#include "arith/linear.h"
 #include "arith/rational.h"
+#include "common/hashing.h"
+#include "common/strings.h"
 
 namespace has {
 namespace {
@@ -314,6 +319,188 @@ TEST(RationalTest, RandomOperationsAgreeWithBigIntCrossProducts) {
     bool less = b.sign() * d.sign() > 0 ? a * d < c * b : c * b < a * d;
     ASSERT_EQ(x < y, less);
   }
+}
+
+/// The map-backed linear expression LinearExpr's flat terms replace:
+/// every operation as the map performed it.
+struct MapExpr {
+  std::map<ArithVar, Rational> coefs;
+  Rational constant;
+
+  void AddTerm(ArithVar v, const Rational& c) {
+    Rational& slot = coefs[v];
+    slot += c;
+    if (slot.is_zero()) coefs.erase(v);
+  }
+  MapExpr operator+(const MapExpr& o) const {
+    MapExpr out = *this;
+    out.constant += o.constant;
+    for (const auto& [v, c] : o.coefs) out.AddTerm(v, c);
+    return out;
+  }
+  MapExpr operator*(const Rational& s) const {
+    MapExpr out;
+    if (s.is_zero()) return out;
+    out.constant = constant * s;
+    for (const auto& [v, c] : coefs) out.coefs[v] = c * s;
+    return out;
+  }
+  MapExpr operator-(const MapExpr& o) const { return *this + o * Rational(-1); }
+  MapExpr Substitute(ArithVar v, const MapExpr& r) const {
+    auto it = coefs.find(v);
+    if (it == coefs.end()) return *this;
+    MapExpr out = *this;
+    out.coefs.erase(v);
+    return out + r * it->second;
+  }
+  MapExpr Rename(const std::map<ArithVar, ArithVar>& map) const {
+    MapExpr out;
+    out.constant = constant;
+    for (const auto& [v, c] : coefs) {
+      auto it = map.find(v);
+      out.AddTerm(it == map.end() ? v : it->second, c);
+    }
+    return out;
+  }
+  std::string ToString() const {
+    std::vector<std::string> parts;
+    for (const auto& [v, c] : coefs) {
+      parts.push_back(StrCat(c.ToString(), "*x", v));
+    }
+    if (!constant.is_zero() || parts.empty()) {
+      parts.push_back(constant.ToString());
+    }
+    return StrJoin(parts, " + ");
+  }
+  size_t Hash() const {
+    size_t seed = constant.Hash();
+    for (const auto& [v, c] : coefs) {
+      HashMix(&seed, v);
+      HashMix(&seed, c.Hash());
+    }
+    return seed;
+  }
+};
+
+TEST(LinearExprTest, FlatTermsMatchMapReference) {
+  // Random AddTerm sequences (with cancellations to zero), +, -, *,
+  // Substitute and Rename (with colliding targets) on the flat terms
+  // and on the map reference: the terms, Coef, ==, Hash and ToString
+  // must agree after every step.
+  std::mt19937 rng(34);
+  std::uniform_int_distribution<int> var(-3, 6);
+  std::uniform_int_distribution<int> small(-3, 3);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const Rational huge(BigInt(int64_t{1} << 62) * BigInt(5), BigInt(3));
+  auto coef = [&] {
+    Rational c(small(rng));
+    return pick(rng) == 0 ? c * huge : c;
+  };
+  auto check = [](const LinearExpr& e, const MapExpr& m) {
+    ASSERT_EQ(e.coefs().size(), m.coefs.size()) << e.ToString();
+    auto it = m.coefs.begin();
+    for (const auto& [v, c] : e.coefs()) {
+      ASSERT_EQ(v, it->first);
+      ASSERT_EQ(c, it->second);
+      ++it;
+    }
+    for (ArithVar v = -4; v <= 7; ++v) {
+      auto at = m.coefs.find(v);
+      ASSERT_EQ(e.Coef(v), at == m.coefs.end() ? Rational(0) : at->second);
+    }
+    ASSERT_EQ(e.constant(), m.constant);
+    ASSERT_EQ(e.IsConstant(), m.coefs.empty());
+    ASSERT_EQ(e.ToString(), m.ToString());
+    ASSERT_EQ(e.Hash(), m.Hash());
+    // The same expression built term by term in descending order.
+    LinearExpr rebuilt(m.constant);
+    for (auto r = m.coefs.rbegin(); r != m.coefs.rend(); ++r) {
+      rebuilt.AddTerm(r->first, r->second);
+    }
+    ASSERT_TRUE(rebuilt == e);
+  };
+  std::vector<std::pair<LinearExpr, MapExpr>> pool(4);
+  int cancellations = 0, collisions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    auto& [e, m] = pool[static_cast<size_t>(pick(rng)) % pool.size()];
+    const auto& [oe, om] = pool[static_cast<size_t>(pick(rng)) % pool.size()];
+    switch (pick(rng)) {
+      case 0:
+      case 1:
+      case 2: {
+        const ArithVar v = var(rng);
+        const Rational c = coef();
+        e.AddTerm(v, c);
+        m.AddTerm(v, c);
+        break;
+      }
+      case 3:
+        if (!m.coefs.empty()) {  // cancel an existing term to zero
+          const auto& [v, c] = *std::next(
+              m.coefs.begin(), pick(rng) % static_cast<int>(m.coefs.size()));
+          const ArithVar cv = v;
+          const Rational neg = -c;
+          e.AddTerm(cv, neg);
+          m.AddTerm(cv, neg);
+          ++cancellations;
+        }
+        break;
+      case 4: {
+        LinearExpr ne = e + oe;
+        MapExpr nm = m + om;
+        e = std::move(ne);
+        m = std::move(nm);
+        break;
+      }
+      case 5: {
+        LinearExpr ne = e - oe;
+        MapExpr nm = m - om;
+        e = std::move(ne);
+        m = std::move(nm);
+        break;
+      }
+      case 6: {
+        const Rational s = pick(rng) == 0 ? Rational(0) : coef();
+        e = e * s;
+        m = m * s;
+        break;
+      }
+      case 7: {
+        const ArithVar v = var(rng);
+        LinearExpr ne = e.Substitute(v, oe);
+        MapExpr nm = m.Substitute(v, om);
+        e = std::move(ne);
+        m = std::move(nm);
+        break;
+      }
+      default: {
+        std::map<ArithVar, ArithVar> map;
+        const ArithVar target = var(rng);
+        for (int k = 1 + pick(rng) % 3; k > 0; --k) map[var(rng)] = target;
+        map[var(rng)] = var(rng);
+        int hit = 0;
+        for (const auto& [from, to] : map) {
+          hit += to == target && m.coefs.count(from) > 0;
+        }
+        collisions += hit > 1;
+        e = e.Rename(map);
+        m = m.Rename(map);
+        break;
+      }
+    }
+    check(e, m);
+    if (pick(rng) == 0) {  // keep the pool from growing without bound
+      e = LinearExpr();
+      m = MapExpr();
+    }
+  }
+  for (const auto& [a, am] : pool) {
+    for (const auto& [b, bm] : pool) {
+      EXPECT_EQ(a == b, am.coefs == bm.coefs && am.constant == bm.constant);
+    }
+  }
+  EXPECT_GT(cancellations, 100);
+  EXPECT_GT(collisions, 20);
 }
 
 LinearExpr Expr(std::vector<std::pair<int, int>> terms, int constant) {

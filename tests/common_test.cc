@@ -1,5 +1,13 @@
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
+#include "arith/rational.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/union_find.h"
@@ -36,6 +44,38 @@ TEST(StringsTest, StrCatAndJoin) {
   EXPECT_EQ(StrCat("a", 1, "b"), "a1b");
   EXPECT_EQ(StrJoin({"x", "y", "z"}, ", "), "x, y, z");
   EXPECT_EQ(StrJoin({}, ","), "");
+}
+
+/// What StrCat wrote before it skipped the stream: operator<< on a
+/// default std::ostringstream.
+template <typename T>
+std::string Streamed(const T& value) {
+  std::ostringstream oss;
+  oss << value;
+  return oss.str();
+}
+
+TEST(StringsTest, StrCatMatchesStreamRendering) {
+  const int8_t small = -7;  // a character type: streams as a char
+  const uint8_t letter = 'A';
+  const int64_t negative = std::numeric_limits<int64_t>::min();
+  const size_t big = std::numeric_limits<size_t>::max();
+  const Rational third(BigInt(-1), BigInt(3));
+  const std::string_view view = "view";
+  const char* chars = "chars";
+  EXPECT_EQ(StrCat(small), Streamed(small));
+  EXPECT_EQ(StrCat(letter), Streamed(letter));
+  EXPECT_EQ(StrCat(true, false), Streamed(true) + Streamed(false));
+  EXPECT_EQ(StrCat(0.1), Streamed(0.1));
+  EXPECT_EQ(StrCat(1e300), Streamed(1e300));
+  EXPECT_EQ(StrCat(negative), Streamed(negative));
+  EXPECT_EQ(StrCat(big), Streamed(big));
+  EXPECT_EQ(StrCat(third), Streamed(third));
+  EXPECT_EQ(StrCat(third), "-1/3");
+  EXPECT_EQ(StrCat(view), Streamed(view));
+  EXPECT_EQ(StrCat(chars), Streamed(chars));
+  EXPECT_EQ(StrCat('x', short{-3}, 42u, -5L, 7ULL, std::string("s")),
+            "x-3" "42" "-5" "7" "s");
 }
 
 TEST(StringsTest, SplitAndStrip) {
